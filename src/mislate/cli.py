@@ -1,11 +1,13 @@
 """Command-line interface: estimate, identify, and simulate subcommands.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 identification or
-diagnostic failure, 3 optimizer non-convergence.
+Exit codes: 0 success, 1 I/O, parse or option-value failure, 2
+identification or diagnostic failure (and argparse usage errors), 3
+optimizer non-convergence.
 """
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 
@@ -53,9 +55,6 @@ def _add_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--delimiter", default=",")
     p.add_argument("--v-support", default=None,
                    help="comma-separated support order for the exogenous column")
-    p.add_argument("--support-points", default=None,
-                   help="comma-separated support indices pinning the closed-form "
-                        "solver (pair for case-ii; two triples z0;z1 for case-i)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser):
@@ -75,15 +74,31 @@ def _load(args) -> tuple:
     return ds, mode
 
 
-def _support_points(args, mode: Mode):
-    if args.support_points is None:
+def _support_points(text, mode: Mode, k: int):
+    """Parse --support-points: a pair "i,j" in case-ii, two triples
+    "a,b,c;d,e,f" (one per z) in case-i, each of distinct indices in
+    0..K-1. Raises ValidationError on any other form."""
+    if text is None:
         return None
-    if mode is Mode.CASE_I:
-        return tuple(
-            tuple(int(i) for i in part.split(","))
-            for part in args.support_points.split(";")
-        )
-    return tuple(int(i) for i in args.support_points.split(","))
+    case_i = mode is Mode.CASE_I
+    shape = "two triples a,b,c;d,e,f" if case_i else "a pair i,j"
+    groups = [[part.strip() for part in group.split(",")]
+              for group in text.split(";")]
+    if len(groups) != (2 if case_i else 1) or any(
+            len(parts) != (3 if case_i else 2)
+            or not all(re.fullmatch(r"[0-9]+", part) for part in parts)
+            for parts in groups):
+        raise ValidationError(f"--support-points must be {shape} of integer "
+                              f"indices in {mode.value}, got {text!r}")
+    out = [tuple(int(part) for part in parts) for parts in groups]
+    for idx in out:
+        if max(idx) >= k:
+            raise ValidationError(f"--support-points indices must lie in "
+                                  f"0..{k - 1}, got {text!r}")
+        if len(set(idx)) != len(idx):
+            raise ValidationError(f"--support-points indices must be "
+                                  f"distinct, got {text!r}")
+    return tuple(out) if case_i else out[0]
 
 
 def _dataset_summary(ds, stats) -> dict:
@@ -183,6 +198,7 @@ def cmd_estimate(args) -> int:
 def cmd_identify(args) -> int:
     try:
         ds, mode = _load(args)
+        support_points = _support_points(args.support_points, mode, ds.k)
     except (OSError, ParseError, SchemaError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -194,7 +210,7 @@ def cmd_identify(args) -> int:
         stats = cell_stats(ds)
         report["dataset"] = _dataset_summary(ds, stats)
         report["diagnostics"] = _diagnostics(ds, stats)
-        result = identify(stats, mode, support_points=_support_points(args, mode))
+        result = identify(stats, mode, support_points=support_points)
     except (ValidationError, MislateError) as exc:
         report["error"] = str(exc)
         _emit(report, args.as_json)
@@ -221,8 +237,12 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     report = _meta(args)
-    summary = run_study(design, n=args.n, reps=args.reps, seed=args.seed,
-                        ci_level=args.level, workers=args.threads)
+    try:
+        summary = run_study(design, n=args.n, reps=args.reps, seed=args.seed,
+                            ci_level=args.level, workers=args.threads)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     truth = true_params(design)
     report["simulate"] = {
         "design": summary.design, "n": summary.n, "reps": summary.reps,
@@ -258,6 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_id = sub.add_parser("identify", help="closed-form identification only")
     _add_data_flags(p_id)
+    p_id.add_argument("--support-points", default=None,
+                      help="comma-separated support indices pinning the "
+                           "closed-form solver (pair for case-ii; two triples "
+                           "z0;z1 for case-i)")
     _add_output_flags(p_id)
     p_id.set_defaults(func=cmd_identify)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -224,10 +224,15 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Empirical per-(z, v) and per-z summaries.
+    """Per-(z, v, t) count, sum of y and sum of y squared, with the per-(z, v)
+    and per-z summaries they determine.
 
-    tau_zv entries are NaN where a treatment arm is empty; n_zvt carries the
-    raw (z, v, t) counts so callers can see why.
+    Within a (z, v, t) cell every moment is affine in y, so these three
+    (2, K, 2) arrays are all the GMM estimator reads of the data. tau_zv
+    entries are NaN where a treatment arm is empty; n_zvt carries the raw
+    (z, v, t) counts so callers can see why. sum_y and sum_yy are None in a
+    table assembled from summaries alone, which suffices for identification
+    but not for the moment functions.
     """
 
     n_zv: np.ndarray          # (2, K) counts
@@ -240,6 +245,13 @@ class CellStats:
     n: int
     k: int
     mode: Mode
+    sum_y: Optional[np.ndarray] = None    # (2, K, 2) sum of y by cell
+    sum_yy: Optional[np.ndarray] = None   # (2, K, 2) sum of y**2 by cell
+
+
+def _cell_index(ds: Dataset) -> np.ndarray:
+    """Flat (z, v, t) cell of each row, in C order of a (2, K, 2) array."""
+    return (ds.z.astype(np.int64) * ds.k + ds.v) * 2 + ds.t
 
 
 def validate(ds: Dataset) -> list:
@@ -255,9 +267,11 @@ def validate(ds: Dataset) -> list:
         out.append("CaseII requires K >= 2 support points for V")
     if not np.all(np.isfinite(ds.y)):
         out.append("y contains non-finite values")
-    if not np.all((ds.t == 0) | (ds.t == 1)):
+    t_ok = (ds.t == 0) | (ds.t == 1)
+    if not np.all(t_ok):
         out.append("t contains values outside {0,1}")
-    if not np.all((ds.z == 0) | (ds.z == 1)):
+    z_ok = (ds.z == 0) | (ds.z == 1)
+    if not np.all(z_ok):
         out.append("z contains values outside {0,1}")
     if np.any(ds.v < 0) or np.any(ds.v >= k):
         out.append("v contains codes outside the declared support")
@@ -265,30 +279,34 @@ def validate(ds: Dataset) -> list:
     zbar = float(np.mean(ds.z))
     if zbar in (0.0, 1.0):
         out.append("instrument degenerate: z takes a single value")
-    for z in (0, 1):
-        for kk in range(k):
-            for t in (0, 1):
-                if not np.any((ds.z == z) & (ds.v == kk) & (ds.t == t)):
-                    out.append(
-                        f"empty cell: no observations with z={z}, "
-                        f"v={ds.v_support[kk]!r}, t={t}"
-                    )
+    cell = _cell_index(ds)
+    rows_ok = t_ok & z_ok
+    if not np.all(rows_ok):
+        cell = cell[rows_ok]
+    counts = np.bincount(cell, minlength=4 * k).reshape(2, k, 2)
+    # argwhere walks the cells in z, v, t order
+    for z, kk, t in np.argwhere(counts == 0):
+        out.append(
+            f"empty cell: no observations with z={z}, "
+            f"v={ds.v_support[kk]!r}, t={t}"
+        )
     return out
 
 
 def cell_stats(ds: Dataset, require_cells: bool = True) -> CellStats:
-    """Exact sample frequencies and conditional means for every (z, v) cell.
+    """Exact per-(z, v, t) count, sum of y and sum of y squared, and the
+    sample frequencies and conditional means they give for every (z, v) cell.
 
     With require_cells, any (z, v, t) cell needed by identification that is
     empty raises EmptyCell; otherwise the corresponding tau_zv is NaN.
     """
     k = ds.k
     n = ds.n
-    z = ds.z.astype(np.int64)
-    t = ds.t.astype(np.int64)
-    cell = (z * k + ds.v) * 2 + t
+    cell = _cell_index(ds)
     counts = np.bincount(cell, minlength=4 * k).reshape(2, k, 2).astype(float)
     ysums = np.bincount(cell, weights=ds.y, minlength=4 * k).reshape(2, k, 2)
+    yysums = np.bincount(cell, weights=ds.y * ds.y,
+                         minlength=4 * k).reshape(2, k, 2)
 
     n_zv = counts.sum(axis=2)
     if require_cells and np.any(counts == 0):
@@ -303,7 +321,7 @@ def cell_stats(ds: Dataset, require_cells: bool = True) -> CellStats:
         n_z = n_zv.sum(axis=1)
         p_z = counts[:, :, 1].sum(axis=1) / n_z
         mu_z = ysums.sum(axis=(1, 2)) / n_z
-    r_hat = float(np.mean(z))
+        r_hat = float(n_z[1] / n)
     return CellStats(
         n_zv=n_zv,
         n_zvt=counts,
@@ -315,4 +333,6 @@ def cell_stats(ds: Dataset, require_cells: bool = True) -> CellStats:
         n=n,
         k=k,
         mode=ds.mode,
+        sum_y=ysums,
+        sum_yy=yysums,
     )

@@ -4,7 +4,8 @@ The objective Q(theta) = gbar(theta)' W gbar(theta) is minimised as a box
 constrained nonlinear least-squares problem in the residuals W^{1/2} gbar,
 warm-started from the closed-form identification solution. The constraint
 m0 + m1 <= 1 - eps is enforced by projection plus a hinge penalty residual;
-it is inactive at every interior solution.
+it is inactive at every interior solution. Every evaluation reads the data
+through one per-cell CellStats table, built once per fit.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize, stats
 
-from .data import Dataset, Mode, ParamVector, cell_stats, validate
+from .data import CellStats, Dataset, Mode, ParamVector, cell_stats, validate
 from .exceptions import (
     MislateError,
     NotOveridentified,
@@ -23,30 +24,26 @@ from .exceptions import (
     ValidationError,
 )
 from .identification import identify
-from .moments import MomentLayout, moment_jacobian, moment_matrix, sample_moments
+from .moments import MomentLayout, gbar, moment_jacobian, sample_moments
 
 EPS_CONSTRAINT = 1e-4
 PENALTY = 10.0
+MAX_ITER = 200
+TOL_GRAD = 1e-10
+TOL_STEP = 1e-12
 
 
 @dataclass(frozen=True)
 class GmmConfig:
     weighting: str = "identity"        # "identity" | "optimal"
-    max_iter: int = 200
-    tol_grad: float = 1e-10
-    tol_step: float = 1e-12
     start: Optional[ParamVector] = None  # closed form when None
     ci_level: float = 0.95
-    fd_step: float = 1e-6
-    eps: float = EPS_CONSTRAINT
 
     def __post_init__(self):
         if self.weighting not in ("identity", "optimal"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0,1)")
-        if self.tol_grad <= 0 or self.tol_step <= 0 or self.fd_step <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,24 +76,24 @@ def param_names(k: int, mode: Mode) -> list:
     return names
 
 
-def _bounds(k: int, mode: Mode, dp_sign: float, eps: float) -> tuple:
+def _bounds(k: int, mode: Mode, dp_sign: float) -> tuple:
     dim = 2 * k + 9 if mode is Mode.CASE_I else 2 * k + 7
     lo = np.full(dim, -np.inf)
     hi = np.full(dim, np.inf)
     # delta_p_star keeps the sign of the starting value
     if dp_sign >= 0:
-        lo[1] = eps
+        lo[1] = EPS_CONSTRAINT
     else:
-        hi[1] = -eps
-    lo[2], hi[2] = eps, 1.0 - eps
+        hi[1] = -EPS_CONSTRAINT
+    lo[2], hi[2] = EPS_CONSTRAINT, 1.0 - EPS_CONSTRAINT
     pos = 3
     for _z in (0, 1):
         nm = 2 if mode is Mode.CASE_I else 1
         for _ in range(nm):
-            lo[pos], hi[pos] = eps, 1.0 - eps
+            lo[pos], hi[pos] = EPS_CONSTRAINT, 1.0 - EPS_CONSTRAINT
             pos += 1
         for _ in range(k):
-            lo[pos], hi[pos] = eps, 1.0 - eps
+            lo[pos], hi[pos] = EPS_CONSTRAINT, 1.0 - EPS_CONSTRAINT
             pos += 1
         pos += 1  # tau_star unbounded
     return lo, hi
@@ -109,60 +106,59 @@ def _m_indices(k: int, mode: Mode) -> list:
     return [(3, k + 5)]
 
 
-def _project(x: np.ndarray, k: int, mode: Mode, eps: float) -> tuple:
+def _project(x: np.ndarray, k: int, mode: Mode) -> tuple:
     """Scale (m0, m1) onto m0+m1 <= 1-eps when violated; return the
     projected vector and per-constraint violations."""
     viols = []
     xp = x
     for i0, i1 in _m_indices(k, mode):
         tot = x[i0] + x[i1]
-        v = max(0.0, tot - (1.0 - eps))
+        v = max(0.0, tot - (1.0 - EPS_CONSTRAINT))
         viols.append(v)
         if v > 0.0:
             if xp is x:
                 xp = x.copy()
-            scale = (1.0 - eps) / tot
+            scale = (1.0 - EPS_CONSTRAINT) / tot
             xp[i0] *= scale
             xp[i1] *= scale
     return xp, np.array(viols)
 
 
-def _clip_start(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, k, mode, eps) -> np.ndarray:
+def _clip_start(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, k, mode) -> np.ndarray:
     x = np.clip(x, lo + 1e-12, hi - 1e-12)
-    x, _ = _project(x, k, mode, eps)
+    x, _ = _project(x, k, mode)
     return x
 
 
-def _fallback_start(ds: Dataset, mode: Mode) -> ParamVector:
+def _fallback_start(table: CellStats) -> ParamVector:
     """Moment-matched naive start used when closed-form identification fails:
     small misclassification, observed cell probabilities, naive Wald."""
-    stats_ = cell_stats(ds)
-    dp = stats_.p_z[1] - stats_.p_z[0]
+    dp = table.p_z[1] - table.p_z[0]
     if dp == 0.0:
         raise StartFailure("observed first stage is exactly zero")
-    beta = (stats_.mu_z[1] - stats_.mu_z[0]) / dp
-    w = stats_.n_zv / stats_.n_zv.sum(axis=1, keepdims=True)
-    tau = np.nansum(w * stats_.tau_zv, axis=1)
+    beta = (table.mu_z[1] - table.mu_z[0]) / dp
+    w = table.n_zv / table.n_zv.sum(axis=1, keepdims=True)
+    tau = np.nansum(w * table.tau_zv, axis=1)
     m = np.full(2, 0.05)
     return ParamVector(
         beta_star=beta,
         delta_p_star=dp,
-        r=stats_.r_hat,
+        r=table.r_hat,
         m0=m,
         m1=m,
-        p_star=np.clip(stats_.p_zv, 1e-3, 1.0 - 1e-3),
+        p_star=np.clip(table.p_zv, 1e-3, 1.0 - 1e-3),
         tau_star=tau,
-        mode=mode,
+        mode=table.mode,
     )
 
 
-def starting_value(ds: Dataset, cfg: GmmConfig) -> ParamVector:
+def starting_value(table: CellStats, cfg: GmmConfig) -> ParamVector:
     if cfg.start is not None:
         return cfg.start
     try:
-        return identify(cell_stats(ds), ds.mode).theta
+        return identify(table, table.mode).theta
     except MislateError:
-        return _fallback_start(ds, ds.mode)
+        return _fallback_start(table)
 
 
 def _w_half(w: np.ndarray) -> np.ndarray:
@@ -171,15 +167,15 @@ def _w_half(w: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def _minimize(ds: Dataset, x0, w_half, k, mode, cfg):
-    lo, hi = _bounds(k, mode, np.sign(x0[1]) or 1.0, cfg.eps)
-    x0 = _clip_start(x0, lo, hi, k, mode, cfg.eps)
+def _minimize(table: CellStats, x0, w_half):
+    k, mode = table.k, table.mode
+    lo, hi = _bounds(k, mode, np.sign(x0[1]) or 1.0)
+    x0 = _clip_start(x0, lo, hi, k, mode)
     n_con = len(_m_indices(k, mode))
 
     def residual(x):
-        xp, viols = _project(x, k, mode, cfg.eps)
-        theta = ParamVector.unpack(xp, k, mode)
-        g = moment_matrix(ds, theta).mean(axis=0)
+        xp, viols = _project(x, k, mode)
+        g = gbar(table, xp, k, mode)
         return np.concatenate([w_half @ g, PENALTY * viols])
 
     res = optimize.least_squares(
@@ -187,12 +183,12 @@ def _minimize(ds: Dataset, x0, w_half, k, mode, cfg):
         x0,
         bounds=(lo, hi),
         method="trf",
-        xtol=cfg.tol_step,
-        gtol=cfg.tol_grad,
-        ftol=cfg.tol_step,
-        max_nfev=cfg.max_iter * (x0.size + 1),
+        xtol=TOL_STEP,
+        gtol=TOL_GRAD,
+        ftol=TOL_STEP,
+        max_nfev=MAX_ITER * (x0.size + 1),
     )
-    x_hat, _ = _project(res.x, k, mode, cfg.eps)
+    x_hat, _ = _project(res.x, k, mode)
     core = res.fun[: res.fun.size - n_con]
     return x_hat, float(core @ core), res.status > 0
 
@@ -220,35 +216,32 @@ def estimate(ds: Dataset, cfg: GmmConfig = GmmConfig()) -> Estimate:
     problems = validate(ds)
     if problems:
         raise ValidationError("; ".join(problems))
-    k, mode = ds.k, ds.mode
+    table = cell_stats(ds)
+    k, mode, n = table.k, table.mode, table.n
     layout = MomentLayout(k, mode)
 
-    theta0 = starting_value(ds, cfg)
-    x0 = theta0.pack()
+    x0 = starting_value(table, cfg).pack()
     w_identity = np.eye(layout.n_moments)
-    x_hat, objective, converged = _minimize(ds, x0, w_identity, k, mode, cfg)
+    x_hat, objective, converged = _minimize(table, x0, w_identity)
 
     theta_hat = ParamVector.unpack(x_hat, k, mode)
-    ev = sample_moments(ds, theta_hat)
+    ev = sample_moments(table, theta_hat)
     omega = ev.omega()
     weight = w_identity
     if cfg.weighting == "optimal":
         weight = np.linalg.pinv(omega)
-        x_hat, objective, converged = _minimize(
-            ds, x_hat, _w_half(weight), k, mode, cfg
-        )
+        x_hat, objective, converged = _minimize(table, x_hat, _w_half(weight))
         theta_hat = ParamVector.unpack(x_hat, k, mode)
-        ev = sample_moments(ds, theta_hat)
+        ev = sample_moments(table, theta_hat)
         omega = ev.omega()
 
-    G = moment_jacobian(ds, theta_hat, step=cfg.fd_step)
-    vcov = sandwich_cov(G, weight, omega, ds.n)
+    G = moment_jacobian(table, theta_hat)
+    vcov = sandwich_cov(G, weight, omega, n)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
     ci = confidence_intervals(x_hat, vcov, cfg.ci_level)
 
-    gbar = ev.gbar
     omega_inv = np.linalg.pinv(omega)
-    j_stat = float(ds.n * gbar @ omega_inv @ gbar)
+    j_stat = float(n * ev.gbar @ omega_inv @ ev.gbar)
     j_dof = layout.n_overid
     j_pvalue = (
         float(stats.chi2.sf(j_stat, j_dof))
@@ -267,7 +260,7 @@ def estimate(ds: Dataset, cfg: GmmConfig = GmmConfig()) -> Estimate:
         j_pvalue=j_pvalue,
         objective=objective,
         converged=converged,
-        n=ds.n,
+        n=n,
         layout=layout,
         weighting=cfg.weighting,
         param_names=param_names(k, mode),

@@ -292,6 +292,8 @@ def forward_cell_stats(theta: ParamVector, v_weights=None) -> CellStats:
     default. The outcome level is normalised so mu_0 = 0 and
     mu_1 = beta_star * (p_1* - p_0*). Counts are set to the cell
     probabilities so count-weighted aggregation matches the population.
+    Y is taken constant within each (z, v, t) cell, with the t = 0 level
+    shared across v, so sum_y and sum_yy follow from mu_z and tau_zv.
     """
     k = theta.k
     if v_weights is None:
@@ -314,6 +316,9 @@ def forward_cell_stats(theta: ParamVector, v_weights=None) -> CellStats:
     pz = np.array([1.0 - theta.r, theta.r])
     n_zv = w * pz[:, None]
     n_zvt = np.stack([n_zv * (1.0 - p_zv), n_zv * p_zv], axis=2)
+    y0 = mu_z - (w * p_zv * tau_zv).sum(axis=1)
+    ybar = np.stack([np.broadcast_to(y0[:, None], (2, k)), y0[:, None] + tau_zv],
+                    axis=2)
     return CellStats(
         n_zv=n_zv,
         n_zvt=n_zvt,
@@ -325,4 +330,6 @@ def forward_cell_stats(theta: ParamVector, v_weights=None) -> CellStats:
         n=1,
         k=k,
         mode=theta.mode,
+        sum_y=n_zvt * ybar,
+        sum_yy=n_zvt * ybar ** 2,
     )

@@ -5,14 +5,23 @@ probability moment and one outcome-contrast moment per (z, v_k) cell, the
 true first-stage moment, and the LATE moment. In CASE_II the z-specific
 misclassification probabilities are replaced by shared (m0, m1), which
 shrinks the parameter vector but not the moment vector.
+
+moment_matrix is the one definition of the moment function, row by row.
+Within a (z, v, t) cell every component is affine in y, so the sample mean
+and second-moment matrix depend on the data only through the per-cell count,
+sum of y and sum of y squared of a CellStats table. sample_moments evaluates
+moment_matrix on a fixed grid holding every cell at y = 0 and y = 1, reads
+off each cell's intercept and slope, and combines them with the table; no
+evaluation touches the n rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset, Mode, Observation, ParamVector
+from .data import CellStats, Dataset, Mode, Observation, ParamVector
 from .exceptions import DomainError
 
 
@@ -60,14 +69,23 @@ class MomentLayout:
 
 @dataclass(frozen=True)
 class MomentEval:
+    """Moment function at one parameter value: row i in (z, v, t) cell c is
+    a[c] + b[c] * y_i, with cells in the C order of CellStats.n_zvt."""
+
     gbar: np.ndarray
-    g_rows: np.ndarray  # (n, 4K+3) per-observation moment rows
+    a: np.ndarray        # (4K, 4K+3) per-cell intercepts
+    b: np.ndarray        # (4K, 4K+3) per-cell slopes in y
+    stats: CellStats
     layout: MomentLayout
 
     def omega(self) -> np.ndarray:
-        """Uncentered second-moment matrix (1/n) sum g_i g_i'."""
-        n = self.g_rows.shape[0]
-        return self.g_rows.T @ self.g_rows / n
+        """Uncentered second-moment matrix (1/n) sum g_i g_i', summed cell by
+        cell as a'Na + a'(Sy)b + b'(Sy)a + b'(Syy)b."""
+        n_c, sy, syy = (x.reshape(-1, 1) for x in (
+            self.stats.n_zvt, self.stats.sum_y, self.stats.sum_yy))
+        a, b = self.a, self.b
+        cross = a.T @ (sy * b)
+        return (a.T @ (n_c * a) + cross + cross.T + b.T @ (syy * b)) / self.stats.n
 
 
 def _check_domain(theta: ParamVector):
@@ -139,19 +157,33 @@ def moment_vector(obs: Observation, theta: ParamVector, layout: MomentLayout) ->
     return moment_matrix(ds, theta)[0]
 
 
-def sample_moments(ds: Dataset, theta: ParamVector) -> MomentEval:
-    """Sample mean of the moment function with per-row access."""
-    g = moment_matrix(ds, theta)
-    return MomentEval(gbar=g.mean(axis=0), g_rows=g, layout=MomentLayout(ds.k, theta.mode))
+@lru_cache(maxsize=None)
+def _cell_grid(k: int, mode: Mode) -> Dataset:
+    """Every (z, v, t) cell, in CellStats order, at y = 0 (rows 0..4K-1) and
+    again at y = 1 (rows 4K..8K-1). Dataset arrays are read-only, so one
+    grid serves every evaluation."""
+    z, v, t = (np.tile(x.ravel(), 2) for x in np.indices((2, k, 2)))
+    return Dataset(y=np.repeat([0.0, 1.0], 4 * k), t=t, z=z, v=v,
+                   v_support=tuple(range(k)), mode=mode)
 
 
-def gbar(ds: Dataset, theta_flat: np.ndarray, k: int, mode: Mode) -> np.ndarray:
+def sample_moments(stats: CellStats, theta: ParamVector) -> MomentEval:
+    """Sample mean of the moment function from the per-cell table."""
+    c = 4 * stats.k
+    g = moment_matrix(_cell_grid(stats.k, theta.mode), theta)
+    a, b = g[:c], g[c:] - g[:c]
+    gbar_ = (stats.n_zvt.ravel() @ a + stats.sum_y.ravel() @ b) / stats.n
+    return MomentEval(gbar=gbar_, a=a, b=b, stats=stats,
+                      layout=MomentLayout(stats.k, theta.mode))
+
+
+def gbar(stats: CellStats, theta_flat: np.ndarray, k: int, mode: Mode) -> np.ndarray:
     """Sample moment mean from a packed coordinate vector."""
     theta = ParamVector.unpack(theta_flat, k, mode)
-    return moment_matrix(ds, theta).mean(axis=0)
+    return sample_moments(stats, theta).gbar
 
 
-def moment_jacobian(ds: Dataset, theta: ParamVector, step: float = 1e-6) -> np.ndarray:
+def moment_jacobian(stats: CellStats, theta: ParamVector, step: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian of the sample moment mean with
     respect to the packed parameter vector; column j uses
     h_j = step * max(1, |theta_j|)."""
@@ -165,5 +197,5 @@ def moment_jacobian(ds: Dataset, theta: ParamVector, step: float = 1e-6) -> np.n
         xm = x0.copy()
         xp[j] += h
         xm[j] -= h
-        jac[:, j] = (gbar(ds, xp, k, mode) - gbar(ds, xm, k, mode)) / (2.0 * h)
+        jac[:, j] = (gbar(stats, xp, k, mode) - gbar(stats, xm, k, mode)) / (2.0 * h)
     return jac

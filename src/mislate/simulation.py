@@ -8,6 +8,7 @@ inverse CDF to keep streams aligned.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -250,15 +251,20 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     Replications that fail (empty cells, identification failure, optimizer
     non-convergence) are counted and excluded from the summary moments.
     SD uses the uncentered convention so rmse^2 = bias^2 + sd^2 exactly.
+    At most min(workers, CPU count, reps) worker processes run; the
+    per-replication streams make the result independent of that number.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     truth = true_params(design)
     true_flat = truth.pack()
     true_vals = {p: float(true_flat[i]) for p, i in _TRACKED.items()}
     zcrit = norm.ppf(0.5 + ci_level / 2.0)
 
     tasks = [(design.id, n, seed, rep, ci_level) for rep in range(reps)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, os.cpu_count() or 1, reps)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_one_rep, tasks, chunksize=16))
     else:
         results = [_one_rep(t) for t in tasks]

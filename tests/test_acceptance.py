@@ -13,7 +13,7 @@ from scipy.stats import norm
 
 from conftest import random_theta
 from mislate.baselines import wald_iv
-from mislate.data import Mode
+from mislate.data import Mode, cell_stats
 from mislate.gmm import GmmConfig, estimate
 from mislate.identification import forward_cell_stats, identify, w_triple
 from mislate.moments import MomentLayout, moment_jacobian, sample_moments
@@ -90,8 +90,9 @@ def test_criterion_2_population_moments_vanish(capsys):
     omega_diags = {name: [] for name in thetas}
     for seed in range(1, draws + 1):
         ds, _ = generate(DesignSpec(1), draw_n, seed=seed)
+        table = cell_stats(ds)
         for name, theta in thetas.items():
-            ev = sample_moments(ds, theta)
+            ev = sample_moments(table, theta)
             gbars[name].append(ev.gbar)
             omega_diags[name].append(np.diag(ev.omega()))
     # the draws are the same size, so pooled means are means over draws
@@ -219,7 +220,7 @@ def test_criterion_8_property_suite(capsys, rng):
 
     theta = _oracle_theta()
     cells = _exact_count_dataset(theta, per_cell=200)
-    jac = moment_jacobian(cells, theta)
+    jac = moment_jacobian(cell_stats(cells), theta)
     layout = MomentLayout(2, Mode.CASE_II)
     checks["jacobian slopes"] = (
         abs(jac[layout.beta_index(), 0] - 1.0) < 1e-6

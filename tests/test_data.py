@@ -39,6 +39,32 @@ def test_validate_case_i_needs_three_support_points():
     assert any("K >= 3" in msg for msg in validate(ds))
 
 
+def test_validate_lists_empty_cells_in_z_v_t_order():
+    # the row with t = 2 must not fill cell (z=0, v="b", t=0)
+    ds = Dataset(y=np.zeros(6), t=np.array([1, 0, 2, 1, 0, 1]),
+                 z=np.array([0, 0, 0, 1, 1, 0]), v=np.array([0, 0, 0, 0, 2, 2]),
+                 v_support=("a", "b", "c"), mode=Mode.CASE_I)
+    problems = validate(ds)
+    assert "t contains values outside {0,1}" in problems
+    # reference: one full-array scan per (z, v, t) cell
+    expected = [
+        f"empty cell: no observations with z={z}, v={ds.v_support[k]!r}, t={t}"
+        for z in (0, 1) for k in range(ds.k) for t in (0, 1)
+        if not np.any((ds.z == z) & (ds.v == k) & (ds.t == t))
+    ]
+    assert [m for m in problems if m.startswith("empty cell")] == expected
+    assert len(expected) == 7
+
+
+def test_cell_stats_table_sums():
+    ds = _full_dataset()
+    stats = cell_stats(ds)
+    # _full_dataset puts y = 0, 1, ..., 7 into the cells in z, v, t order
+    np.testing.assert_array_equal(stats.sum_y.ravel(), np.arange(8.0))
+    np.testing.assert_array_equal(stats.sum_yy.ravel(), np.arange(8.0) ** 2)
+    np.testing.assert_array_equal(stats.n_zvt, np.ones((2, 2, 2)))
+
+
 def test_cell_stats_hand_counted():
     ds = Dataset(
         y=np.array([1.0, 0.0, 2.0, 0.0]),

@@ -25,10 +25,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             GmmConfig(ci_level=1.0)
 
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            GmmConfig(tol_grad=0.0)
-
 
 class TestParamNames:
     def test_lengths(self):

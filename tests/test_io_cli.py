@@ -201,6 +201,41 @@ class TestCli:
         assert code == EXIT_OK
         assert "(0, 1)" in json.loads(out)["identify"]["support_points"]
 
+    def test_estimate_rejects_support_points_flag(self, tmp_path, capsys):
+        # a usage error from argparse, raised before the CSV would be opened
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--support-points", "0,1"]
+                 + _data_args(tmp_path / "nope.csv"))
+        assert exc.value.code == 2
+        assert "--support-points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,k,points", [
+        ("case-ii", 2, "7,9"),          # out of range
+        ("case-ii", 2, "0,x"),          # not an integer
+        ("case-ii", 2, "-1,0"),         # negative
+        ("case-ii", 2, "0"),            # one index
+        ("case-ii", 2, "0,1,0"),        # three indices
+        ("case-ii", 2, "1,1"),          # repeated index
+        ("case-ii", 2, "0,1;0,1"),      # two groups
+        ("case-i", 3, "0,1,2"),         # one triple
+        ("case-i", 3, "0,1;0,1,2"),     # a pair where a triple belongs
+        ("case-i", 3, "0,1,2;0,1,3"),   # out of range
+        ("case-i", 3, "0,1,1;0,1,2"),   # repeated index
+        ("case-i", 3, "0,1,2;0,1,2;0,1,2"),
+    ])
+    def test_identify_rejects_bad_support_points(self, tmp_path, capsys,
+                                                 mode, k, points):
+        rng = np.random.default_rng(5)
+        ds = simulate_from_theta(random_theta(rng, Mode.CASE_II, k), 600, rng)
+        path = tmp_path / "data.csv"
+        _write_csv(path, ds)
+        code = main(["identify", "--mode", mode, f"--support-points={points}"]
+                    + _data_args(path))
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert "--support-points" in captured.err
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _ = _run(capsys, ["estimate"]
                        + _data_args(tmp_path / "nope.csv"))
@@ -236,6 +271,13 @@ class TestCli:
         code, _ = _run(capsys, ["simulate", "--design", "9", "--n", "100",
                                 "--reps", "1"])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_simulate_nonpositive_threads_is_io_error(self, capsys, threads):
+        code, out = _run(capsys, ["simulate", "--design", "1", "--n", "100",
+                                  "--reps", "1", "--threads", threads])
+        assert code == EXIT_IO
+        assert out == ""
 
     def test_console_script_is_registered(self, monkeypatch):
         target = _declared_scripts().get("mislate")

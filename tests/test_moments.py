@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_theta, simulate_from_theta
 from mislate.data import Dataset, Mode, Observation, ParamVector, cell_stats
 from mislate.exceptions import DomainError
-from mislate.identification import identify, implied_p, implied_tau
+from mislate.identification import (forward_cell_stats, identify, implied_p,
+                                    implied_tau)
 from mislate.moments import (
     MomentLayout,
     gbar,
@@ -14,6 +18,13 @@ from mislate.moments import (
     moment_vector,
     sample_moments,
 )
+
+
+TABLE_CASES = [
+    pytest.param(mode, k, id=f"{mode.value}-K{k}")
+    for mode, k in ((Mode.CASE_II, 2), (Mode.CASE_II, 5), (Mode.CASE_I, 3),
+                    (Mode.CASE_I, 4))
+]
 
 
 class TestLayout:
@@ -79,14 +90,14 @@ class TestMomentZero:
     def test_exact_frequency_oracle(self):
         theta = _oracle_theta()
         ds = _exact_count_dataset(theta)
-        ev = sample_moments(ds, theta)
+        ev = sample_moments(cell_stats(ds), theta)
         assert np.max(np.abs(ev.gbar)) < 1e-10
 
     def test_closed_form_plug_in_zeroes_sample_moments(self, rng):
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 4000, rng)
         fitted = identify(cell_stats(ds), Mode.CASE_II).theta
-        ev = sample_moments(ds, fitted)
+        ev = sample_moments(cell_stats(ds), fitted)
         assert np.max(np.abs(ev.gbar)) < 1e-10
 
     @settings(max_examples=20, deadline=None)
@@ -101,8 +112,27 @@ class TestMomentZero:
             # a small sample can land outside the identified region;
             # the property only concerns successful solves
             return
-        ev = sample_moments(ds, fitted)
+        ev = sample_moments(cell_stats(ds), fitted)
         assert np.max(np.abs(ev.gbar)) < 1e-9
+
+    @pytest.mark.parametrize("mode,k", TABLE_CASES)
+    def test_population_table_zeroes_moments(self, rng, mode, k):
+        theta = random_theta(rng, mode, k)
+        ev = sample_moments(forward_cell_stats(theta), theta)
+        assert np.max(np.abs(ev.gbar)) < 1e-12
+
+
+def _table_case(rng, mode, k, n=500):
+    """A sample of n rows; an empty (z, v, t) cell simply adds nothing."""
+    theta = random_theta(rng, mode, k)
+    ds = replace(simulate_from_theta(theta, n, rng), mode=mode)
+    return theta, ds
+
+
+def _row_mean(ds, theta_flat, k, mode):
+    """Exactly rounded mean of the dense moment rows."""
+    rows = moment_matrix(ds, ParamVector.unpack(theta_flat, k, mode))
+    return np.array([math.fsum(col) for col in rows.T]) / ds.n
 
 
 class TestStructure:
@@ -138,17 +168,39 @@ class TestStructure:
             z=np.concatenate([ds.z, ds.z]), v=np.concatenate([ds.v, ds.v]),
             v_support=ds.v_support, mode=ds.mode,
         )
-        a = sample_moments(ds, theta)
-        b = sample_moments(doubled, theta)
+        a = sample_moments(cell_stats(ds), theta)
+        b = sample_moments(cell_stats(doubled), theta)
         np.testing.assert_allclose(a.gbar, b.gbar, atol=1e-15)
         np.testing.assert_allclose(a.omega(), b.omega(), atol=1e-15)
 
-    def test_omega_is_uncentered_second_moment(self, rng):
-        theta = random_theta(rng, Mode.CASE_II, 2)
-        ds = simulate_from_theta(theta, 100, rng)
-        ev = sample_moments(ds, theta)
-        expected = sum(np.outer(row, row) for row in ev.g_rows) / ds.n
-        np.testing.assert_allclose(ev.omega(), expected, atol=1e-12)
+    @pytest.mark.parametrize("mode,k", TABLE_CASES)
+    def test_omega_is_uncentered_second_moment(self, rng, mode, k):
+        theta, ds = _table_case(rng, mode, k)
+        ev = sample_moments(cell_stats(ds, require_cells=False), theta)
+        rows = moment_matrix(ds, theta)
+        expected = sum(np.outer(row, row) for row in rows) / ds.n
+        np.testing.assert_allclose(ev.omega(), expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mode,k", TABLE_CASES)
+    def test_table_gbar_and_jacobian_match_rows(self, rng, mode, k):
+        theta, ds = _table_case(rng, mode, k)
+        stats = cell_stats(ds, require_cells=False)
+        np.testing.assert_allclose(sample_moments(stats, theta).gbar,
+                                   _row_mean(ds, theta.pack(), k, mode),
+                                   rtol=1e-12, atol=1e-14)
+        # the same central differences, each side a mean over the n rows;
+        # either side carries about 1e-16 / h absolute rounding noise
+        x0 = theta.pack()
+        expected = np.empty((4 * k + 3, x0.size))
+        for j in range(x0.size):
+            h = 1e-6 * max(1.0, abs(x0[j]))
+            xp, xm = x0.copy(), x0.copy()
+            xp[j] += h
+            xm[j] -= h
+            expected[:, j] = (_row_mean(ds, xp, k, mode)
+                              - _row_mean(ds, xm, k, mode)) / (2 * h)
+        np.testing.assert_allclose(moment_jacobian(stats, theta), expected,
+                                   rtol=1e-8, atol=1e-8)
 
 
 class TestDomainGuards:
@@ -184,7 +236,7 @@ class TestJacobian:
         theta = _oracle_theta()
         ds = _exact_count_dataset(theta, per_cell=200)
         layout = MomentLayout(2, Mode.CASE_II)
-        jac = moment_jacobian(ds, theta)
+        jac = moment_jacobian(cell_stats(ds), theta)
 
         # column order: beta*, dp*, r, m0, p*00, p*01, tau0*, m1, p*10, p*11, tau1*
         beta_col, dp_col, r_col = 0, 1, 2
@@ -217,12 +269,13 @@ class TestJacobian:
     def test_matches_numpy_gradient_of_gbar(self, rng):
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 500, rng)
-        jac = moment_jacobian(ds, theta)
+        stats = cell_stats(ds)
+        jac = moment_jacobian(stats, theta)
         x0 = theta.pack()
         j = 3
         h = 1e-6 * max(1.0, abs(x0[j]))
         xp, xm = x0.copy(), x0.copy()
         xp[j] += h
         xm[j] -= h
-        col = (gbar(ds, xp, 2, Mode.CASE_II) - gbar(ds, xm, 2, Mode.CASE_II)) / (2 * h)
+        col = (gbar(stats, xp, 2, Mode.CASE_II) - gbar(stats, xm, 2, Mode.CASE_II)) / (2 * h)
         np.testing.assert_allclose(jac[:, j], col, atol=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import mislate.simulation
 from mislate.data import Mode
 from mislate.simulation import (
     DesignSpec,
@@ -203,3 +204,39 @@ class TestRunStudy:
         # naive first stage attenuated by s = 0.5
         assert s.row("delta_p_star", "ols").bias == pytest.approx(-0.17, abs=0.05)
         assert 0.8 <= s.row("beta_star", "gmm").cp <= 1.0
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError):
+            run_study(DesignSpec(1), n=1000, reps=2, seed=1, workers=workers)
+
+    def test_worker_pool_is_bounded(self, monkeypatch):
+        # a fake pool that runs in this process records the requested size,
+        # so no worker process is started
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(mislate.simulation, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(mislate.simulation.os, "cpu_count", lambda: 4)
+        design = DesignSpec(1)
+        serial = run_study(design, n=1000, reps=6, seed=2, workers=1)
+        assert sizes == []
+        assert run_study(design, n=1000, reps=6, seed=2, workers=10 ** 6) == serial
+        run_study(design, n=1000, reps=3, seed=2, workers=10 ** 6)
+        run_study(design, n=1000, reps=6, seed=2, workers=2)
+        assert sizes == [4, 3, 2]
+        monkeypatch.setattr(mislate.simulation.os, "cpu_count", lambda: None)
+        run_study(design, n=1000, reps=6, seed=2, workers=8)
+        assert sizes == [4, 3, 2]
