@@ -110,11 +110,11 @@ class NaiveBiasReport:
 
 
 def naive_bias_diag(beta_star_hat: float, m0_hat: float, m1_hat: float,
-                    ds: Dataset) -> NaiveBiasReport:
+                    iv: RegressionResult) -> NaiveBiasReport:
     """Report the bias law for z-invariant misclassification:
     beta_naive = beta_star / s, so beta_naive * s_hat should track the
-    corrected estimate."""
-    beta_naive = float(wald_iv(ds).coef[1])
+    corrected estimate. iv is the Wald IV fit (wald_iv) on the same data."""
+    beta_naive = float(iv.coef[1])
     s_hat = 1.0 - m0_hat - m1_hat
     implied = beta_naive * s_hat
     return NaiveBiasReport(

@@ -117,11 +117,12 @@ def _dataset_summary(ds, stats) -> dict:
             "p_z": stats.p_z, "mu_z": stats.mu_z, "cells": cells}
 
 
-def _diagnostics(ds, stats) -> dict:
+def _diagnostics(ds, stats, problems: list) -> dict:
+    """Determinants, relevance regressions and validate(ds)'s problems."""
     dets = nonsingularity_diag(stats, ds.mode)
     rel = relevance_test(ds)
     return {
-        "validation": validate(ds),
+        "validation": problems,
         "determinants": [{"candidate": str(k), "det": float(v)}
                          for k, v in dets.items()],
         "relevance": {
@@ -150,7 +151,7 @@ def cmd_estimate(args) -> int:
             raise ValidationError("; ".join(problems))
         stats = cell_stats(ds)
         report["dataset"] = _dataset_summary(ds, stats)
-        report["diagnostics"] = _diagnostics(ds, stats)
+        report["diagnostics"] = _diagnostics(ds, stats, problems)
         cfg = GmmConfig(weighting=args.weight, ci_level=args.level)
         est = gmm_estimate(ds, cfg)
     except (ValidationError, MislateError) as exc:
@@ -182,7 +183,7 @@ def cmd_estimate(args) -> int:
         if mode is Mode.CASE_II:
             bias = naive_bias_diag(
                 float(est.theta_flat[0]),
-                float(est.theta_hat.m0[0]), float(est.theta_hat.m1[0]), ds,
+                float(est.theta_hat.m0[0]), float(est.theta_hat.m1[0]), iv,
             )
             report["baselines"]["naive_bias"] = {
                 "beta_naive": bias.beta_naive, "s_hat": bias.s_hat,
@@ -209,7 +210,7 @@ def cmd_identify(args) -> int:
             raise ValidationError("; ".join(problems))
         stats = cell_stats(ds)
         report["dataset"] = _dataset_summary(ds, stats)
-        report["diagnostics"] = _diagnostics(ds, stats)
+        report["diagnostics"] = _diagnostics(ds, stats, problems)
         result = identify(stats, mode, support_points=support_points)
     except (ValidationError, MislateError) as exc:
         report["error"] = str(exc)

@@ -93,23 +93,6 @@ class Dataset:
             mode=mode,
         )
 
-    @classmethod
-    def from_arrays(cls, y, t, z, v_labels, mode: Mode, v_support=None) -> "Dataset":
-        """Build a dataset from raw label arrays, coding V by first appearance
-        unless an explicit support order is given."""
-        v_labels = np.asarray(v_labels)
-        if v_support is None:
-            _, first = np.unique(v_labels, return_index=True)
-            support = tuple(v_labels[i] for i in np.sort(first))
-        else:
-            support = tuple(v_support)
-        index = {lab: k for k, lab in enumerate(support)}
-        try:
-            codes = np.array([index[lab] for lab in v_labels], dtype=np.int64)
-        except KeyError as exc:
-            raise ValidationError(f"V value {exc.args[0]!r} not in declared support") from exc
-        return cls(y=y, t=t, z=z, v=codes, v_support=support, mode=mode)
-
 
 @dataclass(frozen=True)
 class ParamVector:

@@ -128,7 +128,7 @@ class TestNaiveBias:
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 200_000, rng)
         rep = naive_bias_diag(theta.beta_star, float(theta.m0[0]),
-                              float(theta.m1[0]), ds)
+                              float(theta.m1[0]), wald_iv(ds))
         assert rep.s_hat == pytest.approx(float(theta.s[0]), abs=1e-12)
         assert rep.beta_naive_times_s == pytest.approx(theta.beta_star, abs=0.1)
         assert rep.gap == rep.beta_naive_times_s - rep.beta_star_hat

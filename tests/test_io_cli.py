@@ -1,3 +1,5 @@
+import csv
+import importlib.util
 import json
 import sys
 from importlib.metadata import (EntryPoint, PackageNotFoundError,
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import random_theta, simulate_from_theta
+from mislate import io as mio
 from mislate.cli import EXIT_DIAG, EXIT_IO, EXIT_OK, main
 from mislate.data import Mode
-from mislate.exceptions import ParseError, SchemaError
+from mislate.exceptions import (NoConvergence, ParseError, SchemaError,
+                                ValidationError)
 from mislate.io import CsvSchema, format_number, load_csv, report_json, report_text
 
 SCHEMA = json.loads(
@@ -19,7 +23,8 @@ SCHEMA = json.loads(
     .read_text()
 )
 STD_SCHEMA = CsvSchema(y_col="y", t_col="t", z_col="z", v_col="v")
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _declared_scripts():
@@ -124,6 +129,199 @@ class TestLoadCsv:
             bad.write_text("1.0\t0\t0\t0\n2.0\t1\n")
             load_csv(bad, schema, Mode.CASE_II)
         assert err.value.line == 2
+
+
+# chunk size the reader tests run with, so that a few rows span several chunks
+CHUNK = 4
+LENGTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(mio, "CHUNK_ROWS", CHUNK)
+
+
+def _row_loop(path, schema, v_support=None):
+    """Reference reader: the row rules over the whole file as one chunk, V
+    coded in plain Python (first appearance unless v_support pins it)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh, delimiter=schema.delimiter))
+    cols = (schema.y_col, schema.t_col, schema.z_col, schema.v_col)
+    if schema.header:
+        header = [h.strip() for h in rows.pop(0)]
+        idx = {c: header.index(c) for c in cols}
+        first = 2
+    else:
+        idx = dict(zip(cols, range(4)))
+        first = 1
+    y, t, z, labels = mio._parse_rows(rows, first, schema, idx)
+    support = (tuple(dict.fromkeys(labels)) if v_support is None
+               else tuple(v_support))
+    code = {lab: k for k, lab in enumerate(support)}
+    return y, t, z, np.array([code[lab] for lab in labels]), support
+
+
+def _records(n, seed=0):
+    """n data rows (y, t, z, v) as strings, V over three labels."""
+    rng = np.random.default_rng(seed)
+    return [(repr(float(rng.normal())), str(rng.integers(2)),
+             str(rng.integers(2)), ("north", "south", "east")[rng.integers(3)])
+            for _ in range(n)]
+
+
+def _text(kind, records):
+    """A CSV of the records in one of the layouts the reader accepts."""
+    if kind == "headerless-tab":
+        return "".join("\t".join(r) + "\n" for r in records)
+    if kind == "extra-columns":
+        return "id,v,extra,z,y,t,more\n" + "".join(
+            f"{i},{v},x{i},{z},{y},{t},\n"
+            for i, (y, t, z, v) in enumerate(records))
+    lines = ["y,t,z,v"]
+    for i, (y, t, z, v) in enumerate(records):
+        if kind == "quoted":
+            lines.append(f'"{y}","{t}",{z},"{v}, ""{i % 2}"""')
+        elif kind == "padded-binaries":
+            lines.append(f"{y}, {t} ,{z} , {v} ")
+        else:
+            lines.append(f"{y},{t},{z},{v}")
+        if kind == "blank-lines" and i % 3 == 0:
+            lines.append("")
+        if kind == "whitespace-rows" and i % 3 == 1:
+            lines.append("  ,\t, ,  " if i % 2 else "   ")
+    end = "\r\n" if kind == "crlf" else "\n"
+    return end.join(lines) + end
+
+
+KINDS = ("plain", "blank-lines", "whitespace-rows", "crlf", "quoted",
+         "padded-binaries", "extra-columns", "headerless-tab")
+# layouts with no blank row: every chunk converts a column at a time
+COLUMNAR_KINDS = {"plain", "crlf", "quoted", "padded-binaries",
+                  "extra-columns", "headerless-tab"}
+
+
+def _schema(kind):
+    if kind == "headerless-tab":
+        return CsvSchema(y_col="y", t_col="t", z_col="z", v_col="v",
+                         delimiter="\t", header=False)
+    return STD_SCHEMA
+
+
+def _lines(*rows):
+    return "y,t,z,v\n" + "".join(r + "\n" for r in rows)
+
+
+def _clean(n):
+    return [f"{i}.5,{i % 2},{(i // 2) % 2},{i % 2}" for i in range(n)]
+
+
+def _parse_failure(path, schema=STD_SCHEMA, v_support=None):
+    with pytest.raises(ParseError) as err:
+        load_csv(path, schema, Mode.CASE_II, v_support=v_support)
+    return str(err.value), err.value.line
+
+
+class TestChunkedReader:
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_row_loop(self, tmp_path, monkeypatch, small_chunks,
+                              kind, n):
+        path = tmp_path / "data.csv"
+        path.write_text(_text(kind, _records(n, seed=n)), newline="")
+        schema = _schema(kind)
+        want = _row_loop(path, schema)
+        calls = []
+        row_rules = mio._parse_rows
+
+        def spy(rows, first_line, *rest):
+            calls.append(first_line)
+            return row_rules(rows, first_line, *rest)
+
+        monkeypatch.setattr(mio, "_parse_rows", spy)
+        ds = load_csv(path, schema, Mode.CASE_II)
+        for got, ref in zip((ds.y, ds.t, ds.z, ds.v), want[:4]):
+            assert np.array_equal(got, ref)
+        assert ds.v_support == want[4]
+        assert ds.n == n
+        if kind in COLUMNAR_KINDS:
+            assert calls == []
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_pinned_support_matches_row_loop(self, tmp_path, small_chunks, n):
+        path = tmp_path / "data.csv"
+        path.write_text(_text("padded-binaries", _records(n, seed=n)))
+        support = ("south", "west", "east", "north")
+        ds = load_csv(path, STD_SCHEMA, Mode.CASE_II, v_support=support)
+        want = _row_loop(path, STD_SCHEMA, v_support=support)
+        for got, ref in zip((ds.y, ds.t, ds.z, ds.v), want[:4]):
+            assert np.array_equal(got, ref)
+        assert ds.v_support == support
+
+    @pytest.mark.parametrize("bad,message", [
+        ("oops,0,0,0", "column 'y' not numeric at line {}"),
+        ("1.0,2,0,0", "column 't' must be 0 or 1, got '2' at line {}"),
+        ("1.0,1,01,0", "column 'z' must be 0 or 1, got '01' at line {}"),
+        ("1.0,1", "short row at line {}"),
+        ("inf,0,1,0", "non-finite outcome at line {}"),
+    ])
+    @pytest.mark.parametrize("row", [1, CHUNK + 2])
+    def test_bad_row_reports_its_own_line(self, tmp_path, small_chunks,
+                                          bad, message, row):
+        rows = _clean(2 * CHUNK + 3)
+        rows[row - 1] = bad
+        rows[-1] = "nan,0,0,0"          # a later bad row is not reported
+        path = tmp_path / "bad.csv"
+        path.write_text(_lines(*rows))
+        text, line = _parse_failure(path)
+        assert (text, line) == (message.format(row + 1), row + 1)
+        with pytest.raises(ParseError) as ref:
+            _row_loop(path, STD_SCHEMA)
+        assert (str(ref.value), ref.value.line) == (text, line)
+
+    def test_blank_rows_count_in_line_numbers(self, tmp_path, small_chunks):
+        rows = _clean(CHUNK + 1) + ["", "  ,  ,,", "1.0,0,1,0", "x,0,0,0"]
+        path = tmp_path / "bad.csv"
+        path.write_text(_lines(*rows))
+        assert _parse_failure(path) == ("column 'y' not numeric at line 10", 10)
+
+    @pytest.mark.parametrize("y", ["nan", "NaN", "inf", "-inf", " Infinity "])
+    @pytest.mark.parametrize("row", [2, CHUNK + 1])
+    def test_non_finite_outcome(self, tmp_path, small_chunks, y, row):
+        rows = _clean(2 * CHUNK)
+        rows[row - 1] = f"{y},0,1,1"
+        path = tmp_path / "bad.csv"
+        path.write_text(_lines(*rows))
+        assert _parse_failure(path) == (
+            f"non-finite outcome at line {row + 1}", row + 1)
+
+    def test_parse_error_beats_undeclared_label(self, tmp_path, small_chunks):
+        rows = _clean(2 * CHUNK)
+        rows[0] = "1.0,0,0,7"           # chunk 1: outside the support
+        rows[CHUNK + 1] = "1.0,0,9,0"   # chunk 2: not a binary
+        path = tmp_path / "bad.csv"
+        path.write_text(_lines(*rows))
+        text, line = _parse_failure(path, v_support=("0", "1"))
+        assert line == CHUNK + 3
+        assert text == f"column 'z' must be 0 or 1, got '9' at line {line}"
+
+    @pytest.mark.parametrize("first", [2, CHUNK + 1])
+    def test_undeclared_label_names_first_in_row_order(self, tmp_path,
+                                                       small_chunks, first):
+        rows = _clean(3 * CHUNK)
+        rows[first - 1] = "1.0,0,0, west "
+        rows[first + 1] = "1.0,0,0,up"
+        rows[-1] = "1.0,1,1,down"
+        path = tmp_path / "bad.csv"
+        path.write_text(_lines(*rows))
+        with pytest.raises(ValidationError) as err:
+            load_csv(path, STD_SCHEMA, Mode.CASE_II, v_support=("0", "1"))
+        assert str(err.value) == "V value 'west' not in declared support"
+
+    def test_only_blank_rows_is_schema_error(self, tmp_path, small_chunks):
+        path = tmp_path / "blank.csv"
+        path.write_text("y,t,z,v\n" + "\n , , , \n" * (CHUNK + 1))
+        with pytest.raises(SchemaError, match="no data rows"):
+            load_csv(path, STD_SCHEMA, Mode.CASE_II)
 
 
 class TestReportFormats:
@@ -296,3 +494,47 @@ class TestCli:
         installed = entry_points().select(group="console_scripts",
                                           name="mislate")
         assert [e.value for e in installed] == [_declared_scripts()["mislate"]]
+
+
+def _run_empirical():
+    spec = importlib.util.spec_from_file_location(
+        "run_empirical", ROOT / "scripts" / "run_empirical.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+class TestRunEmpirical:
+    def test_summary(self, sample_csv, capsys):
+        path, _ = sample_csv
+        assert _run_empirical().main(_data_args(path)) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "naive IV" in out and "beta_star" in out
+
+    def test_malformed_csv_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("y,t,z,v\n1.0,0,0,0\n2.0,2,1,1\n")
+        assert _run_empirical().main(_data_args(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: column 't' must be 0 or 1, "
+                                "got '2' at line 3\n")
+
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        code = _run_empirical().main(_data_args(tmp_path / "nope.csv"))
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file")
+
+    def test_estimation_failure_is_diagnostic_failure(self, sample_csv,
+                                                      monkeypatch, capsys):
+        script = _run_empirical()
+
+        def fail(ds, cfg):
+            raise NoConvergence("optimizer stopped")
+
+        monkeypatch.setattr(script, "estimate", fail)
+        path, _ = sample_csv
+        assert script.main(_data_args(path)) == EXIT_DIAG
+        assert capsys.readouterr().err == "error: optimizer stopped\n"
