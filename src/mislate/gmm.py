@@ -5,7 +5,8 @@ constrained nonlinear least-squares problem in the residuals W^{1/2} gbar,
 warm-started from the closed-form identification solution. The constraint
 m0 + m1 <= 1 - eps is enforced by projection plus a hinge penalty residual;
 it is inactive at every interior solution. Every evaluation reads the data
-through one per-cell CellStats table, built once per fit.
+through one per-cell CellStats table, built once per fit; the residual
+Jacobian and the sandwich use the closed-form moment Jacobian.
 """
 from __future__ import annotations
 
@@ -124,6 +125,22 @@ def _project(x: np.ndarray, k: int, mode: Mode) -> tuple:
     return xp, np.array(viols)
 
 
+def _project_jac(x: np.ndarray, k: int, mode: Mode) -> tuple:
+    """Derivatives with respect to x of _project's projected vector and of
+    its violations."""
+    pairs = _m_indices(k, mode)
+    d_xp = np.eye(x.size)
+    d_viols = np.zeros((len(pairs), x.size))
+    for row, (i0, i1) in enumerate(pairs):
+        idx = [i0, i1]
+        tot = x[i0] + x[i1]
+        if tot - (1.0 - EPS_CONSTRAINT) > 0.0:
+            scale = (1.0 - EPS_CONSTRAINT) / tot
+            d_xp[np.ix_(idx, idx)] = scale * (np.eye(2) - x[idx, None] / tot)
+            d_viols[row, idx] = 1.0
+    return d_xp, d_viols
+
+
 def _clip_start(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, k, mode) -> np.ndarray:
     x = np.clip(x, lo + 1e-12, hi - 1e-12)
     x, _ = _project(x, k, mode)
@@ -167,20 +184,33 @@ def _w_half(w: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
+def _residual(x: np.ndarray, table: CellStats, w_half: np.ndarray) -> np.ndarray:
+    """W^{1/2} gbar at the projected point, then the hinge penalties."""
+    k, mode = table.k, table.mode
+    xp, viols = _project(x, k, mode)
+    return np.concatenate([w_half @ gbar(table, xp, k, mode), PENALTY * viols])
+
+
+def _residual_jac(x: np.ndarray, table: CellStats, w_half: np.ndarray) -> np.ndarray:
+    """Jacobian of _residual: W^{1/2} G(P(x)) DP(x) over PENALTY dviol/dx."""
+    k, mode = table.k, table.mode
+    xp, _ = _project(x, k, mode)
+    d_xp, d_viols = _project_jac(x, k, mode)
+    G = moment_jacobian(table, ParamVector.unpack(xp, k, mode))
+    return np.vstack([w_half @ G @ d_xp, PENALTY * d_viols])
+
+
 def _minimize(table: CellStats, x0, w_half):
     k, mode = table.k, table.mode
     lo, hi = _bounds(k, mode, np.sign(x0[1]) or 1.0)
     x0 = _clip_start(x0, lo, hi, k, mode)
     n_con = len(_m_indices(k, mode))
 
-    def residual(x):
-        xp, viols = _project(x, k, mode)
-        g = gbar(table, xp, k, mode)
-        return np.concatenate([w_half @ g, PENALTY * viols])
-
     res = optimize.least_squares(
-        residual,
+        _residual,
         x0,
+        jac=_residual_jac,
+        args=(table, w_half),
         bounds=(lo, hi),
         method="trf",
         xtol=TOL_STEP,

@@ -113,6 +113,16 @@ def _code_labels(labels: list, index: dict, grow: bool) -> tuple:
     return np.fromiter(map(lut.__getitem__, labels), np.int64, len(labels)), missing
 
 
+def _take(reader, count: int) -> list:
+    """The reader's next count rows, or fewer at the end; a record the csv
+    module rejects, such as one with a field over its size limit, raises
+    ParseError with its line number."""
+    try:
+        return list(islice(reader, count))
+    except csv.Error as exc:
+        raise ParseError(f"{exc} at line {reader.line_num}", reader.line_num) from None
+
+
 def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
     """Read a (Y, T, Z, V) dataset.
 
@@ -122,7 +132,8 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
 
     Rows are read CHUNK_ROWS at a time and converted a column at a time, so
     parsing holds one chunk of rows. A chunk that fails a columnar check is
-    read again by the row rules, which report the first bad row.
+    read again by the row rules, which report the first bad row. A record
+    the csv module rejects is reported as soon as it is read.
     """
     grow = v_support is None
     index = {} if grow else {lab: k for k, lab in enumerate(v_support)}
@@ -130,13 +141,11 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
     missing = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
-        rows = iter(reader)
         if schema.header:
-            try:
-                header = next(rows)
-            except StopIteration:
-                raise SchemaError("file is empty") from None
-            header = [h.strip() for h in header]
+            first = _take(reader, 1)
+            if not first:
+                raise SchemaError("file is empty")
+            header = [h.strip() for h in first[0]]
             try:
                 idx = {c: header.index(c) for c in
                        (schema.y_col, schema.t_col, schema.z_col, schema.v_col)}
@@ -146,7 +155,7 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
         else:
             idx = {schema.y_col: 0, schema.t_col: 1, schema.z_col: 2, schema.v_col: 3}
             line = 1
-        while chunk := list(islice(rows, CHUNK_ROWS)):
+        while chunk := _take(reader, CHUNK_ROWS):
             parsed = _parse_columns(chunk, schema, idx)
             if parsed is None:
                 parsed = _parse_rows(chunk, line, schema, idx)

@@ -12,11 +12,12 @@ and second-moment matrix depend on the data only through the per-cell count,
 sum of y and sum of y squared of a CellStats table. sample_moments evaluates
 moment_matrix on a fixed grid holding every cell at y = 0 and y = 1, reads
 off each cell's intercept and slope, and combines them with the table; no
-evaluation touches the n rows.
+evaluation touches the n rows. moment_jacobian differentiates the same
+intercepts and slopes in closed form and combines them the same way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -183,19 +184,86 @@ def gbar(stats: CellStats, theta_flat: np.ndarray, k: int, mode: Mode) -> np.nda
     return sample_moments(stats, theta).gbar
 
 
-def moment_jacobian(stats: CellStats, theta: ParamVector, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian of the sample moment mean with
-    respect to the packed parameter vector; column j uses
-    h_j = step * max(1, |theta_j|)."""
-    x0 = theta.pack()
-    k, mode = theta.k, theta.mode
-    layout = MomentLayout(k, mode)
-    jac = np.empty((layout.n_moments, x0.size))
-    for j in range(x0.size):
-        h = step * max(1.0, abs(x0[j]))
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (gbar(stats, xp, k, mode) - gbar(stats, xm, k, mode)) / (2.0 * h)
-    return jac
+@lru_cache(maxsize=None)
+def _natural_from_packed(k: int, mode: Mode) -> np.ndarray:
+    """0/1 matrix D with natural = D @ packed. The natural coordinates are
+    the CASE_I packing (b*, dp*, r, then per z: m0_z, m1_z, p*_{z,.}, tau*_z);
+    in CASE_II one packed m0 (and one m1) feeds both z."""
+    dim = MomentLayout(k, mode).n_params
+    d = np.column_stack([
+        replace(ParamVector.unpack(e, k, mode), mode=Mode.CASE_I).pack()
+        for e in np.eye(dim)])
+    d.setflags(write=False)
+    return d
+
+
+def moment_jacobian(stats: CellStats, theta: ParamVector) -> np.ndarray:
+    """Jacobian of the sample moment mean with respect to the packed
+    parameter vector, shape (4K+3, dim), in closed form.
+
+    Cell by cell it differentiates the intercept a and slope b that
+    sample_moments reads off moment_matrix, with respect to the natural
+    coordinates, and contracts them with the table the same way:
+    G = (N da + Sy db) / n.
+    """
+    k = stats.k
+    layout = MomentLayout(k, theta.mode)
+    q = _check_domain(theta)
+    s = theta.s
+    r, dp = theta.r, theta.delta_p_star
+    n_cells, n_mom = 4 * k, layout.n_moments
+    da = np.zeros((n_cells, n_mom, MomentLayout(k, Mode.CASE_I).n_params))
+    db = np.zeros_like(da)
+
+    z, v, t = (x.ravel() for x in np.indices((2, k, 2)))
+    cell = np.arange(n_cells)[:, None]
+    m0, m1 = theta.m0[z], theta.m1[z]
+    ps, tau = theta.p_star[z, v], theta.tau_star[z]
+    # natural column of m0_z; m1_z, p*_{z,.} and tau*_z follow it. Rows of
+    # dq, d_a and d_b are cells, columns the cell's (m0_z, m1_z, p*_zv, tau*_z)
+    m0_col = 3 + np.arange(2) * (k + 3)
+    base = m0_col[z]
+    cols = np.column_stack([base, base + 1, base + 2 + v, base + 2 + k])
+    zero = np.zeros(n_cells)
+
+    # p moment: a = q - t with q = m0 + s p*
+    dq = np.column_stack([1.0 - ps, -ps, s[z], zero])
+    da[cell, layout.p_index(z, v)[:, None], cols] = dq
+
+    # tau moment: a = tau + A/q - B/(1-q), b = t/q - (1-t)/(1-q), where at
+    # y = 0 A = -(1-m1) p* tau and B = (1-m0)(1-p*) tau
+    big_a = -(1.0 - m1) * ps * tau
+    big_b = (1.0 - m0) * (1.0 - ps) * tau
+    d_a = np.column_stack([zero, ps * tau, -(1.0 - m1) * tau, -(1.0 - m1) * ps])
+    d_b = np.column_stack([-(1.0 - ps) * tau, zero, -(1.0 - m0) * tau,
+                           (1.0 - m0) * (1.0 - ps)])
+    qc = q[z, v][:, None]
+    q1 = 1.0 - qc
+    row = layout.tau_index(z, v)[:, None]
+    da[cell, row, cols] = (
+        [0.0, 0.0, 0.0, 1.0] + d_a / qc - big_a[:, None] * dq / qc ** 2
+        - d_b / q1 - big_b[:, None] * dq / q1 ** 2)
+    db[cell, row, cols] = -(t[:, None] / qc ** 2 + (1 - t[:, None]) / q1 ** 2) * dq
+
+    da[:, layout.r_index(), 2] = 1.0
+
+    # first-stage moment: dp* - (t z/r - m0_1)/s_1 + (t (1-z)/(1-r) - m0_0)/s_0
+    u1 = t * z / r - theta.m0[1]
+    u0 = t * (1 - z) / (1.0 - r) - theta.m0[0]
+    i = layout.dp_index()
+    da[:, i, 1] = 1.0
+    da[:, i, 2] = t * z / (r ** 2 * s[1]) + t * (1 - z) / ((1.0 - r) ** 2 * s[0])
+    da[:, i, m0_col[0]] = -1.0 / s[0] + u0 / s[0] ** 2
+    da[:, i, m0_col[0] + 1] = u0 / s[0] ** 2
+    da[:, i, m0_col[1]] = 1.0 / s[1] - u1 / s[1] ** 2
+    da[:, i, m0_col[1] + 1] = -u1 / s[1] ** 2
+
+    # LATE moment: b* - y (z/r - (1-z)/(1-r)) / dp*
+    i = layout.beta_index()
+    da[:, i, 0] = 1.0
+    db[:, i, 1] = (z / r - (1 - z) / (1.0 - r)) / dp ** 2
+    db[:, i, 2] = (z / r ** 2 + (1 - z) / (1.0 - r) ** 2) / dp
+
+    g = (stats.n_zvt.ravel() @ da.reshape(n_cells, -1)
+         + stats.sum_y.ravel() @ db.reshape(n_cells, -1)) / stats.n
+    return g.reshape(n_mom, -1) @ _natural_from_packed(k, theta.mode)

@@ -76,6 +76,19 @@ def simulate_from_theta(theta: ParamVector, n: int, rng: np.random.Generator,
                    mode=Mode.CASE_II)
 
 
+def central_differences(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of f at x; column j uses
+    h_j = step * max(1, |x_j|). The oracle for closed-form derivatives."""
+    cols = []
+    for j in range(x.size):
+        h = step * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        cols.append((f(xp) - f(xm)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240819)

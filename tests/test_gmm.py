@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import random_theta, simulate_from_theta
+from conftest import central_differences, random_theta, simulate_from_theta
 from test_moments import _exact_count_dataset, _oracle_theta
 from mislate.data import Dataset, Mode, ParamVector, cell_stats
 from mislate.exceptions import NotOveridentified, RankDeficient, ValidationError
+from mislate import gmm
 from mislate.gmm import (
     GmmConfig,
     confidence_intervals,
@@ -129,8 +132,9 @@ class TestEstimate:
         )
         a, b = estimate(ds), estimate(doubled)
         np.testing.assert_allclose(a.theta_flat, b.theta_flat, atol=1e-8)
-        # finite-difference noise in the Jacobian is amplified through the
-        # sandwich, so the halving holds only to modest precision
+        # G is ill conditioned here (cond about 2e5) and the sandwich scales
+        # rounding by about cond(G)^2, so the halving holds only to modest
+        # precision
         np.testing.assert_allclose(a.vcov, 2.0 * b.vcov, rtol=1e-3, atol=1e-3)
 
     def test_explicit_start_is_honoured(self):
@@ -148,6 +152,53 @@ class TestEstimate:
         assert abs(est.theta_flat[0] - theta.beta_star) < 10 * est.se[0] + 0.05
         assert abs(float(est.theta_hat.m0[0]) - theta.m0[0]) < 0.05
         assert abs(float(est.theta_hat.m1[0]) - theta.m1[0]) < 0.05
+
+
+class TestResidualJacobian:
+    @pytest.mark.parametrize("active", [False, True], ids=["inside", "projected"])
+    @pytest.mark.parametrize("mode,k", [(Mode.CASE_II, 2), (Mode.CASE_II, 3),
+                                        (Mode.CASE_I, 3)])
+    def test_matches_central_differences(self, rng, monkeypatch, mode, k,
+                                         active):
+        # a projected point has s = EPS_CONSTRAINT; at 1e-4 the rounding of
+        # s swamps a difference quotient, so test the same map at 0.05
+        monkeypatch.setattr(gmm, "EPS_CONSTRAINT", 0.05)
+        theta = random_theta(rng, mode, k)
+        table = cell_stats(replace(simulate_from_theta(theta, 2000, rng),
+                                   mode=mode))
+        x = theta.pack()
+        if active:
+            for i0, i1 in gmm._m_indices(k, mode):
+                x[[i0, i1]] *= 0.97 / (x[i0] + x[i1])
+        a = rng.normal(size=(4 * k + 3, 4 * k + 3))
+        w_half = gmm._w_half(a @ a.T)
+        assert np.all(gmm._project(x, k, mode)[1] > 0) == active
+        expected = central_differences(
+            lambda x_: gmm._residual(x_, table, w_half), x)
+        np.testing.assert_allclose(gmm._residual_jac(x, table, w_half),
+                                   expected, rtol=1e-7, atol=1e-7)
+
+
+class TestReproducibility:
+    @pytest.mark.parametrize("weighting", ["identity", "optimal"])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_last_bit_of_the_table_moves_no_overidentified_fit(
+            self, monkeypatch, seed, weighting):
+        rng = np.random.default_rng(seed)
+        ds = simulate_from_theta(random_theta(rng, Mode.CASE_II, 3), 20_000, rng)
+        table = cell_stats(ds)
+        cfg = GmmConfig(weighting=weighting)
+        a = estimate(ds, cfg)
+        nudged = replace(table, sum_y=table.sum_y * (1 + 4e-16),
+                         sum_yy=table.sum_yy * (1 - 4e-16))
+        monkeypatch.setattr(gmm, "cell_stats", lambda _: nudged)
+        b = estimate(ds, cfg)
+        assert a.j_dof == 2
+        # the solver stops at TOL_GRAD; Gauss-Newton converges only linearly
+        # on an overidentified fit, so the last step leaves about 2e-8
+        scale = np.maximum(np.abs(a.theta_flat), 1e-3)
+        assert np.max(np.abs(b.theta_flat - a.theta_flat) / scale) <= 1e-7
+        assert abs(b.j_stat - a.j_stat) <= 1e-7 * max(a.j_stat, 1.0)
 
 
 def _calibration_theta():

@@ -64,6 +64,17 @@ def sample_csv(tmp_path):
     return path, ds
 
 
+# a V label longer than the csv module's default field size limit
+OVERSIZED = "a" * 200_000
+
+
+def _oversized_csv(path, good_rows=0):
+    """good_rows valid rows, then one whose V field is OVERSIZED."""
+    path.write_text("y,t,z,v\n" + "1.0,0,0,0\n" * good_rows
+                    + f"1.0,0,0,{OVERSIZED}\n")
+    return path
+
+
 class TestLoadCsv:
     def test_round_trip(self, sample_csv):
         path, ds = sample_csv
@@ -100,6 +111,17 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as err:
             load_csv(path, STD_SCHEMA, Mode.CASE_II)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("good_rows", [0, 6])
+    def test_oversized_field_reports_line(self, tmp_path, small_chunks,
+                                          good_rows):
+        path = _oversized_csv(tmp_path / "big.csv", good_rows)
+        with pytest.raises(ParseError) as err:
+            load_csv(path, STD_SCHEMA, Mode.CASE_II)
+        line = good_rows + 2
+        assert err.value.line == line
+        assert str(err.value) == ("field larger than field limit (131072) "
+                                  f"at line {line}")
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "cols.csv"
@@ -445,6 +467,15 @@ class TestCli:
         code, _ = _run(capsys, ["estimate"] + _data_args(path))
         assert code == EXIT_IO
 
+    def test_oversized_field_is_io_error(self, tmp_path, capsys):
+        path = _oversized_csv(tmp_path / "big.csv")
+        code = main(["estimate"] + _data_args(path))
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == ("error: field larger than field limit "
+                                "(131072) at line 2\n")
+
     def test_case_i_with_two_support_points_is_diagnostic_failure(
             self, sample_csv, capsys):
         path, _ = sample_csv
@@ -519,6 +550,14 @@ class TestRunEmpirical:
         assert captured.out == ""
         assert captured.err == ("error: column 't' must be 0 or 1, "
                                 "got '2' at line 3\n")
+
+    def test_oversized_field_is_io_error(self, tmp_path, capsys):
+        path = _oversized_csv(tmp_path / "big.csv")
+        assert _run_empirical().main(_data_args(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: field larger than field limit "
+                                "(131072) at line 2\n")
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = _run_empirical().main(_data_args(tmp_path / "nope.csv"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_theta, simulate_from_theta
+from conftest import central_differences, random_theta, simulate_from_theta
 from mislate.data import Dataset, Mode, Observation, ParamVector, cell_stats
 from mislate.exceptions import DomainError
 from mislate.identification import (forward_cell_stats, identify, implied_p,
@@ -201,6 +201,41 @@ class TestStructure:
                               - _row_mean(ds, xm, k, mode)) / (2 * h)
         np.testing.assert_allclose(moment_jacobian(stats, theta), expected,
                                    rtol=1e-8, atol=1e-8)
+
+
+def _jacobian_point(rng, mode, k, where):
+    """A parameter value and a 500-row table. "q-near-0" and "q-near-1" put
+    cell (z=0, v=0) at q = 0.015 and 0.985, "s-0.1" sets m0 + m1 = 0.9; in
+    case i m0 differs across z."""
+    theta = random_theta(rng, mode, k)
+    m0, m1, p_star = theta.m0.copy(), theta.m1.copy(), theta.p_star.copy()
+    if where == "q-near-0":
+        m0[:] = 0.005
+        p_star[0, 0] = 0.01 / (1.0 - m0[0] - m1[0])
+    elif where == "q-near-1":
+        m1[:] = 0.005
+        p_star[0, 0] = (0.985 - m0[0]) / (0.995 - m0[0])
+    elif where == "s-0.1":
+        m0[:], m1[:] = 0.45, 0.45
+    if mode is Mode.CASE_I:
+        m0 = m0 * [1.0, 0.9]
+    theta = replace(theta, m0=m0, m1=m1, p_star=p_star)
+    ds = replace(simulate_from_theta(theta, 500, rng), mode=mode)
+    return theta, cell_stats(ds, require_cells=False)
+
+
+class TestAnalyticJacobian:
+    @pytest.mark.parametrize("where", ["interior", "q-near-0", "q-near-1",
+                                       "s-0.1"])
+    @pytest.mark.parametrize("mode,k", TABLE_CASES)
+    def test_matches_central_differences(self, rng, mode, k, where):
+        theta, stats = _jacobian_point(rng, mode, k, where)
+        expected = central_differences(
+            lambda x: gbar(stats, x, k, mode), theta.pack())
+        # the oracle's truncation error grows like h^2 / q^4 near the
+        # boundary: about 4e-8 at q = 0.015
+        np.testing.assert_allclose(moment_jacobian(stats, theta), expected,
+                                   rtol=1e-7, atol=1e-7)
 
 
 class TestDomainGuards:
