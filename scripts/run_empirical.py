@@ -28,14 +28,14 @@ from mislate.io import CsvSchema, load_csv
 def _summary(ds, args) -> None:
     """Print the baselines and the corrected estimate for a validated dataset."""
     stats = cell_stats(ds)
-    print(f"n = {ds.n}, treated share = {stats.p_zv.mean():.3f}, "
+    print(f"n = {stats.n}, treated share = {stats.p_zv.mean():.3f}, "
           f"instrument share = {stats.r_hat:.3f}")
 
-    o = ols(ds, "y", ("t",), hc1=args.hc1)
-    iv = wald_iv(ds, hc1=args.hc1)
+    o = ols(stats, "y", ("t",), hc1=args.hc1)
+    iv = wald_iv(stats, hc1=args.hc1)
     print(f"naive OLS   : {o.coef[1]: .3f}  ({o.robust_se[1]:.3f})")
     print(f"naive IV    : {iv.coef[1]: .3f}  ({iv.robust_se[1]:.3f})")
-    for z, r in relevance_test(ds, hc1=args.hc1).items():
+    for z, r in relevance_test(stats, hc1=args.hc1).items():
         print(f"relevance z={z}: {r.coef[1]: .3f}  ({r.robust_se[1]:.3f})  "
               f"n={r.n}")
 

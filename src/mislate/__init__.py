@@ -3,7 +3,7 @@
 Closed-form identification via an exogenous variable, GMM inference with
 sandwich covariance, naive IV/OLS baselines, and a Monte Carlo harness.
 """
-from .data import CellStats, Dataset, Mode, Observation, ParamVector, cell_stats, validate
+from .data import CellStats, Dataset, Mode, ParamVector, cell_stats, validate
 from .gmm import Estimate, GmmConfig, confidence_intervals, estimate, j_test, sandwich_cov
 from .identification import IdentifyResult, forward_cell_stats, identify
 from .simulation import DesignSpec, McSummary, generate, run_study, true_params
@@ -17,7 +17,6 @@ __all__ = [
     "IdentifyResult",
     "McSummary",
     "Mode",
-    "Observation",
     "ParamVector",
     "cell_stats",
     "confidence_intervals",

@@ -1,14 +1,19 @@
 """Naive estimators that ignore misclassification, plus the testable
 relevance-condition regression. These are the comparison columns for the
-corrected GMM estimates."""
+corrected GMM estimates.
+
+Every regressor and instrument here is one of t, z and v, which are
+constant within a (z, v, t) cell, so each fit is a count-weighted fit over
+the 4K cells of a CellStats table and reads no row of the data.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Mode, cell_stats
-from .exceptions import RankDeficient, WeakFirstStage
+from .data import CellStats
+from .exceptions import RankDeficient, ValidationError, WeakFirstStage
 
 
 @dataclass(frozen=True)
@@ -20,83 +25,91 @@ class RegressionResult:
     names: tuple
 
 
-def _iv_fit(y, X, Z, hc1=False) -> RegressionResult:
-    """Just-identified linear IV: b = (Z'X)^-1 Z'y with HC sandwich SEs.
-    With Z = X this is OLS."""
-    n, kx = X.shape
-    zx = Z.T @ X
+def _iv_fit(n_c, ybar, ss, X, Z, names, hc1=False) -> RegressionResult:
+    """Just-identified linear IV over cells: b = (Z'NX)^-1 Z'N ybar with HC
+    sandwich SEs. Cell c holds n_c rows sharing the regressor row X[c] and
+    instrument row Z[c], with outcome mean ybar[c] and sum of squares ss[c]
+    about that mean, so its residual sum of squares is
+    ss[c] + n_c (ybar[c] - X[c] b)^2. With Z = X this is OLS."""
+    n = n_c.sum()
+    kx = X.shape[1]
+    zx = Z.T @ (n_c[:, None] * X)
     if np.linalg.matrix_rank(zx) < kx:
         raise RankDeficient("instrument-regressor cross-moment is singular")
     a_inv = np.linalg.inv(zx)
-    b = a_inv @ (Z.T @ y)
-    e = y - X @ b
-    meat = (Z * (e ** 2)[:, None]).T @ Z
-    v = a_inv @ meat @ a_inv.T
+    b = a_inv @ (Z.T @ (n_c * ybar))
+    e2 = ss + n_c * (ybar - X @ b) ** 2
+    v = a_inv @ ((Z * e2[:, None]).T @ Z) @ a_inv.T
     if hc1:
         v = v * n / (n - kx)
     se = np.sqrt(np.clip(np.diag(v), 0.0, None))
-    return RegressionResult(coef=b, robust_se=se, vcov=v, n=n, names=())
+    return RegressionResult(coef=b, robust_se=se, vcov=v, n=int(n), names=names)
 
 
-def wald_iv(ds: Dataset, hc1: bool = False) -> RegressionResult:
+def _v_numeric(stats: CellStats) -> np.ndarray:
+    """Value of each V code: its label when every label parses as a number,
+    the code itself otherwise (also in a table without labels)."""
+    try:
+        return np.array([float(lab) for lab in stats.v_support])
+    except (TypeError, ValueError):
+        return np.arange(stats.k, dtype=float)
+
+
+def _cells(stats: CellStats) -> tuple:
+    """Count, y mean and y sum of squares of every (z, v, t) cell, flattened
+    in the C order of n_zvt, and the cell's t, z and numeric v values."""
+    z, v, t = np.indices(stats.n_zvt.shape).reshape(3, -1)
+    cols = {"t": t.astype(float), "z": z.astype(float),
+            "v": _v_numeric(stats)[v]}
+    return stats.n_zvt.ravel(), stats.y_mean.ravel(), stats.ss_y.ravel(), cols
+
+
+def wald_iv(stats: CellStats, hc1: bool = False) -> RegressionResult:
     """2SLS of Y on T (with intercept) instrumented by Z; the slope equals
     the Wald ratio (mu1-mu0)/(p1-p0)."""
-    stats_ = cell_stats(ds, require_cells=False)
-    if stats_.p_z[1] == stats_.p_z[0]:
+    if stats.p_z[1] == stats.p_z[0]:
         raise WeakFirstStage("observed first-stage contrast is zero")
-    ones = np.ones(ds.n)
-    X = np.column_stack([ones, ds.t.astype(float)])
-    Z = np.column_stack([ones, ds.z.astype(float)])
-    res = _iv_fit(ds.y, X, Z, hc1=hc1)
-    return RegressionResult(
-        coef=res.coef, robust_se=res.robust_se, vcov=res.vcov, n=res.n,
-        names=("const", "t"),
-    )
+    n_c, ybar, ss, cols = _cells(stats)
+    one = np.ones_like(n_c)
+    return _iv_fit(n_c, ybar, ss, np.column_stack([one, cols["t"]]),
+                   np.column_stack([one, cols["z"]]), ("const", "t"), hc1)
 
 
-def ols(ds: Dataset, outcome: str = "y", regressors=("t",), hc1: bool = False) -> RegressionResult:
-    """OLS with HC-robust SEs over columns named in {y, t, z, v}.
+def ols(stats: CellStats, outcome: str = "y", regressors=("t",),
+        hc1: bool = False) -> RegressionResult:
+    """OLS with HC-robust SEs of an outcome in {y, t, z, v} on regressors in
+    {t, z, v}.
 
-    The v regressor uses the numeric support labels when they parse as
-    numbers, the integer codes otherwise.
+    The v column holds the numeric support labels when they parse as
+    numbers, the integer codes otherwise. y varies within a cell, so it is
+    refused as a regressor.
     """
-    cols = {"y": ds.y, "t": ds.t.astype(float), "z": ds.z.astype(float),
-            "v": _v_numeric(ds)}
-    y = cols[outcome]
-    X = np.column_stack([np.ones(ds.n)] + [cols[r] for r in regressors])
-    res = _iv_fit(y, X, X, hc1=hc1)
-    return RegressionResult(
-        coef=res.coef, robust_se=res.robust_se, vcov=res.vcov, n=res.n,
-        names=("const",) + tuple(regressors),
-    )
+    n_c, ybar, ss, cols = _cells(stats)
+    if outcome not in ("y", *cols) or not set(regressors) <= cols.keys():
+        raise ValidationError(f"ols takes an outcome in y, t, z, v and "
+                              f"regressors in t, z, v, got {outcome!r} on "
+                              f"{tuple(regressors)}")
+    if outcome != "y":
+        ybar, ss = cols[outcome], np.zeros_like(n_c)
+    X = np.column_stack([np.ones_like(n_c)] + [cols[r] for r in regressors])
+    return _iv_fit(n_c, ybar, ss, X, X, ("const",) + tuple(regressors), hc1)
 
 
-def _v_numeric(ds: Dataset) -> np.ndarray:
-    try:
-        labels = np.array([float(lab) for lab in ds.v_support])
-    except (TypeError, ValueError):
-        labels = np.arange(ds.k, dtype=float)
-    return labels[ds.v]
-
-
-def relevance_test(ds: Dataset, hc1: bool = False) -> dict:
+def relevance_test(stats: CellStats, hc1: bool = False) -> dict:
     """OLS of T on V (plus intercept) within each Z=z subsample.
 
     A nonzero V slope evidences variation of the true treatment probability
     across V, i.e. the relevance condition.
     """
+    n_c, _, _, cols = _cells(stats)
     out = {}
-    vnum = _v_numeric(ds)
     for z in (0, 1):
-        mask = ds.z == z
-        if not np.any(mask):
+        if stats.n_zv[z].sum() == 0:
             raise WeakFirstStage(f"z={z} subsample is empty")
-        X = np.column_stack([np.ones(mask.sum()), vnum[mask]])
-        res = _iv_fit(ds.t[mask].astype(float), X, X, hc1=hc1)
-        out[z] = RegressionResult(
-            coef=res.coef, robust_se=res.robust_se, vcov=res.vcov, n=res.n,
-            names=("const", "v"),
-        )
+        arm = cols["z"] == z
+        X = np.column_stack([np.ones(arm.sum()), cols["v"][arm]])
+        out[z] = _iv_fit(n_c[arm], cols["t"][arm], np.zeros(arm.sum()), X, X,
+                         ("const", "v"), hc1)
     return out
 
 

@@ -101,26 +101,26 @@ def _support_points(text, mode: Mode, k: int):
     return tuple(out) if case_i else out[0]
 
 
-def _dataset_summary(ds, stats) -> dict:
+def _dataset_summary(stats) -> dict:
     cells = []
     for z in (0, 1):
-        for k in range(ds.k):
+        for k in range(stats.k):
             cells.append({
-                "z": z, "v": str(ds.v_support[k]),
+                "z": z, "v": str(stats.v_support[k]),
                 "count": int(stats.n_zv[z, k]),
                 "p": float(stats.p_zv[z, k]),
                 "tau": float(stats.tau_zv[z, k]),
             })
-    return {"n": ds.n, "k": ds.k,
-            "v_support": [str(v) for v in ds.v_support],
+    return {"n": stats.n, "k": stats.k,
+            "v_support": [str(v) for v in stats.v_support],
             "r_hat": stats.r_hat,
             "p_z": stats.p_z, "mu_z": stats.mu_z, "cells": cells}
 
 
-def _diagnostics(ds, stats, problems: list) -> dict:
+def _diagnostics(stats, problems: list) -> dict:
     """Determinants, relevance regressions and validate(ds)'s problems."""
-    dets = nonsingularity_diag(stats, ds.mode)
-    rel = relevance_test(ds)
+    dets = nonsingularity_diag(stats, stats.mode)
+    rel = relevance_test(stats)
     return {
         "validation": problems,
         "determinants": [{"candidate": str(k), "det": float(v)}
@@ -150,8 +150,8 @@ def cmd_estimate(args) -> int:
         if problems:
             raise ValidationError("; ".join(problems))
         stats = cell_stats(ds)
-        report["dataset"] = _dataset_summary(ds, stats)
-        report["diagnostics"] = _diagnostics(ds, stats, problems)
+        report["dataset"] = _dataset_summary(stats)
+        report["diagnostics"] = _diagnostics(stats, problems)
         cfg = GmmConfig(weighting=args.weight, ci_level=args.level)
         est = gmm_estimate(ds, cfg)
     except (ValidationError, MislateError) as exc:
@@ -175,7 +175,7 @@ def cmd_estimate(args) -> int:
     report["j_test"] = {"stat": est.j_stat, "dof": est.j_dof,
                         "pvalue": est.j_pvalue}
     try:
-        iv = wald_iv(ds)
+        iv = wald_iv(stats)
         report["baselines"] = {
             "wald_iv": {"coef": float(iv.coef[1]),
                         "robust_se": float(iv.robust_se[1])},
@@ -209,14 +209,14 @@ def cmd_identify(args) -> int:
         if problems:
             raise ValidationError("; ".join(problems))
         stats = cell_stats(ds)
-        report["dataset"] = _dataset_summary(ds, stats)
-        report["diagnostics"] = _diagnostics(ds, stats, problems)
+        report["dataset"] = _dataset_summary(stats)
+        report["diagnostics"] = _diagnostics(stats, problems)
         result = identify(stats, mode, support_points=support_points)
     except (ValidationError, MislateError) as exc:
         report["error"] = str(exc)
         _emit(report, args.as_json)
         return EXIT_DIAG
-    names = param_names(ds.k, mode)
+    names = param_names(stats.k, mode)
     flat = result.theta.pack()
     report["identify"] = {
         "params": [{"name": names[i], "estimate": float(flat[i])}
@@ -292,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--level", type=float, default=0.95)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="worker processes; at most min(N, CPU count, "
+                            "reps) run")
     _add_output_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
     return parser

@@ -6,9 +6,9 @@ construction; every function here is pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,26 +24,6 @@ class Mode(Enum):
 
     CASE_I = "case-i"
     CASE_II = "case-ii"
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A single row (y, t, z, v); v is an index into the V support."""
-
-    y: float
-    t: int
-    z: int
-    v: int
-
-    def __post_init__(self):
-        if self.t not in (0, 1):
-            raise ValidationError(f"t must be 0 or 1, got {self.t}")
-        if self.z not in (0, 1):
-            raise ValidationError(f"z must be 0 or 1, got {self.z}")
-        if not np.isfinite(self.y):
-            raise ValidationError(f"y must be finite, got {self.y}")
-        if self.v < 0:
-            raise ValidationError(f"v code must be non-negative, got {self.v}")
 
 
 @dataclass(frozen=True)
@@ -81,17 +61,6 @@ class Dataset:
     @property
     def k(self) -> int:
         return len(self.v_support)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Observation], v_support, mode: Mode) -> "Dataset":
-        return cls(
-            y=np.array([r.y for r in rows], dtype=float),
-            t=np.array([r.t for r in rows], dtype=np.int8),
-            z=np.array([r.z for r in rows], dtype=np.int8),
-            v=np.array([r.v for r in rows], dtype=np.int64),
-            v_support=tuple(v_support),
-            mode=mode,
-        )
 
 
 @dataclass(frozen=True)
@@ -207,15 +176,15 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Per-(z, v, t) count, sum of y and sum of y squared, with the per-(z, v)
-    and per-z summaries they determine.
+    """Per-(z, v, t) count, sum of y and sum of squares of y about the cell
+    mean, with the per-(z, v) and per-z summaries they determine.
 
-    Within a (z, v, t) cell every moment is affine in y, so these three
-    (2, K, 2) arrays are all the GMM estimator reads of the data. tau_zv
-    entries are NaN where a treatment arm is empty; n_zvt carries the raw
-    (z, v, t) counts so callers can see why. sum_y and sum_yy are None in a
-    table assembled from summaries alone, which suffices for identification
-    but not for the moment functions.
+    Within a (z, v, t) cell every moment is affine in y and t, z, v are
+    constant, so these three (2, K, 2) arrays are all the GMM estimator and
+    the baselines read of the data. tau_zv entries are NaN where a treatment
+    arm is empty; n_zvt carries the raw (z, v, t) counts so callers can see
+    why. sum_y and ss_y are None in a table assembled from summaries alone,
+    which suffices for identification only; v_support None means codes.
     """
 
     n_zv: np.ndarray          # (2, K) counts
@@ -229,7 +198,14 @@ class CellStats:
     k: int
     mode: Mode
     sum_y: Optional[np.ndarray] = None    # (2, K, 2) sum of y by cell
-    sum_yy: Optional[np.ndarray] = None   # (2, K, 2) sum of y**2 by cell
+    ss_y: Optional[np.ndarray] = None     # (2, K, 2) sum of (y - cell mean)**2
+    v_support: Optional[tuple] = None     # V label of each code
+
+    @property
+    def y_mean(self) -> np.ndarray:
+        """(2, K, 2) mean of y by cell, 0 in an empty cell."""
+        return np.divide(self.sum_y, self.n_zvt, out=np.zeros_like(self.sum_y),
+                         where=self.n_zvt > 0)
 
 
 def _cell_index(ds: Dataset) -> np.ndarray:
@@ -277,19 +253,24 @@ def validate(ds: Dataset) -> list:
 
 
 def cell_stats(ds: Dataset, require_cells: bool = True) -> CellStats:
-    """Exact per-(z, v, t) count, sum of y and sum of y squared, and the
-    sample frequencies and conditional means they give for every (z, v) cell.
+    """Exact per-(z, v, t) count, sum of y and sum of squares about the cell
+    mean, and the frequencies and conditional means they give per (z, v).
 
-    With require_cells, any (z, v, t) cell needed by identification that is
-    empty raises EmptyCell; otherwise the corresponding tau_zv is NaN.
+    A t or z outside {0, 1} or a v code outside 0..K-1 raises
+    ValidationError. With require_cells, any (z, v, t) cell needed by
+    identification that is empty raises EmptyCell; otherwise the
+    corresponding tau_zv is NaN.
     """
     k = ds.k
     n = ds.n
+    if n and (min(ds.t.min(), ds.z.min()) < 0
+              or max(ds.t.max(), ds.z.max()) > 1):
+        raise ValidationError("t or z contains values outside {0,1}")
+    if n and (ds.v.min() < 0 or ds.v.max() >= k):
+        raise ValidationError("v contains codes outside the declared support")
     cell = _cell_index(ds)
     counts = np.bincount(cell, minlength=4 * k).reshape(2, k, 2).astype(float)
     ysums = np.bincount(cell, weights=ds.y, minlength=4 * k).reshape(2, k, 2)
-    yysums = np.bincount(cell, weights=ds.y * ds.y,
-                         minlength=4 * k).reshape(2, k, 2)
 
     n_zv = counts.sum(axis=2)
     if require_cells and np.any(counts == 0):
@@ -305,6 +286,9 @@ def cell_stats(ds: Dataset, require_cells: bool = True) -> CellStats:
         p_z = counts[:, :, 1].sum(axis=1) / n_z
         mu_z = ysums.sum(axis=(1, 2)) / n_z
         r_hat = float(n_z[1] / n)
+        # every row sits in a nonempty cell, so no NaN mean is read
+        ss = np.bincount(cell, weights=(ds.y - ybar.ravel()[cell]) ** 2,
+                         minlength=4 * k).reshape(2, k, 2)
     return CellStats(
         n_zv=n_zv,
         n_zvt=counts,
@@ -317,5 +301,6 @@ def cell_stats(ds: Dataset, require_cells: bool = True) -> CellStats:
         k=k,
         mode=ds.mode,
         sum_y=ysums,
-        sum_yy=yysums,
+        ss_y=ss,
+        v_support=ds.v_support,
     )

@@ -293,7 +293,8 @@ def forward_cell_stats(theta: ParamVector, v_weights=None) -> CellStats:
     mu_1 = beta_star * (p_1* - p_0*). Counts are set to the cell
     probabilities so count-weighted aggregation matches the population.
     Y is taken constant within each (z, v, t) cell, with the t = 0 level
-    shared across v, so sum_y and sum_yy follow from mu_z and tau_zv.
+    shared across v, so sum_y follows from mu_z and tau_zv and every
+    within-cell sum of squares is 0.
     """
     k = theta.k
     if v_weights is None:
@@ -331,5 +332,6 @@ def forward_cell_stats(theta: ParamVector, v_weights=None) -> CellStats:
         k=k,
         mode=theta.mode,
         sum_y=n_zvt * ybar,
-        sum_yy=n_zvt * ybar ** 2,
+        ss_y=np.zeros((2, k, 2)),
+        v_support=tuple(range(k)),
     )

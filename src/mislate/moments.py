@@ -9,11 +9,12 @@ shrinks the parameter vector but not the moment vector.
 moment_matrix is the one definition of the moment function, row by row.
 Within a (z, v, t) cell every component is affine in y, so the sample mean
 and second-moment matrix depend on the data only through the per-cell count,
-sum of y and sum of y squared of a CellStats table. sample_moments evaluates
-moment_matrix on a fixed grid holding every cell at y = 0 and y = 1, reads
-off each cell's intercept and slope, and combines them with the table; no
-evaluation touches the n rows. moment_jacobian differentiates the same
-intercepts and slopes in closed form and combines them the same way.
+sum of y and within-cell sum of squares of y of a CellStats table.
+sample_moments evaluates moment_matrix on a fixed grid holding every cell at
+y = 0 and y = 1, reads off each cell's intercept and slope, and combines
+them with the table; no evaluation touches the n rows. moment_jacobian
+differentiates the same intercepts and slopes in closed form and combines
+them the same way.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import CellStats, Dataset, Mode, Observation, ParamVector
+from .data import CellStats, Dataset, Mode, ParamVector
 from .exceptions import DomainError
 
 
@@ -81,12 +82,14 @@ class MomentEval:
 
     def omega(self) -> np.ndarray:
         """Uncentered second-moment matrix (1/n) sum g_i g_i', summed cell by
-        cell as a'Na + a'(Sy)b + b'(Sy)a + b'(Syy)b."""
-        n_c, sy, syy = (x.reshape(-1, 1) for x in (
-            self.stats.n_zvt, self.stats.sum_y, self.stats.sum_yy))
+        cell as a'Na + a'(Sy)b + b'(Sy)a + b'(Syy)b, where a cell's sum of
+        y squared is its centred sum of squares plus Sy times its mean."""
+        st = self.stats
+        n_c, sy = st.n_zvt.reshape(-1, 1), st.sum_y.reshape(-1, 1)
+        syy = st.ss_y.reshape(-1, 1) + sy * st.y_mean.reshape(-1, 1)
         a, b = self.a, self.b
         cross = a.T @ (sy * b)
-        return (a.T @ (n_c * a) + cross + cross.T + b.T @ (syy * b)) / self.stats.n
+        return (a.T @ (n_c * a) + cross + cross.T + b.T @ (syy * b)) / st.n
 
 
 def _check_domain(theta: ParamVector):
@@ -143,19 +146,6 @@ def moment_matrix(ds: Dataset, theta: ParamVector) -> np.ndarray:
         y * z / theta.r - y * (1.0 - z) / (1.0 - theta.r)
     ) / theta.delta_p_star
     return g
-
-
-def moment_vector(obs: Observation, theta: ParamVector, layout: MomentLayout) -> np.ndarray:
-    """Moment vector g(X, theta) for a single observation."""
-    ds = Dataset(
-        y=np.array([obs.y]),
-        t=np.array([obs.t]),
-        z=np.array([obs.z]),
-        v=np.array([obs.v]),
-        v_support=tuple(range(layout.k)),
-        mode=layout.mode,
-    )
-    return moment_matrix(ds, theta)[0]
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.stats import norm
 
 from .baselines import ols, wald_iv
-from .data import Dataset, Mode, ParamVector
-from .exceptions import MislateError
+from .data import Dataset, Mode, ParamVector, cell_stats
+from .exceptions import MislateError, NoConvergence
 from .gmm import GmmConfig, estimate
 
 # var(U2 | U1) under the (U1, U2) covariance [[1, 0.05], [0.05, 0.5]]
@@ -218,26 +218,26 @@ _TRACKED = {"beta_star": 0, "delta_p_star": 1, "m0": 3, "m1": 7}
 
 
 def _one_rep(args):
-    design_id, n, seed, rep, ci_level = args
+    design_id, n, seed, rep, ci_level, estimators = args
     design = DesignSpec(design_id)
     ds, _ = generate(design, n, seed, rep)
 
     out = {"failed": False, "gmm": None, "iv": None, "ols_fs": None}
     try:
-        iv = wald_iv(ds)
-        out["iv"] = (float(iv.coef[1]), float(iv.robust_se[1]))
-        fs = ols(ds, outcome="t", regressors=("z",))
-        out["ols_fs"] = (float(fs.coef[1]), float(fs.robust_se[1]))
-    except MislateError:
-        out["failed"] = True
-        return out
-    try:
-        est = estimate(ds, GmmConfig(weighting="identity", ci_level=ci_level))
-        if not est.converged:
-            raise MislateError("optimizer did not converge")
-        vals = {p: float(est.theta_flat[i]) for p, i in _TRACKED.items()}
-        ses = {p: float(est.se[i]) for p, i in _TRACKED.items()}
-        out["gmm"] = (vals, ses)
+        if "iv" in estimators:
+            stats = cell_stats(ds, require_cells=False)
+            iv = wald_iv(stats)
+            out["iv"] = (float(iv.coef[1]), float(iv.robust_se[1]))
+            fs = ols(stats, outcome="t", regressors=("z",))
+            out["ols_fs"] = (float(fs.coef[1]), float(fs.robust_se[1]))
+        if "gmm" in estimators:
+            est = estimate(ds, GmmConfig(weighting="identity",
+                                         ci_level=ci_level))
+            if not est.converged:
+                raise NoConvergence("optimizer did not converge")
+            vals = {p: float(est.theta_flat[i]) for p, i in _TRACKED.items()}
+            ses = {p: float(est.se[i]) for p, i in _TRACKED.items()}
+            out["gmm"] = (vals, ses)
     except MislateError:
         out["failed"] = True
     return out
@@ -248,7 +248,8 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
               workers: int = 1) -> McSummary:
     """Replicate (generate -> estimate) and summarise bias/SD/RMSE/CP.
 
-    Replications that fail (empty cells, identification failure, optimizer
+    Only the requested estimators are fitted. Replications in which one of
+    them fails (empty cells, identification failure, optimizer
     non-convergence) are counted and excluded from the summary moments.
     SD uses the uncentered convention so rmse^2 = bias^2 + sd^2 exactly.
     At most min(workers, CPU count, reps) worker processes run; the
@@ -261,7 +262,8 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     true_vals = {p: float(true_flat[i]) for p, i in _TRACKED.items()}
     zcrit = norm.ppf(0.5 + ci_level / 2.0)
 
-    tasks = [(design.id, n, seed, rep, ci_level) for rep in range(reps)]
+    tasks = [(design.id, n, seed, rep, ci_level, tuple(estimators))
+             for rep in range(reps)]
     pool_size = min(workers, os.cpu_count() or 1, reps)
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:

@@ -89,6 +89,21 @@ def central_differences(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def row_iv_fit(y, X, Z, hc1=False):
+    """Just-identified linear IV on the rows: b = (Z'X)^-1 Z'y with HC0 (or
+    HC1) sandwich covariance; returns (coef, robust_se, vcov). With Z = X
+    this is OLS. The oracle for the cell-table baselines."""
+    n, kx = X.shape
+    a_inv = np.linalg.inv(Z.T @ X)
+    b = a_inv @ (Z.T @ y)
+    e = y - X @ b
+    meat = (Z * (e ** 2)[:, None]).T @ Z
+    v = a_inv @ meat @ a_inv.T
+    if hc1:
+        v = v * n / (n - kx)
+    return b, np.sqrt(np.clip(np.diag(v), 0.0, None)), v
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240819)

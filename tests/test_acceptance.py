@@ -163,14 +163,14 @@ def test_criterion_6_naive_bias_law(capsys):
     theta = _oracle_theta()
     assert float(theta.s[0]) == 0.5
     ds = _exact_count_dataset(theta)
-    wald = float(wald_iv(ds).coef[1])
+    wald = float(wald_iv(cell_stats(ds)).coef[1])
     pop_err = abs(wald - 2.0 * theta.beta_star)
 
     # finite just-identified sample: the attenuation identity holds exactly
     sample, _ = generate(DesignSpec(1), 4000, seed=3)
     est = estimate(sample, GmmConfig())
     s_hat = 1.0 - float(est.theta_hat.m0[0]) - float(est.theta_hat.m1[0])
-    wald_hat = float(wald_iv(sample).coef[1])
+    wald_hat = float(wald_iv(cell_stats(sample)).coef[1])
     samp_err = abs(wald_hat * s_hat - float(est.theta_flat[0]))
 
     ok = pop_err <= 1e-10 and samp_err <= 1e-8

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_theta, simulate_from_theta
+from conftest import random_theta, row_iv_fit, simulate_from_theta
 from mislate.baselines import (
     naive_bias_diag,
     ols,
@@ -9,7 +9,8 @@ from mislate.baselines import (
     wald_iv,
 )
 from mislate.data import Dataset, Mode, cell_stats
-from mislate.exceptions import RankDeficient, WeakFirstStage
+from mislate.exceptions import RankDeficient, ValidationError, WeakFirstStage
+from mislate.simulation import DesignSpec, generate
 
 
 def _ds(y, t, z, v=None, k=1):
@@ -20,6 +21,10 @@ def _ds(y, t, z, v=None, k=1):
                    v_support=tuple(range(k)), mode=Mode.CASE_II)
 
 
+def _table(ds):
+    return cell_stats(ds, require_cells=False)
+
+
 class TestWaldIV:
     def test_equals_wald_ratio(self, rng):
         n = 2000
@@ -27,8 +32,8 @@ class TestWaldIV:
         t = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
         y = 2.0 * t + rng.normal(size=n)
         ds = _ds(y, t, z)
-        res = wald_iv(ds)
         stats = cell_stats(ds, require_cells=False)
+        res = wald_iv(stats)
         wald = (stats.mu_z[1] - stats.mu_z[0]) / (stats.p_z[1] - stats.p_z[0])
         assert res.coef[1] == pytest.approx(wald, abs=1e-10)
 
@@ -38,8 +43,8 @@ class TestWaldIV:
         z = (rng.random(n) < 0.5).astype(int)
         t = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
         y = 1.5 * t + rng.normal(size=n)
-        a = wald_iv(_ds(y, t, z))
-        b = wald_iv(_ds(y, t, 1 - z))
+        a = wald_iv(_table(_ds(y, t, z)))
+        b = wald_iv(_table(_ds(y, t, 1 - z)))
         assert a.coef[1] == pytest.approx(b.coef[1], abs=1e-10)
 
     def test_zero_first_stage_raises(self):
@@ -47,7 +52,7 @@ class TestWaldIV:
         t = np.array([0, 1, 0, 1, 0, 1, 0, 1])
         z = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         with pytest.raises(WeakFirstStage):
-            wald_iv(_ds(y, t, z))
+            wald_iv(_table(_ds(y, t, z)))
 
     def test_hc1_inflates_hc0(self, rng):
         n = 300
@@ -55,8 +60,8 @@ class TestWaldIV:
         t = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
         y = t + rng.normal(size=n)
         ds = _ds(y, t, z)
-        se0 = wald_iv(ds).robust_se
-        se1 = wald_iv(ds, hc1=True).robust_se
+        se0 = wald_iv(_table(ds)).robust_se
+        se1 = wald_iv(_table(ds), hc1=True).robust_se
         np.testing.assert_allclose(se1, se0 * np.sqrt(n / (n - 2)))
 
 
@@ -67,7 +72,7 @@ class TestOls:
         t = (rng.random(n) < 0.3 + 0.3 * z).astype(int)
         y = 1.0 + 0.7 * t + rng.normal(size=n)
         ds = _ds(y, t, z)
-        res = ols(ds, "y", ("t", "z"))
+        res = ols(_table(ds), "y", ("t", "z"))
         X = np.column_stack([np.ones(n), t, z])
         expect, *_ = np.linalg.lstsq(X, y, rcond=None)
         np.testing.assert_allclose(res.coef, expect, atol=1e-10)
@@ -79,7 +84,7 @@ class TestOls:
         y = np.array([1.0, 3.0, 2.0, 6.0, 4.0])
         t = np.array([0, 0, 0, 1, 1])
         ds = _ds(y, t, np.array([0, 1, 0, 1, 0]))
-        res = ols(ds, "y", ("t",))
+        res = ols(_table(ds), "y", ("t",))
         assert res.coef[1] == pytest.approx(3.0, abs=1e-12)
         # group residual sums of squares: (1,3,2) about 2 -> 2 ; (6,4) about 5 -> 2
         var0, var1 = 2.0 / 9.0, 2.0 / 4.0
@@ -90,7 +95,7 @@ class TestOls:
         t = np.array([0, 1, 0, 1, 0, 1])
         ds = _ds(y, t, t.copy())
         with pytest.raises(RankDeficient):
-            ols(ds, "y", ("t", "z"))
+            ols(_table(ds), "y", ("t", "z"))
 
     def test_v_uses_numeric_labels_when_possible(self, rng):
         n = 200
@@ -100,16 +105,24 @@ class TestOls:
         z = (rng.random(n) < 0.5).astype(int)
         a = Dataset(y=y, t=t, z=z, v=v, v_support=(0, 1), mode=Mode.CASE_II)
         b = Dataset(y=y, t=t, z=z, v=v, v_support=("0", "10"), mode=Mode.CASE_II)
-        ca = ols(a, "y", ("v",)).coef[1]
-        cb = ols(b, "y", ("v",)).coef[1]
+        ca = ols(_table(a), "y", ("v",)).coef[1]
+        cb = ols(_table(b), "y", ("v",)).coef[1]
         assert ca == pytest.approx(10.0 * cb, abs=1e-8)
+
+
+    def test_refuses_y_regressor_and_unknown_names(self, rng):
+        stats = _table(_random_dataset(rng, 2))
+        for outcome, regressors in (("t", ("y",)), ("y", ("t", "y")),
+                                    ("w", ("t",)), ("y", ("x",))):
+            with pytest.raises(ValidationError):
+                ols(stats, outcome, regressors)
 
 
 class TestRelevance:
     def test_slope_reflects_first_stage(self, rng):
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 50_000, rng)
-        out = relevance_test(ds)
+        out = relevance_test(_table(ds))
         s = float(theta.s[0])
         for z in (0, 1):
             slope_true = s * (theta.p_star[z, 1] - theta.p_star[z, 0])
@@ -119,7 +132,7 @@ class TestRelevance:
     def test_empty_subsample_raises(self):
         ds = _ds(np.zeros(4), [0, 1, 0, 1], [1, 1, 1, 1], [0, 1, 0, 1], k=2)
         with pytest.raises(WeakFirstStage):
-            relevance_test(ds)
+            relevance_test(_table(ds))
 
 
 class TestNaiveBias:
@@ -128,7 +141,89 @@ class TestNaiveBias:
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 200_000, rng)
         rep = naive_bias_diag(theta.beta_star, float(theta.m0[0]),
-                              float(theta.m1[0]), wald_iv(ds))
+                              float(theta.m1[0]), wald_iv(_table(ds)))
         assert rep.s_hat == pytest.approx(float(theta.s[0]), abs=1e-12)
         assert rep.beta_naive_times_s == pytest.approx(theta.beta_star, abs=0.1)
         assert rep.gap == rep.beta_naive_times_s - rep.beta_star_hat
+
+
+def _labels(kind, k):
+    return {"codes": tuple(range(k)),
+            "numeric": tuple(f"{0.75 * j - 1.0:g}" for j in range(k)),
+            "strings": tuple("abcde"[:k])}[kind]
+
+
+def _random_dataset(rng, k, labels="codes", empty_cell=False, n=600):
+    z = (rng.random(n) < 0.45).astype(int)
+    v = rng.integers(0, k, size=n)
+    t = (rng.random(n) < 0.15 + 0.5 * z + 0.3 * v / k).astype(int)
+    y = 2.0 + 1.5 * t + 0.4 * v + (1.0 + t) * rng.normal(size=n)
+    if empty_cell:
+        keep = ~((z == 1) & (v == k - 1) & (t == 0))
+        y, t, z, v = y[keep], t[keep], z[keep], v[keep]
+    return Dataset(y=y, t=t, z=z, v=v, v_support=_labels(labels, k),
+                   mode=Mode.CASE_II)
+
+
+def _assert_matches(res, oracle, names, n):
+    assert res.names == names
+    assert res.n == n
+    for got, want in zip((res.coef, res.robust_se, res.vcov), oracle):
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=1e-10 * np.max(np.abs(want)))
+
+
+PARITY_CASES = [
+    pytest.param(k, labels, empty, hc1,
+                 id=f"K{k}-{labels}{'-empty' if empty else ''}-"
+                    f"{'hc1' if hc1 else 'hc0'}")
+    for k, labels, empty in ((2, "codes", False), (3, "numeric", False),
+                             (4, "strings", False), (5, "numeric", False),
+                             (2, "numeric", True), (3, "strings", True))
+    for hc1 in (False, True)
+]
+
+
+@pytest.mark.parametrize("k,labels,empty,hc1", PARITY_CASES)
+def test_table_baselines_match_the_row_fit(rng, k, labels, empty, hc1):
+    ds = _random_dataset(rng, k, labels, empty)
+    stats = _table(ds)
+    assert np.any(stats.n_zvt == 0) == empty
+    try:
+        vnum = np.array([float(lab) for lab in ds.v_support])
+    except ValueError:
+        vnum = np.arange(k, dtype=float)
+    cols = {"y": ds.y, "t": ds.t.astype(float), "z": ds.z.astype(float),
+            "v": vnum[ds.v]}
+    one = np.ones(ds.n)
+
+    _assert_matches(
+        wald_iv(stats, hc1=hc1),
+        row_iv_fit(ds.y, np.column_stack([one, cols["t"]]),
+                   np.column_stack([one, cols["z"]]), hc1),
+        ("const", "t"), ds.n)
+    for outcome, regressors in (("y", ("t",)), ("y", ("t", "z")),
+                                ("y", ("v",)), ("y", ("t", "z", "v")),
+                                ("t", ("z",)), ("t", ("v",)),
+                                ("t", ("z", "v"))):
+        X = np.column_stack([one] + [cols[r] for r in regressors])
+        _assert_matches(ols(stats, outcome, regressors, hc1=hc1),
+                        row_iv_fit(cols[outcome], X, X, hc1),
+                        ("const",) + regressors, ds.n)
+    out = relevance_test(stats, hc1=hc1)
+    for z in (0, 1):
+        arm = ds.z == z
+        X = np.column_stack([np.ones(arm.sum()), cols["v"][arm]])
+        _assert_matches(out[z], row_iv_fit(cols["t"][arm], X, X, hc1),
+                        ("const", "v"), int(arm.sum()))
+
+
+def test_wald_se_survives_a_large_outcome_offset():
+    # a table of raw sums of y**2 loses the residual scale to cancellation
+    # once y carries an offset of 1e6; the centred sums of squares do not
+    ds, _ = generate(DesignSpec(3), 100_000, seed=5)
+    shifted = Dataset(y=ds.y + 1e6, t=ds.t, z=ds.z, v=ds.v,
+                      v_support=ds.v_support, mode=ds.mode)
+    a = wald_iv(_table(ds))
+    b = wald_iv(_table(shifted))
+    np.testing.assert_allclose(b.robust_se, a.robust_se, rtol=1e-7, atol=0)

@@ -1,26 +1,15 @@
 import numpy as np
 import pytest
 
-from mislate.data import Dataset, Mode, Observation, cell_stats, validate
+from mislate.data import Dataset, Mode, cell_stats, validate
 from mislate.exceptions import EmptyCell, ValidationError
 
 
 def _full_dataset(mode=Mode.CASE_II):
-    rows = []
-    y = 0.0
-    for z in (0, 1):
-        for v in (0, 1):
-            for t in (0, 1):
-                rows.append(Observation(y=y, t=t, z=z, v=v))
-                y += 1.0
-    return Dataset.from_rows(rows, v_support=(0, 1), mode=mode)
-
-
-def test_observation_rejects_nonbinary():
-    with pytest.raises(ValidationError):
-        Observation(y=1.0, t=2, z=0, v=0)
-    with pytest.raises(ValidationError):
-        Observation(y=np.inf, t=0, z=0, v=0)
+    # one row per (z, v, t) cell, in z, v, t order, with y = 0, 1, ..., 7
+    z, v, t = np.indices((2, 2, 2)).reshape(3, -1)
+    return Dataset(y=np.arange(8.0), t=t, z=z, v=v, v_support=(0, 1),
+                   mode=mode)
 
 
 def test_validate_full_dataset_ok():
@@ -61,8 +50,36 @@ def test_cell_stats_table_sums():
     stats = cell_stats(ds)
     # _full_dataset puts y = 0, 1, ..., 7 into the cells in z, v, t order
     np.testing.assert_array_equal(stats.sum_y.ravel(), np.arange(8.0))
-    np.testing.assert_array_equal(stats.sum_yy.ravel(), np.arange(8.0) ** 2)
+    np.testing.assert_array_equal(stats.ss_y, np.zeros((2, 2, 2)))
     np.testing.assert_array_equal(stats.n_zvt, np.ones((2, 2, 2)))
+    assert stats.v_support == (0, 1)
+    # a second row per cell at y + 10 + c: cell c holds {c, 2c + 10}, whose
+    # mean is (3c + 10)/2 and centred sum of squares (c + 10)**2 / 2
+    c = np.arange(8.0)
+    two = Dataset(y=np.concatenate([ds.y, 2 * c + 10]),
+                  t=np.tile(ds.t, 2), z=np.tile(ds.z, 2), v=np.tile(ds.v, 2),
+                  v_support=("lo", "hi"), mode=ds.mode)
+    stats = cell_stats(two)
+    np.testing.assert_array_equal(stats.n_zvt, np.full((2, 2, 2), 2.0))
+    np.testing.assert_array_equal(stats.sum_y.ravel(), 3 * c + 10)
+    np.testing.assert_array_equal(stats.ss_y.ravel(), (c + 10) ** 2 / 2)
+    assert stats.v_support == ("lo", "hi")
+
+
+@pytest.mark.parametrize("column,value", [("t", 2), ("t", -1), ("z", 2),
+                                          ("v", 2), ("v", -1)])
+def test_cell_stats_refuses_codes_outside_their_range(column, value):
+    # a t of 2 at (z=0, v=0) would otherwise be counted in (z=0, v=1, t=0),
+    # and a v code of K would not fit the (2, K, 2) table
+    ds = _full_dataset()
+    cols = {"y": ds.y, "t": ds.t, "z": ds.z, "v": ds.v}
+    cols[column] = cols[column].astype(np.int64)
+    cols[column][0] = value
+    bad = Dataset(**cols, v_support=ds.v_support, mode=ds.mode)
+    with pytest.raises(ValidationError):
+        cell_stats(bad)
+    with pytest.raises(ValidationError):
+        cell_stats(bad, require_cells=False)
 
 
 def test_cell_stats_hand_counted():

@@ -190,7 +190,7 @@ class TestReproducibility:
         cfg = GmmConfig(weighting=weighting)
         a = estimate(ds, cfg)
         nudged = replace(table, sum_y=table.sum_y * (1 + 4e-16),
-                         sum_yy=table.sum_yy * (1 - 4e-16))
+                         ss_y=table.ss_y * (1 - 4e-16))
         monkeypatch.setattr(gmm, "cell_stats", lambda _: nudged)
         b = estimate(ds, cfg)
         assert a.j_dof == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import central_differences, random_theta, simulate_from_theta
-from mislate.data import Dataset, Mode, Observation, ParamVector, cell_stats
+from mislate.data import Dataset, Mode, ParamVector, cell_stats
 from mislate.exceptions import DomainError
 from mislate.identification import (forward_cell_stats, identify, implied_p,
                                     implied_tau)
@@ -15,7 +15,6 @@ from mislate.moments import (
     gbar,
     moment_jacobian,
     moment_matrix,
-    moment_vector,
     sample_moments,
 )
 
@@ -53,7 +52,7 @@ class TestLayout:
 def _exact_count_dataset(theta, per_cell=2000):
     """Expand a CASE_II parameter vector into a dataset whose cell
     frequencies hit the implied probabilities exactly (integer counts)."""
-    rows = []
+    cols = {"y": [], "t": [], "z": [], "v": []}
     for z in (0, 1):
         for v in range(theta.k):
             q = implied_p(float(theta.m0[z]), float(theta.m1[z]),
@@ -62,10 +61,13 @@ def _exact_count_dataset(theta, per_cell=2000):
             assert n1 == round(n1), "choose per_cell so counts are integers"
             tau_cell = implied_tau(float(theta.m0[z]), float(theta.m1[z]), q,
                                    float(theta.tau_star[z]))
-            rows += [Observation(y=tau_cell, t=1, z=z, v=v)] * int(n1)
-            rows += [Observation(y=0.0, t=0, z=z, v=v)] * (per_cell - int(n1))
-    return Dataset.from_rows(rows, v_support=tuple(range(theta.k)),
-                             mode=theta.mode)
+            reps = [int(n1), per_cell - int(n1)]
+            cols["y"].append(np.repeat([tau_cell, 0.0], reps))
+            cols["t"].append(np.repeat([1, 0], reps))
+            cols["z"].append(np.full(per_cell, z))
+            cols["v"].append(np.full(per_cell, v))
+    return Dataset(**{c: np.concatenate(x) for c, x in cols.items()},
+                   v_support=tuple(range(theta.k)), mode=theta.mode)
 
 
 def _oracle_theta():
@@ -149,16 +151,6 @@ class TestStructure:
                         for vv in range(ds.k) if (zz, vv) != (z, v)]
             assert np.all(g[i, p_cols] == 0.0)
             assert np.all(g[i, tau_cols] == 0.0)
-
-    def test_single_observation_matches_matrix_row(self, rng):
-        theta = random_theta(rng, Mode.CASE_II, 2)
-        ds = simulate_from_theta(theta, 50, rng)
-        layout = MomentLayout(ds.k, theta.mode)
-        i = 17
-        obs = Observation(y=float(ds.y[i]), t=int(ds.t[i]),
-                          z=int(ds.z[i]), v=int(ds.v[i]))
-        g = moment_matrix(ds, theta)
-        np.testing.assert_array_equal(moment_vector(obs, theta, layout), g[i])
 
     def test_duplication_invariance(self, rng):
         theta = random_theta(rng, Mode.CASE_II, 2)

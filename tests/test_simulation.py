@@ -4,6 +4,7 @@ from scipy.stats import norm
 
 import mislate.simulation
 from mislate.data import Mode
+from mislate.exceptions import MislateError
 from mislate.simulation import (
     DesignSpec,
     complier_effect_reference,
@@ -194,6 +195,24 @@ class TestRunStudy:
         s = run_study(DesignSpec(1), n=1000, reps=5, seed=1, estimators=("iv",))
         names = {(r.parameter, r.estimator) for r in s.rows}
         assert names == {("beta_star", "iv"), ("delta_p_star", "ols")}
+
+    def test_unrequested_gmm_is_not_fitted(self, monkeypatch):
+        # a GMM failure must not drop the replications of an iv-only study
+        calls = []
+
+        def failing_estimate(*args, **kwargs):
+            calls.append(args)
+            raise MislateError("estimate called")
+
+        expected = run_study(DesignSpec(1), n=1000, reps=5, seed=1,
+                             estimators=("iv",))
+        monkeypatch.setattr(mislate.simulation, "estimate", failing_estimate)
+        s = run_study(DesignSpec(1), n=1000, reps=5, seed=1, estimators=("iv",))
+        assert calls == []
+        assert s.n_failed == 0
+        assert s == expected
+        full = run_study(DesignSpec(1), n=1000, reps=5, seed=1)
+        assert len(calls) == 5 and full.n_failed == 5 and full.rows == []
 
     def test_moderate_study_tracks_population_values(self):
         s = run_study(DesignSpec(1), n=1000, reps=60, seed=11)
