@@ -25,9 +25,8 @@ from mislate.gmm import GmmConfig, estimate
 from mislate.io import CsvSchema, load_csv
 
 
-def _summary(ds, args) -> None:
-    """Print the baselines and the corrected estimate for a validated dataset."""
-    stats = cell_stats(ds)
+def _summary(stats, args) -> None:
+    """Print the baselines and the corrected estimate for a validated table."""
     print(f"n = {stats.n}, treated share = {stats.p_zv.mean():.3f}, "
           f"instrument share = {stats.r_hat:.3f}")
 
@@ -39,7 +38,7 @@ def _summary(ds, args) -> None:
         print(f"relevance z={z}: {r.coef[1]: .3f}  ({r.robust_se[1]:.3f})  "
               f"n={r.n}")
 
-    est = estimate(ds, GmmConfig(weighting=args.weight, ci_level=args.level))
+    est = estimate(stats, GmmConfig(weighting=args.weight, ci_level=args.level))
     print(f"converged = {est.converged}, objective = {est.objective:.3e}")
     for i, name in enumerate(est.param_names):
         print(f"{name:>16}: {est.theta_flat[i]: .3f}  ({est.se[i]:.3f})  "
@@ -71,13 +70,14 @@ def main(argv=None) -> int:
     except (OSError, ParseError, SchemaError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    problems = validate(ds)
+    stats = cell_stats(ds)
+    problems = validate(stats)
     if problems:
         print("validation: " + "; ".join(problems), file=sys.stderr)
         return EXIT_DIAG
 
     try:
-        _summary(ds, args)
+        _summary(stats, args)
     except MislateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAG

@@ -118,7 +118,7 @@ def _dataset_summary(stats) -> dict:
 
 
 def _diagnostics(stats, problems: list) -> dict:
-    """Determinants, relevance regressions and validate(ds)'s problems."""
+    """Determinants, relevance regressions and validate(stats)'s problems."""
     dets = nonsingularity_diag(stats, stats.mode)
     rel = relevance_test(stats)
     return {
@@ -146,14 +146,14 @@ def cmd_estimate(args) -> int:
         return EXIT_IO
     report = _meta(args)
     try:
-        problems = validate(ds)
+        stats = cell_stats(ds)
+        problems = validate(stats)
         if problems:
             raise ValidationError("; ".join(problems))
-        stats = cell_stats(ds)
         report["dataset"] = _dataset_summary(stats)
         report["diagnostics"] = _diagnostics(stats, problems)
         cfg = GmmConfig(weighting=args.weight, ci_level=args.level)
-        est = gmm_estimate(ds, cfg)
+        est = gmm_estimate(stats, cfg)
     except (ValidationError, MislateError) as exc:
         report["error"] = str(exc)
         _emit(report, args.as_json)
@@ -205,10 +205,10 @@ def cmd_identify(args) -> int:
         return EXIT_IO
     report = _meta(args)
     try:
-        problems = validate(ds)
+        stats = cell_stats(ds)
+        problems = validate(stats)
         if problems:
             raise ValidationError("; ".join(problems))
-        stats = cell_stats(ds)
         report["dataset"] = _dataset_summary(stats)
         report["diagnostics"] = _diagnostics(stats, problems)
         result = identify(stats, mode, support_points=support_points)

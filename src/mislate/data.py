@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import EmptyCell, ValidationError
+from .exceptions import ValidationError
 
 
 class Mode(Enum):
@@ -207,59 +207,42 @@ class CellStats:
         return np.divide(self.sum_y, self.n_zvt, out=np.zeros_like(self.sum_y),
                          where=self.n_zvt > 0)
 
+    def empty_cells(self) -> list:
+        """One "no observations with z=.., v=.., t=.." per empty (z, v, t)
+        cell, in z, v, t order; v is the cell's label, or its code."""
+        labels = self.v_support if self.v_support is not None else range(self.k)
+        # argwhere walks the cells in z, v, t order
+        return [f"no observations with z={z}, v={labels[kk]!r}, t={t}"
+                for z, kk, t in np.argwhere(self.n_zvt == 0)]
 
-def _cell_index(ds: Dataset) -> np.ndarray:
-    """Flat (z, v, t) cell of each row, in C order of a (2, K, 2) array."""
-    return (ds.z.astype(np.int64) * ds.k + ds.v) * 2 + ds.t
 
-
-def validate(ds: Dataset) -> list:
-    """Return a list of human-readable invariant violations (empty if valid)."""
+def validate(stats: CellStats) -> list:
+    """Return a list of human-readable invariant violations of a table
+    (empty if valid)."""
     out = []
-    if ds.n < 1:
+    if stats.n < 1:
         out.append("dataset is empty")
         return out
-    k = ds.k
-    if ds.mode is Mode.CASE_I and k < 3:
+    k = stats.k
+    if stats.mode is Mode.CASE_I and k < 3:
         out.append("CaseI requires K >= 3 support points for V")
-    if ds.mode is Mode.CASE_II and k < 2:
+    if stats.mode is Mode.CASE_II and k < 2:
         out.append("CaseII requires K >= 2 support points for V")
-    if not np.all(np.isfinite(ds.y)):
+    if not (np.all(np.isfinite(stats.sum_y)) and np.all(np.isfinite(stats.ss_y))):
         out.append("y contains non-finite values")
-    t_ok = (ds.t == 0) | (ds.t == 1)
-    if not np.all(t_ok):
-        out.append("t contains values outside {0,1}")
-    z_ok = (ds.z == 0) | (ds.z == 1)
-    if not np.all(z_ok):
-        out.append("z contains values outside {0,1}")
-    if np.any(ds.v < 0) or np.any(ds.v >= k):
-        out.append("v contains codes outside the declared support")
-        return out
-    zbar = float(np.mean(ds.z))
-    if zbar in (0.0, 1.0):
+    if np.any(stats.n_zv.sum(axis=1) == 0):
         out.append("instrument degenerate: z takes a single value")
-    cell = _cell_index(ds)
-    rows_ok = t_ok & z_ok
-    if not np.all(rows_ok):
-        cell = cell[rows_ok]
-    counts = np.bincount(cell, minlength=4 * k).reshape(2, k, 2)
-    # argwhere walks the cells in z, v, t order
-    for z, kk, t in np.argwhere(counts == 0):
-        out.append(
-            f"empty cell: no observations with z={z}, "
-            f"v={ds.v_support[kk]!r}, t={t}"
-        )
+    out += [f"empty cell: {msg}" for msg in stats.empty_cells()]
     return out
 
 
-def cell_stats(ds: Dataset, require_cells: bool = True) -> CellStats:
+def cell_stats(ds: Dataset) -> CellStats:
     """Exact per-(z, v, t) count, sum of y and sum of squares about the cell
     mean, and the frequencies and conditional means they give per (z, v).
 
     A t or z outside {0, 1} or a v code outside 0..K-1 raises
-    ValidationError. With require_cells, any (z, v, t) cell needed by
-    identification that is empty raises EmptyCell; otherwise the
-    corresponding tau_zv is NaN.
+    ValidationError. An empty (z, v, t) cell leaves its tau_zv NaN; validate
+    lists it.
     """
     k = ds.k
     n = ds.n
@@ -268,16 +251,12 @@ def cell_stats(ds: Dataset, require_cells: bool = True) -> CellStats:
         raise ValidationError("t or z contains values outside {0,1}")
     if n and (ds.v.min() < 0 or ds.v.max() >= k):
         raise ValidationError("v contains codes outside the declared support")
-    cell = _cell_index(ds)
+    # flat (z, v, t) cell of each row, in C order of the (2, K, 2) table
+    cell = (ds.z.astype(np.int64) * k + ds.v) * 2 + ds.t
     counts = np.bincount(cell, minlength=4 * k).reshape(2, k, 2).astype(float)
     ysums = np.bincount(cell, weights=ds.y, minlength=4 * k).reshape(2, k, 2)
 
     n_zv = counts.sum(axis=2)
-    if require_cells and np.any(counts == 0):
-        zi, ki, ti = np.argwhere(counts == 0)[0]
-        raise EmptyCell(
-            f"no observations with z={zi}, v={ds.v_support[ki]!r}, t={ti}"
-        )
     with np.errstate(invalid="ignore", divide="ignore"):
         p_zv = counts[:, :, 1] / n_zv
         ybar = ysums / counts

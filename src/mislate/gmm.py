@@ -4,9 +4,9 @@ The objective Q(theta) = gbar(theta)' W gbar(theta) is minimised as a box
 constrained nonlinear least-squares problem in the residuals W^{1/2} gbar,
 warm-started from the closed-form identification solution. The constraint
 m0 + m1 <= 1 - eps is enforced by projection plus a hinge penalty residual;
-it is inactive at every interior solution. Every evaluation reads the data
-through one per-cell CellStats table, built once per fit; the residual
-Jacobian and the sandwich use the closed-form moment Jacobian.
+it is inactive at every interior solution. The fit reads the data only
+through the caller's per-cell CellStats table; the residual Jacobian and the
+sandwich use the closed-form moment Jacobian.
 """
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import linalg, optimize, stats
 
-from .data import CellStats, Dataset, Mode, ParamVector, cell_stats, validate
+from .data import CellStats, Mode, ParamVector, validate
 from .exceptions import (
     MislateError,
     NotOveridentified,
@@ -224,13 +224,15 @@ def _minimize(table: CellStats, x0, w_half):
 
 
 def sandwich_cov(G: np.ndarray, W: np.ndarray, Omega: np.ndarray, n: int) -> np.ndarray:
-    """(G'WG)^-1 G'W Omega W G (G'WG)^-1 / n."""
+    """(G'WG)^-1 G'W Omega W G (G'WG)^-1 / n, computed as X Omega X' / n
+    with X = R^-1 Q' W^{1/2} from W^{1/2} G = QR, so cond(G) is not squared
+    (X = G^-1 when G is square)."""
     if np.linalg.matrix_rank(G) < G.shape[1]:
         raise RankDeficient("moment Jacobian is rank deficient")
-    gwg = G.T @ W @ G
-    bread = np.linalg.inv(gwg)
-    meat = G.T @ W @ Omega @ W @ G
-    v = bread @ meat @ bread / n
+    w_half = _w_half(W)
+    q, r = np.linalg.qr(w_half @ G)
+    x = linalg.solve_triangular(r, q.T @ w_half)
+    v = x @ Omega @ x.T / n
     return (v + v.T) / 2.0
 
 
@@ -241,12 +243,12 @@ def confidence_intervals(theta_flat: np.ndarray, vcov: np.ndarray, level: float)
     return np.column_stack([theta_flat - zcrit * se, theta_flat + zcrit * se])
 
 
-def estimate(ds: Dataset, cfg: GmmConfig = GmmConfig()) -> Estimate:
-    """Full GMM pipeline: start, minimise, (optionally) re-weight, infer."""
-    problems = validate(ds)
+def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
+    """Full GMM pipeline on a cell table: validate, start, minimise,
+    (optionally) re-weight, infer."""
+    problems = validate(table)
     if problems:
         raise ValidationError("; ".join(problems))
-    table = cell_stats(ds)
     k, mode, n = table.k, table.mode, table.n
     layout = MomentLayout(k, mode)
 

@@ -16,6 +16,7 @@ import numpy as np
 from .data import CellStats, Mode, ParamVector
 from .exceptions import (
     DegenerateCell,
+    EmptyCell,
     InvalidProbability,
     MonotonicityViolated,
     NegativeDiscriminant,
@@ -212,8 +213,12 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
 
     support_points pins the support indices used ((triple_z0, triple_z1) in
     CASE_I, a single pair in CASE_II); by default the candidate with the
-    largest absolute determinant is selected.
+    largest absolute determinant is selected. A table with an empty
+    (z, v, t) cell raises EmptyCell.
     """
+    empty = stats.empty_cells()
+    if empty:
+        raise EmptyCell(empty[0])
     if np.any(stats.p_zv <= 0.0) or np.any(stats.p_zv >= 1.0):
         raise DegenerateCell("a cell treatment probability is 0 or 1")
     dets = nonsingularity_diag(stats, mode)

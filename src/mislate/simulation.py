@@ -224,15 +224,15 @@ def _one_rep(args):
 
     out = {"failed": False, "gmm": None, "iv": None, "ols_fs": None}
     try:
+        stats = cell_stats(ds)
         if "iv" in estimators:
-            stats = cell_stats(ds, require_cells=False)
             iv = wald_iv(stats)
             out["iv"] = (float(iv.coef[1]), float(iv.robust_se[1]))
             fs = ols(stats, outcome="t", regressors=("z",))
             out["ols_fs"] = (float(fs.coef[1]), float(fs.robust_se[1]))
         if "gmm" in estimators:
-            est = estimate(ds, GmmConfig(weighting="identity",
-                                         ci_level=ci_level))
+            est = estimate(stats, GmmConfig(weighting="identity",
+                                            ci_level=ci_level))
             if not est.converged:
                 raise NoConvergence("optimizer did not converge")
             vals = {p: float(est.theta_flat[i]) for p, i in _TRACKED.items()}

@@ -1,6 +1,8 @@
 """Shared fixtures and generators for the test suite."""
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,62 @@ def row_iv_fit(y, X, Z, hc1=False):
     if hc1:
         v = v * n / (n - kx)
     return b, np.sqrt(np.clip(np.diag(v), 0.0, None)), v
+
+
+def row_validate(ds: Dataset) -> list:
+    """validate() as a pass over the rows: the oracle for the table checks."""
+    out = []
+    if ds.n < 1:
+        out.append("dataset is empty")
+        return out
+    k = ds.k
+    if ds.mode is Mode.CASE_I and k < 3:
+        out.append("CaseI requires K >= 3 support points for V")
+    if ds.mode is Mode.CASE_II and k < 2:
+        out.append("CaseII requires K >= 2 support points for V")
+    if not np.all(np.isfinite(ds.y)):
+        out.append("y contains non-finite values")
+    t_ok = (ds.t == 0) | (ds.t == 1)
+    if not np.all(t_ok):
+        out.append("t contains values outside {0,1}")
+    z_ok = (ds.z == 0) | (ds.z == 1)
+    if not np.all(z_ok):
+        out.append("z contains values outside {0,1}")
+    if np.any(ds.v < 0) or np.any(ds.v >= k):
+        out.append("v contains codes outside the declared support")
+        return out
+    zbar = float(np.mean(ds.z))
+    if zbar in (0.0, 1.0):
+        out.append("instrument degenerate: z takes a single value")
+    cell = (ds.z.astype(np.int64) * k + ds.v) * 2 + ds.t
+    rows_ok = t_ok & z_ok
+    if not np.all(rows_ok):
+        cell = cell[rows_ok]
+    counts = np.bincount(cell, minlength=4 * k).reshape(2, k, 2)
+    # argwhere walks the cells in z, v, t order
+    for z, kk, t in np.argwhere(counts == 0):
+        out.append(
+            f"empty cell: no observations with z={z}, "
+            f"v={ds.v_support[kk]!r}, t={t}"
+        )
+    return out
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Route every mislate module's name for fn through a wrapper that
+    records the arguments of each call; returns the (growing) record."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "mislate" or name.startswith("mislate."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
 
 
 @pytest.fixture

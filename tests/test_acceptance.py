@@ -168,9 +168,10 @@ def test_criterion_6_naive_bias_law(capsys):
 
     # finite just-identified sample: the attenuation identity holds exactly
     sample, _ = generate(DesignSpec(1), 4000, seed=3)
-    est = estimate(sample, GmmConfig())
+    table = cell_stats(sample)
+    est = estimate(table, GmmConfig())
     s_hat = 1.0 - float(est.theta_hat.m0[0]) - float(est.theta_hat.m1[0])
-    wald_hat = float(wald_iv(cell_stats(sample)).coef[1])
+    wald_hat = float(wald_iv(table).coef[1])
     samp_err = abs(wald_hat * s_hat - float(est.theta_flat[0]))
 
     ok = pop_err <= 1e-10 and samp_err <= 1e-8
@@ -210,7 +211,7 @@ def test_criterion_8_property_suite(capsys, rng):
     checks["determinism"] = np.array_equal(a.y, b.y) and np.array_equal(a.t, b.t)
 
     ds, _ = generate(DesignSpec(1), 3000, seed=5)
-    est = estimate(ds)
+    est = estimate(cell_stats(ds))
     checks["psd covariance"] = bool(np.all(np.linalg.eigvalsh(est.vcov) > -1e-12))
 
     checks["overid counts"] = (

@@ -21,10 +21,6 @@ def _ds(y, t, z, v=None, k=1):
                    v_support=tuple(range(k)), mode=Mode.CASE_II)
 
 
-def _table(ds):
-    return cell_stats(ds, require_cells=False)
-
-
 class TestWaldIV:
     def test_equals_wald_ratio(self, rng):
         n = 2000
@@ -32,7 +28,7 @@ class TestWaldIV:
         t = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
         y = 2.0 * t + rng.normal(size=n)
         ds = _ds(y, t, z)
-        stats = cell_stats(ds, require_cells=False)
+        stats = cell_stats(ds)
         res = wald_iv(stats)
         wald = (stats.mu_z[1] - stats.mu_z[0]) / (stats.p_z[1] - stats.p_z[0])
         assert res.coef[1] == pytest.approx(wald, abs=1e-10)
@@ -43,8 +39,8 @@ class TestWaldIV:
         z = (rng.random(n) < 0.5).astype(int)
         t = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
         y = 1.5 * t + rng.normal(size=n)
-        a = wald_iv(_table(_ds(y, t, z)))
-        b = wald_iv(_table(_ds(y, t, 1 - z)))
+        a = wald_iv(cell_stats(_ds(y, t, z)))
+        b = wald_iv(cell_stats(_ds(y, t, 1 - z)))
         assert a.coef[1] == pytest.approx(b.coef[1], abs=1e-10)
 
     def test_zero_first_stage_raises(self):
@@ -52,7 +48,7 @@ class TestWaldIV:
         t = np.array([0, 1, 0, 1, 0, 1, 0, 1])
         z = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         with pytest.raises(WeakFirstStage):
-            wald_iv(_table(_ds(y, t, z)))
+            wald_iv(cell_stats(_ds(y, t, z)))
 
     def test_hc1_inflates_hc0(self, rng):
         n = 300
@@ -60,8 +56,8 @@ class TestWaldIV:
         t = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
         y = t + rng.normal(size=n)
         ds = _ds(y, t, z)
-        se0 = wald_iv(_table(ds)).robust_se
-        se1 = wald_iv(_table(ds), hc1=True).robust_se
+        se0 = wald_iv(cell_stats(ds)).robust_se
+        se1 = wald_iv(cell_stats(ds), hc1=True).robust_se
         np.testing.assert_allclose(se1, se0 * np.sqrt(n / (n - 2)))
 
 
@@ -72,7 +68,7 @@ class TestOls:
         t = (rng.random(n) < 0.3 + 0.3 * z).astype(int)
         y = 1.0 + 0.7 * t + rng.normal(size=n)
         ds = _ds(y, t, z)
-        res = ols(_table(ds), "y", ("t", "z"))
+        res = ols(cell_stats(ds), "y", ("t", "z"))
         X = np.column_stack([np.ones(n), t, z])
         expect, *_ = np.linalg.lstsq(X, y, rcond=None)
         np.testing.assert_allclose(res.coef, expect, atol=1e-10)
@@ -84,7 +80,7 @@ class TestOls:
         y = np.array([1.0, 3.0, 2.0, 6.0, 4.0])
         t = np.array([0, 0, 0, 1, 1])
         ds = _ds(y, t, np.array([0, 1, 0, 1, 0]))
-        res = ols(_table(ds), "y", ("t",))
+        res = ols(cell_stats(ds), "y", ("t",))
         assert res.coef[1] == pytest.approx(3.0, abs=1e-12)
         # group residual sums of squares: (1,3,2) about 2 -> 2 ; (6,4) about 5 -> 2
         var0, var1 = 2.0 / 9.0, 2.0 / 4.0
@@ -95,7 +91,7 @@ class TestOls:
         t = np.array([0, 1, 0, 1, 0, 1])
         ds = _ds(y, t, t.copy())
         with pytest.raises(RankDeficient):
-            ols(_table(ds), "y", ("t", "z"))
+            ols(cell_stats(ds), "y", ("t", "z"))
 
     def test_v_uses_numeric_labels_when_possible(self, rng):
         n = 200
@@ -105,13 +101,13 @@ class TestOls:
         z = (rng.random(n) < 0.5).astype(int)
         a = Dataset(y=y, t=t, z=z, v=v, v_support=(0, 1), mode=Mode.CASE_II)
         b = Dataset(y=y, t=t, z=z, v=v, v_support=("0", "10"), mode=Mode.CASE_II)
-        ca = ols(_table(a), "y", ("v",)).coef[1]
-        cb = ols(_table(b), "y", ("v",)).coef[1]
+        ca = ols(cell_stats(a), "y", ("v",)).coef[1]
+        cb = ols(cell_stats(b), "y", ("v",)).coef[1]
         assert ca == pytest.approx(10.0 * cb, abs=1e-8)
 
 
     def test_refuses_y_regressor_and_unknown_names(self, rng):
-        stats = _table(_random_dataset(rng, 2))
+        stats = cell_stats(_random_dataset(rng, 2))
         for outcome, regressors in (("t", ("y",)), ("y", ("t", "y")),
                                     ("w", ("t",)), ("y", ("x",))):
             with pytest.raises(ValidationError):
@@ -122,7 +118,7 @@ class TestRelevance:
     def test_slope_reflects_first_stage(self, rng):
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 50_000, rng)
-        out = relevance_test(_table(ds))
+        out = relevance_test(cell_stats(ds))
         s = float(theta.s[0])
         for z in (0, 1):
             slope_true = s * (theta.p_star[z, 1] - theta.p_star[z, 0])
@@ -132,7 +128,7 @@ class TestRelevance:
     def test_empty_subsample_raises(self):
         ds = _ds(np.zeros(4), [0, 1, 0, 1], [1, 1, 1, 1], [0, 1, 0, 1], k=2)
         with pytest.raises(WeakFirstStage):
-            relevance_test(_table(ds))
+            relevance_test(cell_stats(ds))
 
 
 class TestNaiveBias:
@@ -141,7 +137,7 @@ class TestNaiveBias:
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 200_000, rng)
         rep = naive_bias_diag(theta.beta_star, float(theta.m0[0]),
-                              float(theta.m1[0]), wald_iv(_table(ds)))
+                              float(theta.m1[0]), wald_iv(cell_stats(ds)))
         assert rep.s_hat == pytest.approx(float(theta.s[0]), abs=1e-12)
         assert rep.beta_naive_times_s == pytest.approx(theta.beta_star, abs=0.1)
         assert rep.gap == rep.beta_naive_times_s - rep.beta_star_hat
@@ -187,7 +183,7 @@ PARITY_CASES = [
 @pytest.mark.parametrize("k,labels,empty,hc1", PARITY_CASES)
 def test_table_baselines_match_the_row_fit(rng, k, labels, empty, hc1):
     ds = _random_dataset(rng, k, labels, empty)
-    stats = _table(ds)
+    stats = cell_stats(ds)
     assert np.any(stats.n_zvt == 0) == empty
     try:
         vnum = np.array([float(lab) for lab in ds.v_support])
@@ -224,6 +220,6 @@ def test_wald_se_survives_a_large_outcome_offset():
     ds, _ = generate(DesignSpec(3), 100_000, seed=5)
     shifted = Dataset(y=ds.y + 1e6, t=ds.t, z=ds.z, v=ds.v,
                       v_support=ds.v_support, mode=ds.mode)
-    a = wald_iv(_table(ds))
-    b = wald_iv(_table(shifted))
+    a = wald_iv(cell_stats(ds))
+    b = wald_iv(cell_stats(shifted))
     np.testing.assert_allclose(b.robust_se, a.robust_se, rtol=1e-7, atol=0)

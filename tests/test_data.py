@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import row_validate
 from mislate.data import Dataset, Mode, cell_stats, validate
 from mislate.exceptions import EmptyCell, ValidationError
+from mislate.identification import identify
 
 
 def _full_dataset(mode=Mode.CASE_II):
@@ -13,28 +15,26 @@ def _full_dataset(mode=Mode.CASE_II):
 
 
 def test_validate_full_dataset_ok():
-    assert validate(_full_dataset()) == []
+    assert validate(cell_stats(_full_dataset())) == []
 
 
 def test_validate_degenerate_instrument():
     ds = Dataset(y=np.zeros(4), t=np.array([0, 1, 0, 1]),
                  z=np.ones(4, dtype=int), v=np.array([0, 0, 1, 1]),
                  v_support=(0, 1), mode=Mode.CASE_II)
-    assert any("degenerate" in msg for msg in validate(ds))
+    assert any("degenerate" in msg for msg in validate(cell_stats(ds)))
 
 
 def test_validate_case_i_needs_three_support_points():
     ds = _full_dataset(mode=Mode.CASE_I)
-    assert any("K >= 3" in msg for msg in validate(ds))
+    assert any("K >= 3" in msg for msg in validate(cell_stats(ds)))
 
 
 def test_validate_lists_empty_cells_in_z_v_t_order():
-    # the row with t = 2 must not fill cell (z=0, v="b", t=0)
-    ds = Dataset(y=np.zeros(6), t=np.array([1, 0, 2, 1, 0, 1]),
-                 z=np.array([0, 0, 0, 1, 1, 0]), v=np.array([0, 0, 0, 0, 2, 2]),
+    ds = Dataset(y=np.zeros(5), t=np.array([1, 0, 1, 0, 1]),
+                 z=np.array([0, 0, 1, 1, 0]), v=np.array([0, 0, 0, 2, 2]),
                  v_support=("a", "b", "c"), mode=Mode.CASE_I)
-    problems = validate(ds)
-    assert "t contains values outside {0,1}" in problems
+    problems = validate(cell_stats(ds))
     # reference: one full-array scan per (z, v, t) cell
     expected = [
         f"empty cell: no observations with z={z}, v={ds.v_support[k]!r}, t={t}"
@@ -78,8 +78,6 @@ def test_cell_stats_refuses_codes_outside_their_range(column, value):
     bad = Dataset(**cols, v_support=ds.v_support, mode=ds.mode)
     with pytest.raises(ValidationError):
         cell_stats(bad)
-    with pytest.raises(ValidationError):
-        cell_stats(bad, require_cells=False)
 
 
 def test_cell_stats_hand_counted():
@@ -132,7 +130,7 @@ def test_cell_stats_aggregation_identity(rng):
         v_support=(0, 1, 2),
         mode=Mode.CASE_I,
     )
-    stats = cell_stats(ds, require_cells=False)
+    stats = cell_stats(ds)
     for z in (0, 1):
         w = stats.n_zv[z] / stats.n_zv[z].sum()
         assert abs(np.sum(w * stats.p_zv[z]) - stats.p_z[z]) < 1e-12
@@ -140,10 +138,53 @@ def test_cell_stats_aggregation_identity(rng):
 
 
 def test_cell_stats_empty_cell_raises():
+    # the table builds with a NaN contrast; identify refuses the empty cell
     ds = Dataset(y=np.zeros(3), t=np.array([1, 1, 0]), z=np.array([0, 1, 1]),
                  v=np.zeros(3, dtype=int), v_support=(0,), mode=Mode.CASE_II)
-    with pytest.raises(EmptyCell):
-        cell_stats(ds)
+    stats = cell_stats(ds)
+    assert np.isnan(stats.tau_zv[0, 0])
+    with pytest.raises(EmptyCell, match=r"^no observations with z=0, v=0, t=0$"):
+        identify(stats, Mode.CASE_II)
+
+
+def _parity_datasets():
+    full = _full_dataset()
+    yield "full", full
+    yield "degenerate-z", Dataset(y=np.zeros(4), t=np.array([0, 1, 0, 1]),
+                                  z=np.ones(4, dtype=int),
+                                  v=np.array([0, 0, 1, 1]),
+                                  v_support=(0, 1), mode=Mode.CASE_II)
+    yield "case-i-k2", _full_dataset(mode=Mode.CASE_I)
+    yield "case-ii-k1", Dataset(y=np.arange(4.0), t=np.array([0, 1, 0, 1]),
+                                z=np.array([0, 0, 1, 1]), v=np.zeros(4, dtype=int),
+                                v_support=("only",), mode=Mode.CASE_II)
+    y = full.y.copy()
+    y[3] = np.inf
+    yield "inf", Dataset(y=y, t=full.t, z=full.z, v=full.v,
+                         v_support=full.v_support, mode=full.mode)
+    yield "empty", Dataset(y=np.zeros(0), t=np.zeros(0), z=np.zeros(0),
+                           v=np.zeros(0), v_support=(0, 1), mode=Mode.CASE_II)
+    rng = np.random.default_rng(5)
+    for i in range(12):
+        k = int(rng.integers(2, 5))
+        z, v, t = np.indices((2, k, 2)).reshape(3, -1)
+        keep = np.ones(4 * k, dtype=bool)
+        keep[rng.choice(4 * k, size=1 + i % 7, replace=False)] = False
+        cells = np.repeat(np.flatnonzero(keep), rng.integers(1, 4, keep.sum()))
+        cells = rng.permutation(cells)
+        yield f"random-{i}", Dataset(
+            y=rng.normal(size=cells.size), t=t[cells], z=z[cells], v=v[cells],
+            v_support=tuple(f"v{j}" for j in range(k)),
+            mode=Mode.CASE_I if k >= 3 else Mode.CASE_II)
+
+
+PARITY_DATASETS = dict(_parity_datasets())
+
+
+@pytest.mark.parametrize("name", PARITY_DATASETS)
+def test_table_validate_matches_the_row_checks(name):
+    ds = PARITY_DATASETS[name]
+    assert validate(cell_stats(ds)) == row_validate(ds)
 
 
 def test_param_vector_pack_unpack_roundtrip(rng):

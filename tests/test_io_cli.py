@@ -10,10 +10,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import random_theta, simulate_from_theta
+from conftest import count_calls, random_theta, simulate_from_theta
 from mislate import io as mio
 from mislate.cli import EXIT_DIAG, EXIT_IO, EXIT_OK, main
-from mislate.data import Mode
+from mislate.data import Mode, cell_stats
 from mislate.exceptions import (NoConvergence, ParseError, SchemaError,
                                 ValidationError)
 from mislate.io import CsvSchema, format_number, load_csv, report_json, report_text
@@ -391,6 +391,15 @@ class TestCli:
         assert names[0] == "beta_star"
         assert report["j_test"]["dof"] == 0
         assert "naive_bias" in report["baselines"]
+
+    @pytest.mark.parametrize("command", ["estimate", "identify"])
+    def test_rows_are_tabulated_once(self, sample_csv, capsys, monkeypatch,
+                                     command):
+        path, _ = sample_csv
+        calls = count_calls(monkeypatch, cell_stats)
+        code, _ = _run(capsys, [command] + _data_args(path))
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_estimate_deterministic(self, sample_csv, capsys):
         path, _ = sample_csv

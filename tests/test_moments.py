@@ -168,7 +168,7 @@ class TestStructure:
     @pytest.mark.parametrize("mode,k", TABLE_CASES)
     def test_omega_is_uncentered_second_moment(self, rng, mode, k):
         theta, ds = _table_case(rng, mode, k)
-        ev = sample_moments(cell_stats(ds, require_cells=False), theta)
+        ev = sample_moments(cell_stats(ds), theta)
         rows = moment_matrix(ds, theta)
         expected = sum(np.outer(row, row) for row in rows) / ds.n
         np.testing.assert_allclose(ev.omega(), expected, rtol=1e-12, atol=1e-12)
@@ -176,7 +176,7 @@ class TestStructure:
     @pytest.mark.parametrize("mode,k", TABLE_CASES)
     def test_table_gbar_and_jacobian_match_rows(self, rng, mode, k):
         theta, ds = _table_case(rng, mode, k)
-        stats = cell_stats(ds, require_cells=False)
+        stats = cell_stats(ds)
         np.testing.assert_allclose(sample_moments(stats, theta).gbar,
                                    _row_mean(ds, theta.pack(), k, mode),
                                    rtol=1e-12, atol=1e-14)
@@ -213,7 +213,7 @@ def _jacobian_point(rng, mode, k, where):
         m0 = m0 * [1.0, 0.9]
     theta = replace(theta, m0=m0, m1=m1, p_star=p_star)
     ds = replace(simulate_from_theta(theta, 500, rng), mode=mode)
-    return theta, cell_stats(ds, require_cells=False)
+    return theta, cell_stats(ds)
 
 
 class TestAnalyticJacobian:

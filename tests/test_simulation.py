@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from conftest import count_calls
 import mislate.simulation
-from mislate.data import Mode
+from mislate.data import Mode, cell_stats
 from mislate.exceptions import MislateError
 from mislate.simulation import (
     DesignSpec,
@@ -213,6 +214,12 @@ class TestRunStudy:
         assert s == expected
         full = run_study(DesignSpec(1), n=1000, reps=5, seed=1)
         assert len(calls) == 5 and full.n_failed == 5 and full.rows == []
+
+    def test_each_replication_is_tabulated_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, cell_stats)
+        s = run_study(DesignSpec(1), n=1000, reps=3, seed=1)
+        assert s.n_failed == 0 and len(s.rows) == 6
+        assert len(calls) == 3
 
     def test_moderate_study_tracks_population_values(self):
         s = run_study(DesignSpec(1), n=1000, reps=60, seed=11)
