@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import linalg, optimize, stats
+from scipy import optimize, stats
 
 from .data import CellStats, Mode, ParamVector, validate
 from .exceptions import (
@@ -223,15 +223,19 @@ def _minimize(table: CellStats, x0, w_half):
     return x_hat, float(core @ core), res.status > 0
 
 
-def sandwich_cov(G: np.ndarray, W: np.ndarray, Omega: np.ndarray, n: int) -> np.ndarray:
+def sandwich_cov(G: np.ndarray, W: np.ndarray, Omega: np.ndarray, n: int,
+                 w_half: Optional[np.ndarray] = None) -> np.ndarray:
     """(G'WG)^-1 G'W Omega W G (G'WG)^-1 / n, computed as X Omega X' / n
-    with X = R^-1 Q' W^{1/2} from W^{1/2} G = QR, so cond(G) is not squared
-    (X = G^-1 when G is square)."""
-    if np.linalg.matrix_rank(G) < G.shape[1]:
+    with X = V diag(1/s) U' W^{1/2} from the SVD W^{1/2} G = U diag(s) V',
+    so cond(G) is not squared (X = G^-1 when G is square). w_half is
+    W^{1/2} when the caller holds it."""
+    if w_half is None:
+        w_half = _w_half(W)
+    u, s, vt = np.linalg.svd(w_half @ G, full_matrices=False)
+    # matrix_rank's tolerance
+    if s.size < G.shape[1] or s[-1] <= s[0] * max(G.shape) * np.finfo(s.dtype).eps:
         raise RankDeficient("moment Jacobian is rank deficient")
-    w_half = _w_half(W)
-    q, r = np.linalg.qr(w_half @ G)
-    x = linalg.solve_triangular(r, q.T @ w_half)
+    x = (vt.T / s) @ (u.T @ w_half)
     v = x @ Omega @ x.T / n
     return (v + v.T) / 2.0
 
@@ -259,16 +263,17 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
     theta_hat = ParamVector.unpack(x_hat, k, mode)
     ev = sample_moments(table, theta_hat)
     omega = ev.omega()
-    weight = w_identity
+    weight = w_half = w_identity
     if cfg.weighting == "optimal":
         weight = np.linalg.pinv(omega)
-        x_hat, objective, converged = _minimize(table, x_hat, _w_half(weight))
+        w_half = _w_half(weight)
+        x_hat, objective, converged = _minimize(table, x_hat, w_half)
         theta_hat = ParamVector.unpack(x_hat, k, mode)
         ev = sample_moments(table, theta_hat)
         omega = ev.omega()
 
     G = moment_jacobian(table, theta_hat)
-    vcov = sandwich_cov(G, weight, omega, n)
+    vcov = sandwich_cov(G, weight, omega, n, w_half)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
     ci = confidence_intervals(x_hat, vcov, cfg.ci_level)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Optional
 
@@ -13,7 +13,7 @@ import numpy as np
 from .data import Dataset, Mode
 from .exceptions import ParseError, SchemaError, ValidationError
 
-# rows converted per step; parsing holds one chunk of rows at a time
+# lines read and converted per step; parsing holds one chunk at a time
 CHUNK_ROWS = 8192
 
 
@@ -34,12 +34,12 @@ def _parse_binary(raw: str, col: str, line: int) -> int:
     raise ParseError(f"column {col!r} must be 0 or 1, got {raw!r} at line {line}", line)
 
 
-def _parse_rows(rows, first_line: int, schema: CsvSchema, idx: dict) -> tuple:
-    """The row rules: y, t and z arrays and the stripped V labels of rows
-    numbered from first_line, skipping blank rows. Raises ParseError for the
-    first bad row."""
+def _parse_rows(rows, lines, schema: CsvSchema, idx: dict) -> tuple:
+    """The row rules: y, t and z arrays and the stripped V labels of rows,
+    the i-th of which starts on physical line lines[i], skipping blank rows.
+    Raises ParseError for the first bad row."""
     ys, ts, zs, vs = [], [], [], []
-    for lineno, row in enumerate(rows, start=first_line):
+    for lineno, row in zip(lines, rows):
         if not row or all(not c.strip() for c in row):
             continue
         try:
@@ -67,23 +67,24 @@ def _parse_rows(rows, first_line: int, schema: CsvSchema, idx: dict) -> tuple:
 def _binary_column(raw: list):
     """int8 codes of a column whose distinct values all pass _parse_binary;
     None when one does not."""
+    distinct = set(raw)
+    if distinct <= {"0", "1"}:
+        return (np.frombuffer("".join(raw).encode(), np.uint8) - 48).view(np.int8)
     try:
         # the line number only labels an error that is discarded here
-        lut = {s: _parse_binary(s, "", 0) for s in set(raw)}
+        lut = {s: _parse_binary(s, "", 0) for s in distinct}
     except ParseError:
         return None
     return np.fromiter(map(lut.__getitem__, raw), np.int8, len(raw))
 
 
-def _parse_columns(rows: list, schema: CsvSchema, idx: dict):
-    """What _parse_rows returns for the rows, converted a column at a time,
-    with V labels not yet stripped; None when a row is blank, short or bad."""
+def _parse_columns(y_raw: list, t_raw: list, z_raw: list, v_raw: list):
+    """What _parse_rows returns for the rows whose y, t, z and V fields
+    these are, converted a column at a time, with V labels not yet
+    stripped; None when a value is bad."""
     try:
-        y = np.fromiter(map(float, map(itemgetter(idx[schema.y_col]), rows)),
-                        float, len(rows))
-        t_raw, z_raw, v_raw = (list(map(itemgetter(idx[c]), rows)) for c in
-                               (schema.t_col, schema.z_col, schema.v_col))
-    except (ValueError, IndexError):
+        y = np.fromiter(map(float, y_raw), float, len(y_raw))
+    except ValueError:
         return None
     if not np.isfinite(y).all():
         return None
@@ -113,14 +114,65 @@ def _code_labels(labels: list, index: dict, grow: bool) -> tuple:
     return np.fromiter(map(lut.__getitem__, labels), np.int64, len(labels)), missing
 
 
-def _take(reader, count: int) -> list:
-    """The reader's next count rows, or fewer at the end; a record the csv
-    module rejects, such as one with a field over its size limit, raises
-    ParseError with its line number."""
+def _take(reader, count: int, consumed: int) -> tuple:
+    """The reader's next count rows, or fewer at the end, and the line each
+    starts on, after consumed lines read before the reader; a record the
+    csv module rejects, such as one with a field over its size limit,
+    raises ParseError with its line number."""
+    rows, lines = [], [consumed + reader.line_num + 1]
     try:
-        return list(islice(reader, count))
+        for row in islice(reader, count):
+            rows.append(row)
+            lines.append(consumed + reader.line_num + 1)
     except csv.Error as exc:
-        raise ParseError(f"{exc} at line {reader.line_num}", reader.line_num) from None
+        line = consumed + reader.line_num
+        raise ParseError(f"{exc} at line {line}", line) from None
+    return rows, lines[:-1]
+
+
+def _plain_columns(lines: list, delimiter: str, width: int, cols: list):
+    """Columns cols of the lines split on the delimiter, which gives csv's
+    tokens, or None unless the lines are plain: no quote, CR or NUL, and
+    width fields, none over csv's size limit, on every line."""
+    block = "".join(lines).removesuffix("\n") + "\n"  # the last may lack it
+    if (not delimiter.isascii() or width <= max(cols) or '"' in block
+            or "\r" in block or "\0" in block):
+        return None
+    raw = np.frombuffer(block.encode(), np.uint8)
+    ends = np.flatnonzero((raw == ord(delimiter)) | (raw == 10))
+    if (ends.size != len(lines) * width or (raw[ends[width - 1::width]] != 10).any()
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1):
+        return None
+    fields = block.replace("\n", delimiter).split(delimiter)
+    fields.pop()
+    return [fields[j::width] for j in cols]
+
+
+def _chunks(fh, schema: CsvSchema, idx: dict, width: Optional[int], consumed: int):
+    """What _parse_rows returns for each chunk of the rows left in fh, after
+    consumed lines. Plain chunks of CHUNK_ROWS lines are split; from the
+    first chunk that is not, csv.reader reads the rest of the file."""
+    delimiter = schema.delimiter
+    cols = [idx[c] for c in (schema.y_col, schema.t_col, schema.z_col, schema.v_col)]
+    while lines := list(islice(fh, CHUNK_ROWS)):
+        width = width or lines[0].count(delimiter) + 1
+        fields = _plain_columns(lines, delimiter, width, cols)
+        if fields is None:
+            break
+        first, consumed = consumed + 1, consumed + len(lines)
+        yield _parse_columns(*fields) or _parse_rows(
+            csv.reader(lines, delimiter=delimiter), range(first, consumed + 1),
+            schema, idx)
+    reader = csv.reader(chain(lines, fh), delimiter=delimiter)
+    while True:
+        rows, lines = _take(reader, CHUNK_ROWS, consumed)
+        if not rows:
+            return
+        try:
+            parsed = _parse_columns(*(list(map(itemgetter(j), rows)) for j in cols))
+        except IndexError:          # a blank or short row
+            parsed = None
+        yield parsed or _parse_rows(rows, lines, schema, idx)
 
 
 def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
@@ -130,19 +182,26 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
     v_support pins it. Raises ParseError with the offending line number and
     SchemaError when declared columns are missing.
 
-    Rows are read CHUNK_ROWS at a time and converted a column at a time, so
-    parsing holds one chunk of rows. A chunk that fails a columnar check is
-    read again by the row rules, which report the first bad row. A record
-    the csv module rejects is reported as soon as it is read.
+    The header goes through csv.reader. The rows are read CHUNK_ROWS lines
+    at a time, so parsing holds one chunk. A plain chunk (no quote, CR or
+    NUL, the header's field count on every line, or the first line's in a
+    headerless file) is split on the delimiter. The first chunk that is not
+    plain, and the rest of the file after it, go through csv.reader, so a
+    quoted field never straddles the two. On plain lines the two give the
+    same tokens, so the result does not depend on which one ran. Either
+    way a chunk is converted a column at a time; one that fails a columnar
+    check is read again by the row rules, which report the first bad row
+    by the physical line it starts on. A record the csv module rejects is
+    reported as soon as it is read.
     """
     grow = v_support is None
     index = {} if grow else {lab: k for k, lab in enumerate(v_support)}
     columns = []
     missing = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
         if schema.header:
-            first = _take(reader, 1)
+            reader = csv.reader(fh, delimiter=schema.delimiter)
+            first, _ = _take(reader, 1, 0)
             if not first:
                 raise SchemaError("file is empty")
             header = [h.strip() for h in first[0]]
@@ -151,16 +210,11 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
                        (schema.y_col, schema.t_col, schema.z_col, schema.v_col)}
             except ValueError as exc:
                 raise SchemaError(f"missing column: {exc}") from None
-            line = 2
+            width, consumed = len(header), reader.line_num
         else:
             idx = {schema.y_col: 0, schema.t_col: 1, schema.z_col: 2, schema.v_col: 3}
-            line = 1
-        while chunk := _take(reader, CHUNK_ROWS):
-            parsed = _parse_columns(chunk, schema, idx)
-            if parsed is None:
-                parsed = _parse_rows(chunk, line, schema, idx)
-            line += len(chunk)
-            y, t, z, labels = parsed
+            width, consumed = None, 0
+        for y, t, z, labels in _chunks(fh, schema, idx, width, consumed):
             v, chunk_missing = _code_labels(labels, index, grow)
             if missing is None:
                 missing = chunk_missing

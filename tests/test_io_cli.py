@@ -5,10 +5,12 @@ import sys
 from importlib.metadata import (EntryPoint, PackageNotFoundError,
                                 distribution, entry_points)
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import count_calls, random_theta, simulate_from_theta
 from mislate import io as mio
@@ -164,19 +166,25 @@ def small_chunks(monkeypatch):
 
 
 def _row_loop(path, schema, v_support=None):
-    """Reference reader: the row rules over the whole file as one chunk, V
-    coded in plain Python (first appearance unless v_support pins it)."""
+    """Reference reader: the row rules over the whole file as one chunk, each
+    record numbered by the physical line it starts on, V coded in plain
+    Python (first appearance unless v_support pins it)."""
+    rows, lines = [], []
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=schema.delimiter))
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        start = 0
+        for row in reader:
+            rows.append(row)
+            lines.append(start + 1)
+            start = reader.line_num
     cols = (schema.y_col, schema.t_col, schema.z_col, schema.v_col)
     if schema.header:
         header = [h.strip() for h in rows.pop(0)]
+        lines.pop(0)
         idx = {c: header.index(c) for c in cols}
-        first = 2
     else:
         idx = dict(zip(cols, range(4)))
-        first = 1
-    y, t, z, labels = mio._parse_rows(rows, first, schema, idx)
+    y, t, z, labels = mio._parse_rows(rows, lines, schema, idx)
     support = (tuple(dict.fromkeys(labels)) if v_support is None
                else tuple(v_support))
     code = {lab: k for k, lab in enumerate(support)}
@@ -201,10 +209,14 @@ def _text(kind, records):
             for i, (y, t, z, v) in enumerate(records))
     lines = ["y,t,z,v"]
     for i, (y, t, z, v) in enumerate(records):
-        if kind == "quoted":
+        if kind == "quoted" or (kind == "quoted-late" and i >= CHUNK):
             lines.append(f'"{y}","{t}",{z},"{v}, ""{i % 2}"""')
         elif kind == "padded-binaries":
             lines.append(f"{y}, {t} ,{z} , {v} ")
+        elif kind == "ragged-late" and i == len(records) - 1:
+            lines.append(f"{y},{t},{z},{v},extra")
+        elif kind == "unicode-labels":
+            lines.append(f"{y},{t},{z},{v.replace('o', 'ö')}-€")
         else:
             lines.append(f"{y},{t},{z},{v}")
         if kind == "blank-lines" and i % 3 == 0:
@@ -212,14 +224,18 @@ def _text(kind, records):
         if kind == "whitespace-rows" and i % 3 == 1:
             lines.append("  ,\t, ,  " if i % 2 else "   ")
     end = "\r\n" if kind == "crlf" else "\n"
-    return end.join(lines) + end
+    return end.join(lines) + ("" if kind == "no-final-newline" else end)
 
 
 KINDS = ("plain", "blank-lines", "whitespace-rows", "crlf", "quoted",
-         "padded-binaries", "extra-columns", "headerless-tab")
+         "padded-binaries", "extra-columns", "headerless-tab", "quoted-late",
+         "ragged-late", "no-final-newline", "unicode-labels")
 # layouts with no blank row: every chunk converts a column at a time
-COLUMNAR_KINDS = {"plain", "crlf", "quoted", "padded-binaries",
-                  "extra-columns", "headerless-tab"}
+COLUMNAR_KINDS = set(KINDS) - {"blank-lines", "whitespace-rows"}
+# layouts whose rows are all split on the delimiter: csv.reader reads the
+# header alone
+SPLIT_KINDS = {"plain", "extra-columns", "headerless-tab", "padded-binaries",
+               "no-final-newline", "unicode-labels"}
 
 
 def _schema(kind):
@@ -255,9 +271,9 @@ class TestChunkedReader:
         calls = []
         row_rules = mio._parse_rows
 
-        def spy(rows, first_line, *rest):
-            calls.append(first_line)
-            return row_rules(rows, first_line, *rest)
+        def spy(rows, lines, *rest):
+            calls.append(lines)
+            return row_rules(rows, lines, *rest)
 
         monkeypatch.setattr(mio, "_parse_rows", spy)
         ds = load_csv(path, schema, Mode.CASE_II)
@@ -267,6 +283,39 @@ class TestChunkedReader:
         assert ds.n == n
         if kind in COLUMNAR_KINDS:
             assert calls == []
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("kind", sorted(SPLIT_KINDS) + ["quoted-late"])
+    def test_csv_reader_sees_only_what_is_not_plain(self, tmp_path, monkeypatch,
+                                                    small_chunks, kind, n):
+        path = tmp_path / "data.csv"
+        path.write_text(_text(kind, _records(n, seed=n)), newline="")
+        seen = []
+        real = csv.reader
+
+        class Spy:
+            def __init__(self, *args, **kwargs):
+                self.reader = real(*args, **kwargs)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                row = next(self.reader)
+                seen.append(row)
+                return row
+
+            @property
+            def line_num(self):
+                return self.reader.line_num
+
+        monkeypatch.setattr(mio.csv, "reader", Spy)
+        ds = load_csv(path, _schema(kind), Mode.CASE_II)
+        assert ds.n == n
+        header = 0 if kind == "headerless-tab" else 1
+        # quoted-late: chunk 1 is split, the quoted rows after it are not
+        late = max(n - CHUNK, 0) if kind == "quoted-late" else 0
+        assert len(seen) == header + late
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_pinned_support_matches_row_loop(self, tmp_path, small_chunks, n):
@@ -299,6 +348,27 @@ class TestChunkedReader:
         with pytest.raises(ParseError) as ref:
             _row_loop(path, STD_SCHEMA)
         assert (str(ref.value), ref.value.line) == (text, line)
+
+    @pytest.mark.parametrize("chunk", [1, 2, mio.CHUNK_ROWS])
+    def test_bad_row_after_multiline_record_reports_its_line(
+            self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(mio, "CHUNK_ROWS", chunk)
+        path = tmp_path / "bad.csv"
+        path.write_text('y,t,z,v\n1.0,0,0,"a\nb"\nx,0,0,0\n', newline="")
+        assert _parse_failure(path) == ("column 'y' not numeric at line 4", 4)
+
+    def test_headerless_rows_all_short(self, tmp_path, small_chunks):
+        # every line has the first line's width, but V's column is missing
+        path = tmp_path / "short.tsv"
+        path.write_text("1.0\t0\t1\n" * (CHUNK + 1))
+        assert _parse_failure(path, _schema("headerless-tab")) == (
+            "short row at line 1", 1)
+
+    def test_short_and_long_row_in_one_chunk(self, tmp_path, small_chunks):
+        # the chunk holds 4 x 4 fields, but shifted by a row's width
+        path = tmp_path / "ragged.csv"
+        path.write_text(_lines("1.0,0,0", "0,1,1,0,7", "2.0,1,1,0", "3.0,0,1,1"))
+        assert _parse_failure(path) == ("short row at line 2", 2)
 
     def test_blank_rows_count_in_line_numbers(self, tmp_path, small_chunks):
         rows = _clean(CHUNK + 1) + ["", "  ,  ,,", "1.0,0,1,0", "x,0,0,0"]
@@ -344,6 +414,82 @@ class TestChunkedReader:
         path.write_text("y,t,z,v\n" + "\n , , , \n" * (CHUNK + 1))
         with pytest.raises(SchemaError, match="no data rows"):
             load_csv(path, STD_SCHEMA, Mode.CASE_II)
+
+
+# labels and extra fields with delimiters, quotes, line breaks, non-ASCII
+_LABELS = st.text(st.sampled_from(list('ab,"\n\r \té€')), max_size=4)
+_PLAIN_LABELS = st.sampled_from(["north", " south ", "é€", ""])
+_Y_OK = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                  st.sampled_from(["1", " -2.5 ", "1e3", "0"]))
+_Y_ANY = st.one_of(_Y_OK, st.sampled_from(["x", "nan", "-inf", "", " "]))
+_BIN_OK = st.sampled_from(["0", "1", " 1 ", "0 "])
+_BIN_ANY = st.one_of(_BIN_OK, st.sampled_from(["2", "01", "", "1.0"]))
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, header): a CSV over y, t, z, v and extra columns, in any
+    order under a header. About one record in five may be quoted (over
+    several lines) and end in CRLF; the others are plain. A record may also
+    be blank, whitespace, short or long. The last line may lack its
+    newline."""
+    header = draw(st.booleans())
+    names = ["y", "t", "z", "v"] + [f"x{i}" for i in range(draw(st.integers(0, 2)))]
+    if header:
+        names = draw(st.permutations(names))
+    bad = draw(st.booleans())
+    values = {"y": _Y_ANY if bad else _Y_OK, "t": _BIN_ANY if bad else _BIN_OK,
+              "z": _BIN_ANY if bad else _BIN_OK}
+    text = ",".join(names) + "\n" if header else ""
+    for _ in range(draw(st.integers(0, 12))):
+        special = not draw(st.integers(0, 4))
+        fields = []
+        for name in names:
+            value = draw(values.get(name, _LABELS if special else _PLAIN_LABELS))
+            if any(c in value for c in ',"\n\r') or special and draw(st.booleans()):
+                value = '"' + value.replace('"', '""') + '"'
+            fields.append(value)
+        shape = draw(st.sampled_from(["row"] * 10 + ["blank", "spaces", "short",
+                                                     "long"]))
+        if shape == "blank":
+            fields = []
+        elif shape == "spaces":
+            fields = [" "] * len(names)
+        elif shape == "short":
+            fields = fields[:draw(st.integers(1, len(names) - 1))]
+        elif shape == "long":
+            fields.append("extra")
+        text += ",".join(fields) + ("\r\n" if special and draw(st.booleans())
+                                    else "\n")
+    if text and draw(st.booleans()):
+        text = text.removesuffix("\n")
+    return text, header
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_files(), st.integers(1, 5))
+def test_reader_matches_row_loop_on_any_layout(tmp_path, drawn, chunk):
+    text, header = drawn
+    path = tmp_path / "data.csv"
+    path.write_text(text, newline="")
+    schema = CsvSchema(y_col="y", t_col="t", z_col="z", v_col="v",
+                       header=header)
+    try:
+        want = _row_loop(path, schema)
+    except ParseError as err:
+        want = (str(err), err.line)
+    with mock.patch.object(mio, "CHUNK_ROWS", chunk):
+        if len(want) == 2:
+            assert _parse_failure(path, schema) == want
+        elif len(want[0]) == 0:
+            with pytest.raises(SchemaError, match="no data rows"):
+                load_csv(path, schema, Mode.CASE_II)
+        else:
+            ds = load_csv(path, schema, Mode.CASE_II)
+            for got, ref in zip((ds.y, ds.t, ds.z, ds.v), want[:4]):
+                assert np.array_equal(got, ref)
+            assert ds.v_support == want[4]
 
 
 class TestReportFormats:
