@@ -4,15 +4,22 @@
 
 Example:
     python3 scripts/run_montecarlo.py --n 1000 --reps 500 --seed 2024
+
+A row whose estimator failed in every replication prints `.` in place of
+its numbers. Exit codes follow the CLI: 0 success, 1 a bad option value
+(`--workers` below 1, a design outside 1..6), with `error: ...` on stderr.
 """
 import argparse
 import sys
 
+from mislate.cli import EXIT_IO, EXIT_OK
 from mislate.simulation import DesignSpec, run_study
+
+STATS = ("true", "bias", "sd", "rmse", "cp")
 
 
 def fmt(x):
-    return f"{x: .3f}"
+    return f"{'.':>6}" if x is None else f"{x: .3f}"
 
 
 def main(argv=None) -> int:
@@ -26,8 +33,12 @@ def main(argv=None) -> int:
 
     studies = {}
     for d in args.designs:
-        studies[d] = run_study(DesignSpec(d), n=args.n, reps=args.reps,
-                               seed=args.seed, workers=args.workers)
+        try:
+            studies[d] = run_study(DesignSpec(d), n=args.n, reps=args.reps,
+                                   seed=args.seed, workers=args.workers)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
         print(f"design {d}: done ({studies[d].n_failed} failed reps)",
               file=sys.stderr)
 
@@ -43,10 +54,14 @@ def main(argv=None) -> int:
               f"{'true':>7} {'bias':>7} {'sd':>7} {'rmse':>7} {'cp':>7}")
         for d in args.designs:
             for est, param in rows:
-                r = studies[d].row(param, est)
-                print(f"{d:>6} {est:>9} {param:>12} {fmt(r.true)} "
-                      f"{fmt(r.bias)} {fmt(r.sd)} {fmt(r.rmse)} {fmt(r.cp)}")
-    return 0
+                try:
+                    r = studies[d].row(param, est)
+                except KeyError:  # every replication failed
+                    r = None
+                vals = " ".join(fmt(None if r is None else getattr(r, f))
+                                for f in STATS)
+                print(f"{d:>6} {est:>9} {param:>12} {vals}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ def _iv_fit(n_c, ybar, ss, X, Z, names, hc1=False) -> RegressionResult:
 
 def _v_numeric(stats: CellStats) -> np.ndarray:
     """Value of each V code: its label when every label parses as a number,
-    the code itself otherwise (also in a table without labels)."""
+    the code itself otherwise."""
     try:
         return np.array([float(lab) for lab in stats.v_support])
     except (TypeError, ValueError):

@@ -15,14 +15,14 @@ import numpy as np
 
 from . import io as mio
 from .baselines import naive_bias_diag, relevance_test, wald_iv
-from .data import Mode, cell_stats, validate
+from .data import Mode, cell_stats, param_names, validate
 from .exceptions import (
     MislateError,
     ParseError,
     SchemaError,
     ValidationError,
 )
-from .gmm import GmmConfig, estimate as gmm_estimate, param_names
+from .gmm import GmmConfig, estimate as gmm_estimate
 from .identification import identify, nonsingularity_diag
 from .simulation import DesignSpec, run_study, true_params
 
@@ -182,7 +182,7 @@ def cmd_estimate(args) -> int:
         }
         if mode is Mode.CASE_II:
             bias = naive_bias_diag(
-                float(est.theta_flat[0]),
+                float(est.theta_hat.beta_star),
                 float(est.theta_hat.m0[0]), float(est.theta_hat.m1[0]), iv,
             )
             report["baselines"]["naive_bias"] = {

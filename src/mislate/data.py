@@ -6,9 +6,9 @@ construction; every function here is pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,6 +63,48 @@ class Dataset:
         return len(self.v_support)
 
 
+def _natural_names(k: int) -> list:
+    """Coordinate names of the natural (CASE_I) layout: b*, dp*, r, then per
+    z the block m0_z, m1_z, p*_{z,.}, tau*_z."""
+    names = ["beta_star", "delta_p_star", "r"]
+    for z in (0, 1):
+        names += [f"m0[z={z}]", f"m1[z={z}]"]
+        names += [f"p_star[z={z},k={k_}]" for k_ in range(k)]
+        names.append(f"tau_star[z={z}]")
+    return names
+
+
+# CASE_II packs the shared m0 in z=0's block and the shared m1 in z=1's
+_CASE_II_SHARED = {"m1[z=0]": "m1[z=1]", "m0[z=1]": "m0[z=0]"}
+_CASE_II_NAMES = {"m0[z=0]": "m0", "m1[z=1]": "m1"}
+
+
+@lru_cache(maxsize=None)
+def packed_layout(k: int, mode: Mode) -> tuple:
+    """Index arrays (select, gather) of the packed layout, with
+    packed = natural[select] and natural = packed[gather]."""
+    names = _natural_names(k)
+    shared = _CASE_II_SHARED if mode is Mode.CASE_II else {}
+    kept = [name for name in names if name not in shared]
+    select = np.array([names.index(name) for name in kept])
+    gather = np.array([kept.index(shared.get(name, name)) for name in names])
+    select.setflags(write=False)
+    gather.setflags(write=False)
+    return select, gather
+
+
+def n_params(k: int, mode: Mode) -> int:
+    """Number of packed coordinates."""
+    return packed_layout(k, mode)[0].size
+
+
+def param_names(k: int, mode: Mode) -> list:
+    """Name of each packed coordinate, in packed order."""
+    names = _CASE_II_NAMES if mode is Mode.CASE_II else {}
+    natural = _natural_names(k)
+    return [names.get(natural[i], natural[i]) for i in packed_layout(k, mode)[0]]
+
+
 @dataclass(frozen=True)
 class ParamVector:
     """Full parameter tuple (LATE, first stage, E(Z), misclassification,
@@ -108,11 +150,6 @@ class ParamVector:
         """s_z = 1 - m0z - m1z per z."""
         return 1.0 - self.m0 - self.m1
 
-    @property
-    def dim(self) -> int:
-        k = self.k
-        return 2 * k + 9 if self.mode is Mode.CASE_I else 2 * k + 7
-
     def violations(self) -> list:
         """Constraint violations (empty list when the vector is admissible)."""
         out = []
@@ -128,50 +165,27 @@ class ParamVector:
         return out
 
     def pack(self) -> np.ndarray:
-        """Flatten to the free-coordinate layout.
+        """Flatten to the free-coordinate layout (names: param_names).
 
         CASE_I:  (b*, dp*, r, m00, m10, p*_{0,.}, tau0*, m01, m11, p*_{1,.}, tau1*)
         CASE_II: (b*, dp*, r, m0,  p*_{0,.}, tau0*, m1,  p*_{1,.}, tau1*)
         """
-        head = [self.beta_star, self.delta_p_star, self.r]
-        blocks = []
-        for z in (0, 1):
-            if self.mode is Mode.CASE_I:
-                blocks += [self.m0[z], self.m1[z]]
-            else:
-                blocks.append(self.m0[z] if z == 0 else self.m1[z])
-            blocks += list(self.p_star[z])
-            blocks.append(self.tau_star[z])
-        return np.array(head + blocks, dtype=float)
+        blocks = np.column_stack([self.m0, self.m1, self.p_star, self.tau_star])
+        natural = np.concatenate(
+            [[self.beta_star, self.delta_p_star, self.r], blocks.ravel()])
+        return natural[packed_layout(self.k, self.mode)[0]]
 
     @classmethod
     def unpack(cls, theta: np.ndarray, k: int, mode: Mode) -> "ParamVector":
         theta = np.asarray(theta, dtype=float)
-        expected = 2 * k + 9 if mode is Mode.CASE_I else 2 * k + 7
-        if theta.shape != (expected,):
-            raise ValidationError(f"expected {expected} coordinates, got {theta.shape}")
-        beta_star, delta_p_star, r = theta[:3]
-        pos = 3
-        m0 = np.empty(2)
-        m1 = np.empty(2)
-        p_star = np.empty((2, k))
-        tau_star = np.empty(2)
-        if mode is Mode.CASE_I:
-            for z in (0, 1):
-                m0[z], m1[z] = theta[pos], theta[pos + 1]
-                pos += 2
-                p_star[z] = theta[pos:pos + k]
-                pos += k
-                tau_star[z] = theta[pos]
-                pos += 1
-        else:
-            m0[:] = theta[3]
-            p_star[0] = theta[4:4 + k]
-            tau_star[0] = theta[4 + k]
-            m1[:] = theta[5 + k]
-            p_star[1] = theta[6 + k:6 + 2 * k]
-            tau_star[1] = theta[6 + 2 * k]
-        return cls(beta_star, delta_p_star, r, m0, m1, p_star, tau_star, mode)
+        select, gather = packed_layout(k, mode)
+        if theta.shape != select.shape:
+            raise ValidationError(
+                f"expected {select.size} coordinates, got {theta.shape}")
+        natural = theta[gather]
+        blocks = natural[3:].reshape(2, k + 3)
+        return cls(natural[0], natural[1], natural[2], blocks[:, 0], blocks[:, 1],
+                   blocks[:, 2:-1], blocks[:, -1], mode)
 
 
 @dataclass(frozen=True)
@@ -181,25 +195,44 @@ class CellStats:
 
     Within a (z, v, t) cell every moment is affine in y and t, z, v are
     constant, so these three (2, K, 2) arrays are all the GMM estimator and
-    the baselines read of the data. tau_zv entries are NaN where a treatment
-    arm is empty; n_zvt carries the raw (z, v, t) counts so callers can see
-    why. sum_y and ss_y are None in a table assembled from summaries alone,
-    which suffices for identification only; v_support None means codes.
+    the baselines read of the data. Tables add: the table of two samples is
+    the sum of their n_zvt and sum_y, with ss_y combined as in a parallel
+    variance. The summaries are derived at construction. tau_zv entries are
+    NaN where a treatment arm is empty; n_zvt shows why. n is the total
+    count as an integer: the row count of a sample, 1 for a population
+    table of cell probabilities.
     """
 
-    n_zv: np.ndarray          # (2, K) counts
     n_zvt: np.ndarray         # (2, K, 2) counts by treatment arm
-    p_zv: np.ndarray          # (2, K) Pr(T=1 | Z=z, V=v_k)
-    tau_zv: np.ndarray        # (2, K) mean-Y contrast by T within cell
-    p_z: np.ndarray           # (2,)
-    mu_z: np.ndarray          # (2,)
-    r_hat: float
-    n: int
-    k: int
+    sum_y: np.ndarray         # (2, K, 2) sum of y by cell
+    ss_y: np.ndarray          # (2, K, 2) sum of (y - cell mean)**2
     mode: Mode
-    sum_y: Optional[np.ndarray] = None    # (2, K, 2) sum of y by cell
-    ss_y: Optional[np.ndarray] = None     # (2, K, 2) sum of (y - cell mean)**2
-    v_support: Optional[tuple] = None     # V label of each code
+    v_support: tuple          # V label of each code
+    n: int = field(init=False)
+    k: int = field(init=False)
+    n_zv: np.ndarray = field(init=False)     # (2, K) counts
+    p_zv: np.ndarray = field(init=False)     # (2, K) Pr(T=1 | Z=z, V=v_k)
+    tau_zv: np.ndarray = field(init=False)   # (2, K) mean-Y contrast by T
+    p_z: np.ndarray = field(init=False)      # (2,)
+    mu_z: np.ndarray = field(init=False)     # (2,)
+    r_hat: float = field(init=False)
+
+    def __post_init__(self):
+        counts, ysums = self.n_zvt, self.sum_y
+        n_zv = counts.sum(axis=2)
+        n_z = n_zv.sum(axis=1)
+        n = int(round(float(n_z.sum())))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ybar = ysums / counts
+            derived = dict(
+                n=n, k=counts.shape[1], n_zv=n_zv,
+                p_zv=counts[:, :, 1] / n_zv,
+                tau_zv=ybar[:, :, 1] - ybar[:, :, 0],
+                p_z=counts[:, :, 1].sum(axis=1) / n_z,
+                mu_z=ysums.sum(axis=(1, 2)) / n_z,
+                r_hat=float(n_z[1] / n))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def y_mean(self) -> np.ndarray:
@@ -209,10 +242,9 @@ class CellStats:
 
     def empty_cells(self) -> list:
         """One "no observations with z=.., v=.., t=.." per empty (z, v, t)
-        cell, in z, v, t order; v is the cell's label, or its code."""
-        labels = self.v_support if self.v_support is not None else range(self.k)
+        cell, in z, v, t order; v is the cell's label."""
         # argwhere walks the cells in z, v, t order
-        return [f"no observations with z={z}, v={labels[kk]!r}, t={t}"
+        return [f"no observations with z={z}, v={self.v_support[kk]!r}, t={t}"
                 for z, kk, t in np.argwhere(self.n_zvt == 0)]
 
 
@@ -256,30 +288,10 @@ def cell_stats(ds: Dataset) -> CellStats:
     counts = np.bincount(cell, minlength=4 * k).reshape(2, k, 2).astype(float)
     ysums = np.bincount(cell, weights=ds.y, minlength=4 * k).reshape(2, k, 2)
 
-    n_zv = counts.sum(axis=2)
     with np.errstate(invalid="ignore", divide="ignore"):
-        p_zv = counts[:, :, 1] / n_zv
         ybar = ysums / counts
-        tau_zv = ybar[:, :, 1] - ybar[:, :, 0]
-        n_z = n_zv.sum(axis=1)
-        p_z = counts[:, :, 1].sum(axis=1) / n_z
-        mu_z = ysums.sum(axis=(1, 2)) / n_z
-        r_hat = float(n_z[1] / n)
         # every row sits in a nonempty cell, so no NaN mean is read
         ss = np.bincount(cell, weights=(ds.y - ybar.ravel()[cell]) ** 2,
                          minlength=4 * k).reshape(2, k, 2)
-    return CellStats(
-        n_zv=n_zv,
-        n_zvt=counts,
-        p_zv=p_zv,
-        tau_zv=tau_zv,
-        p_z=p_z,
-        mu_z=mu_z,
-        r_hat=r_hat,
-        n=n,
-        k=k,
-        mode=ds.mode,
-        sum_y=ysums,
-        ss_y=ss,
-        v_support=ds.v_support,
-    )
+    return CellStats(n_zvt=counts, sum_y=ysums, ss_y=ss, mode=ds.mode,
+                     v_support=ds.v_support)

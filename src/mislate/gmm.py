@@ -11,12 +11,13 @@ sandwich use the closed-form moment Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy import optimize, stats
 
-from .data import CellStats, Mode, ParamVector, validate
+from .data import CellStats, Mode, ParamVector, n_params, param_names, validate
 from .exceptions import (
     MislateError,
     NotOveridentified,
@@ -65,46 +66,25 @@ class Estimate:
     param_names: list = field(default_factory=list)
 
 
-def param_names(k: int, mode: Mode) -> list:
-    names = ["beta_star", "delta_p_star", "r"]
-    for z in (0, 1):
-        if mode is Mode.CASE_I:
-            names += [f"m0[z={z}]", f"m1[z={z}]"]
-        else:
-            names.append(f"m{z}")
-        names += [f"p_star[z={z},k={k_}]" for k_ in range(k)]
-        names.append(f"tau_star[z={z}]")
-    return names
-
-
 def _bounds(k: int, mode: Mode, dp_sign: float) -> tuple:
-    dim = 2 * k + 9 if mode is Mode.CASE_I else 2 * k + 7
-    lo = np.full(dim, -np.inf)
-    hi = np.full(dim, np.inf)
-    # delta_p_star keeps the sign of the starting value
+    """Packed lower and upper bounds: probabilities in [eps, 1 - eps],
+    delta_p_star away from 0 on the side of dp_sign, the rest free."""
+    eps, inf = EPS_CONSTRAINT, np.inf
+
+    def packed(free, dp, prob):
+        return ParamVector(free, dp, prob, np.full(2, prob), np.full(2, prob),
+                           np.full((2, k), prob), np.full(2, free), mode).pack()
+
     if dp_sign >= 0:
-        lo[1] = EPS_CONSTRAINT
-    else:
-        hi[1] = -EPS_CONSTRAINT
-    lo[2], hi[2] = EPS_CONSTRAINT, 1.0 - EPS_CONSTRAINT
-    pos = 3
-    for _z in (0, 1):
-        nm = 2 if mode is Mode.CASE_I else 1
-        for _ in range(nm):
-            lo[pos], hi[pos] = EPS_CONSTRAINT, 1.0 - EPS_CONSTRAINT
-            pos += 1
-        for _ in range(k):
-            lo[pos], hi[pos] = EPS_CONSTRAINT, 1.0 - EPS_CONSTRAINT
-            pos += 1
-        pos += 1  # tau_star unbounded
-    return lo, hi
+        return packed(-inf, eps, eps), packed(inf, inf, 1.0 - eps)
+    return packed(-inf, -inf, eps), packed(inf, -eps, 1.0 - eps)
 
 
-def _m_indices(k: int, mode: Mode) -> list:
+@lru_cache(maxsize=None)
+def _m_indices(k: int, mode: Mode) -> tuple:
     """(m0, m1) coordinate index pairs, one per z-specific constraint."""
-    if mode is Mode.CASE_I:
-        return [(3, 4), (k + 6, k + 7)]
-    return [(3, k + 5)]
+    at = ParamVector.unpack(np.arange(n_params(k, mode)), k, mode)
+    return tuple(dict.fromkeys((int(at.m0[z]), int(at.m1[z])) for z in (0, 1)))
 
 
 def _project(x: np.ndarray, k: int, mode: Mode) -> tuple:
@@ -202,7 +182,8 @@ def _residual_jac(x: np.ndarray, table: CellStats, w_half: np.ndarray) -> np.nda
 
 def _minimize(table: CellStats, x0, w_half):
     k, mode = table.k, table.mode
-    lo, hi = _bounds(k, mode, np.sign(x0[1]) or 1.0)
+    dp_sign = np.sign(ParamVector.unpack(x0, k, mode).delta_p_star) or 1.0
+    lo, hi = _bounds(k, mode, dp_sign)
     x0 = _clip_start(x0, lo, hi, k, mode)
     n_con = len(_m_indices(k, mode))
 
@@ -318,4 +299,4 @@ def j_test(est: Estimate, require_pvalue: bool = False) -> tuple:
         raise ValidationError(
             "J-test requires two-step optimal weighting in an overidentified model"
         )
-    return est.j_stat, est.j_dof, float(stats.chi2.sf(est.j_stat, est.j_dof))
+    return est.j_stat, est.j_dof, est.j_pvalue

@@ -317,7 +317,6 @@ def forward_cell_stats(theta: ParamVector, v_weights=None) -> CellStats:
                 theta.m0[z], theta.m1[z], p_zv[z, kk], theta.tau_star[z]
             )
     p_star_z = (w * theta.p_star).sum(axis=1)
-    p_z = (w * p_zv).sum(axis=1)
     mu_z = np.array([0.0, theta.beta_star * (p_star_z[1] - p_star_z[0])])
     pz = np.array([1.0 - theta.r, theta.r])
     n_zv = w * pz[:, None]
@@ -325,18 +324,5 @@ def forward_cell_stats(theta: ParamVector, v_weights=None) -> CellStats:
     y0 = mu_z - (w * p_zv * tau_zv).sum(axis=1)
     ybar = np.stack([np.broadcast_to(y0[:, None], (2, k)), y0[:, None] + tau_zv],
                     axis=2)
-    return CellStats(
-        n_zv=n_zv,
-        n_zvt=n_zvt,
-        p_zv=p_zv,
-        tau_zv=tau_zv,
-        p_z=p_z,
-        mu_z=mu_z,
-        r_hat=theta.r,
-        n=1,
-        k=k,
-        mode=theta.mode,
-        sum_y=n_zvt * ybar,
-        ss_y=np.zeros((2, k, 2)),
-        v_support=tuple(range(k)),
-    )
+    return CellStats(n_zvt=n_zvt, sum_y=n_zvt * ybar, ss_y=np.zeros((2, k, 2)),
+                     mode=theta.mode, v_support=tuple(range(k)))

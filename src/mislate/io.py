@@ -132,9 +132,12 @@ def _take(reader, count: int, consumed: int) -> tuple:
 
 def _plain_columns(lines: list, delimiter: str, width: int, cols: list):
     """Columns cols of the lines split on the delimiter, which gives csv's
-    tokens, or None unless the lines are plain: no quote, CR or NUL, and
-    width fields, none over csv's size limit, on every line."""
+    tokens, or None unless the lines are plain: no quote or NUL, no CR
+    except in a CRLF line end, and width fields, none over csv's size
+    limit, on every line."""
     block = "".join(lines).removesuffix("\n") + "\n"  # the last may lack it
+    if "\r" in block:
+        block = block.replace("\r\n", "\n")
     if (not delimiter.isascii() or width <= max(cols) or '"' in block
             or "\r" in block or "\0" in block):
         return None
@@ -183,16 +186,16 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
     SchemaError when declared columns are missing.
 
     The header goes through csv.reader. The rows are read CHUNK_ROWS lines
-    at a time, so parsing holds one chunk. A plain chunk (no quote, CR or
-    NUL, the header's field count on every line, or the first line's in a
-    headerless file) is split on the delimiter. The first chunk that is not
-    plain, and the rest of the file after it, go through csv.reader, so a
-    quoted field never straddles the two. On plain lines the two give the
-    same tokens, so the result does not depend on which one ran. Either
-    way a chunk is converted a column at a time; one that fails a columnar
-    check is read again by the row rules, which report the first bad row
-    by the physical line it starts on. A record the csv module rejects is
-    reported as soon as it is read.
+    at a time, so parsing holds one chunk. A plain chunk (no quote or NUL,
+    no CR except in CRLF line ends, the header's field count on every line,
+    or the first line's in a headerless file) is split on the delimiter, so
+    CRLF lines are plain. The first chunk that is not plain, and the rest of
+    the file after it, go through csv.reader, so a quoted field never
+    straddles the two. On plain lines the two give the same tokens, so the
+    result does not depend on which one ran. Either way a chunk is converted
+    a column at a time; one that fails a columnar check is read again by the
+    row rules, which report the first bad row by the physical line it starts
+    on. A record the csv module rejects is reported as soon as it is read.
     """
     grow = v_support is None
     index = {} if grow else {lab: k for k, lab in enumerate(v_support)}

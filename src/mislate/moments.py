@@ -18,12 +18,12 @@ them the same way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .data import CellStats, Dataset, Mode, ParamVector
+from .data import CellStats, Dataset, Mode, ParamVector, n_params, packed_layout
 from .exceptions import DomainError
 
 
@@ -40,7 +40,7 @@ class MomentLayout:
 
     @property
     def n_params(self) -> int:
-        return 2 * self.k + 9 if self.mode is Mode.CASE_I else 2 * self.k + 7
+        return n_params(self.k, self.mode)
 
     @property
     def n_overid(self) -> int:
@@ -179,10 +179,8 @@ def _natural_from_packed(k: int, mode: Mode) -> np.ndarray:
     """0/1 matrix D with natural = D @ packed. The natural coordinates are
     the CASE_I packing (b*, dp*, r, then per z: m0_z, m1_z, p*_{z,.}, tau*_z);
     in CASE_II one packed m0 (and one m1) feeds both z."""
-    dim = MomentLayout(k, mode).n_params
-    d = np.column_stack([
-        replace(ParamVector.unpack(e, k, mode), mode=Mode.CASE_I).pack()
-        for e in np.eye(dim)])
+    select, gather = packed_layout(k, mode)
+    d = np.eye(select.size)[gather]
     d.setflags(write=False)
     return d
 
@@ -202,7 +200,7 @@ def moment_jacobian(stats: CellStats, theta: ParamVector) -> np.ndarray:
     s = theta.s
     r, dp = theta.r, theta.delta_p_star
     n_cells, n_mom = 4 * k, layout.n_moments
-    da = np.zeros((n_cells, n_mom, MomentLayout(k, Mode.CASE_I).n_params))
+    da = np.zeros((n_cells, n_mom, n_params(k, Mode.CASE_I)))
     db = np.zeros_like(da)
 
     z, v, t = (x.ravel() for x in np.indices((2, k, 2)))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .baselines import ols, wald_iv
-from .data import Dataset, Mode, ParamVector, cell_stats
+from .data import Dataset, Mode, ParamVector, cell_stats, param_names
 from .exceptions import MislateError, NoConvergence
 from .gmm import GmmConfig, estimate
 
@@ -213,8 +213,9 @@ class McSummary:
         raise KeyError((parameter, estimator))
 
 
-# flat-vector indices of the tracked CASE_II (K=2) parameters
-_TRACKED = {"beta_star": 0, "delta_p_star": 1, "m0": 3, "m1": 7}
+# packed positions of the tracked CASE_II (K=2) parameters
+_TRACKED = {p: i for i, p in enumerate(param_names(2, Mode.CASE_II))
+            if p in ("beta_star", "delta_p_star", "m0", "m1")}
 
 
 def _one_rep(args):

@@ -1,10 +1,14 @@
+import re
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from conftest import row_validate
-from mislate.data import Dataset, Mode, cell_stats, validate
+from conftest import random_theta, row_validate
+from mislate.data import (CellStats, Dataset, Mode, ParamVector, cell_stats,
+                          param_names, validate)
 from mislate.exceptions import EmptyCell, ValidationError
-from mislate.identification import identify
+from mislate.identification import forward_cell_stats, identify
 
 
 def _full_dataset(mode=Mode.CASE_II):
@@ -196,6 +200,72 @@ def test_param_vector_pack_unpack_roundtrip(rng):
         assert flat.size == expected
         back = theta.unpack(flat, k, mode)
         np.testing.assert_allclose(back.pack(), flat)
+
+
+def _named_value(theta, name):
+    """The entry of theta that a param_names entry names; a CASE_II m0 or
+    m1 is shared, so z = 0 and z = 1 must hold the same value."""
+    field, z, k = re.fullmatch(r"(\w+)(?:\[z=(\d)(?:,k=(\d+))?\])?",
+                               name).groups()
+    value = getattr(theta, field)
+    if z is None and field in ("m0", "m1"):
+        assert value[0] == value[1]
+        return value[0]
+    if z is None:
+        return value
+    return value[int(z)] if k is None else value[int(z), int(k)]
+
+
+CASE_II_K2_NAMES = [
+    "beta_star", "delta_p_star", "r", "m0", "p_star[z=0,k=0]",
+    "p_star[z=0,k=1]", "tau_star[z=0]", "m1", "p_star[z=1,k=0]",
+    "p_star[z=1,k=1]", "tau_star[z=1]"]
+CASE_I_K3_NAMES = [
+    "beta_star", "delta_p_star", "r", "m0[z=0]", "m1[z=0]", "p_star[z=0,k=0]",
+    "p_star[z=0,k=1]", "p_star[z=0,k=2]", "tau_star[z=0]", "m0[z=1]",
+    "m1[z=1]", "p_star[z=1,k=0]", "p_star[z=1,k=1]", "p_star[z=1,k=2]",
+    "tau_star[z=1]"]
+
+
+def test_param_names_pin_the_packed_order():
+    assert param_names(2, Mode.CASE_II) == CASE_II_K2_NAMES
+    assert param_names(3, Mode.CASE_I) == CASE_I_K3_NAMES
+
+
+@pytest.mark.parametrize("mode,k", [(Mode.CASE_II, 2), (Mode.CASE_II, 3),
+                                    (Mode.CASE_I, 3), (Mode.CASE_I, 5)])
+def test_packed_order_matches_param_names(mode, k):
+    names = param_names(k, mode)
+    # unpack: coordinate i lands where names[i] says
+    values = 1.0 + np.arange(len(names))
+    theta = ParamVector.unpack(values, k, mode)
+    assert [_named_value(theta, name) for name in names] == values.tolist()
+    # pack: a vector with distinct entries packs names[i]'s entry at i
+    m0, m1 = ((np.full(2, 0.01), np.full(2, 0.02)) if mode is Mode.CASE_II
+              else ([0.01, 0.03], [0.02, 0.04]))
+    theta = ParamVector(beta_star=-1.5, delta_p_star=0.3, r=0.4, m0=m0, m1=m1,
+                        p_star=0.5 + 0.01 * np.arange(2 * k).reshape(2, k),
+                        tau_star=[2.0, 3.0], mode=mode)
+    flat = theta.pack()
+    assert len(set(flat.tolist())) == len(names)
+    assert flat.tolist() == [_named_value(theta, name) for name in names]
+
+
+def test_cell_stats_takes_its_three_sums_and_derives_the_rest():
+    assert [f.name for f in fields(CellStats) if f.init] == [
+        "n_zvt", "sum_y", "ss_y", "mode", "v_support"]
+    table = cell_stats(_full_dataset())
+    doubled = replace(table, sum_y=2 * table.sum_y)
+    np.testing.assert_array_equal(doubled.mu_z, 2 * table.mu_z)
+    np.testing.assert_array_equal(doubled.tau_zv, 2 * table.tau_zv)
+    np.testing.assert_array_equal(doubled.p_zv, table.p_zv)
+
+
+def test_cell_stats_n_is_an_exact_count(rng):
+    table = cell_stats(_full_dataset())
+    assert type(table.n) is int and table.n == 8
+    population = forward_cell_stats(random_theta(rng, Mode.CASE_I, 3))
+    assert type(population.n) is int and population.n == 1
 
 
 def test_param_vector_violations():

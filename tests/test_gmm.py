@@ -209,6 +209,8 @@ class TestReproducibility:
         table = cell_stats(ds)
         cfg = GmmConfig(weighting=weighting)
         a = estimate(table, cfg)
+        # the summaries are derived from the sums, so the nudge also moves
+        # mu_z and tau_zv and with them the closed-form start
         nudged = replace(table, sum_y=table.sum_y * (1 + 4e-16),
                          ss_y=table.ss_y * (1 - 4e-16))
         b = estimate(nudged, cfg)

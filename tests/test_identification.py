@@ -205,13 +205,13 @@ class TestNonsingularityDiag:
         # at m0+m1 = 1 the observed treatment is independent of the true one:
         # constant p across cells and vanishing tau contrasts
         from mislate.data import CellStats
-        p = np.full((2, 2), 0.35)
-        tau = np.zeros((2, 2))
+        n_zvt = np.broadcast_to([0.25 * 0.65, 0.25 * 0.35], (2, 2, 2))
         stats = CellStats(
-            n_zv=np.full((2, 2), 0.25), n_zvt=np.zeros((2, 2, 2)),
-            p_zv=p, tau_zv=tau, p_z=p[:, 0], mu_z=np.zeros(2),
-            r_hat=0.5, n=1, k=2, mode=Mode.CASE_II,
+            n_zvt=n_zvt, sum_y=np.zeros((2, 2, 2)), ss_y=np.zeros((2, 2, 2)),
+            mode=Mode.CASE_II, v_support=(0, 1),
         )
+        assert np.all(stats.p_zv == stats.p_zv[0, 0])
+        assert np.all(stats.tau_zv == 0.0)
         dets = nonsingularity_diag(stats, Mode.CASE_II)
         assert all(d == 0.0 for d in dets.values())
 

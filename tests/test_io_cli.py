@@ -234,8 +234,8 @@ KINDS = ("plain", "blank-lines", "whitespace-rows", "crlf", "quoted",
 COLUMNAR_KINDS = set(KINDS) - {"blank-lines", "whitespace-rows"}
 # layouts whose rows are all split on the delimiter: csv.reader reads the
 # header alone
-SPLIT_KINDS = {"plain", "extra-columns", "headerless-tab", "padded-binaries",
-               "no-final-newline", "unicode-labels"}
+SPLIT_KINDS = {"plain", "crlf", "extra-columns", "headerless-tab",
+               "padded-binaries", "no-final-newline", "unicode-labels"}
 
 
 def _schema(kind):
@@ -732,3 +732,46 @@ class TestRunEmpirical:
         path, _ = sample_csv
         assert script.main(_data_args(path)) == EXIT_DIAG
         assert capsys.readouterr().err == "error: optimizer stopped\n"
+
+
+def _run_montecarlo():
+    spec = importlib.util.spec_from_file_location(
+        "run_montecarlo", ROOT / "scripts" / "run_montecarlo.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+class TestRunMontecarlo:
+    def test_tables(self, capsys):
+        argv = ["--n", "1000", "--reps", "2", "--designs", "3"]
+        assert _run_montecarlo().main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "design 3: done (0 failed reps)\n"
+        rows = [line.split() for line in captured.out.splitlines()
+                if line.startswith("     3")]
+        assert [row[1:3] for row in rows] == [
+            ["gmm", "beta_star"], ["iv", "beta_star"],
+            ["gmm", "delta_p_star"], ["ols", "delta_p_star"],
+            ["gmm", "m0"], ["gmm", "m1"]]
+        assert all(len(row) == 8 and "." not in row for row in rows)
+
+    def test_every_replication_failed_prints_dots(self, capsys):
+        argv = ["--n", "12", "--reps", "2", "--designs", "1"]
+        assert _run_montecarlo().main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "design 1: done (2 failed reps)\n"
+        rows = [line.split() for line in captured.out.splitlines()
+                if line.startswith("     1")]
+        assert len(rows) == 6
+        assert all(row[3:] == ["."] * 5 for row in rows)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--workers", "0"], "workers must be at least 1, got 0"),
+        (["--designs", "7"], "design must be 1..6, got 7"),
+    ])
+    def test_bad_option_value_is_io_error(self, capsys, argv, message):
+        assert _run_montecarlo().main(["--reps", "2"] + argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
