@@ -177,6 +177,12 @@ class ParamVector:
 
     @classmethod
     def unpack(cls, theta: np.ndarray, k: int, mode: Mode) -> "ParamVector":
+        return cls(*cls.unpacked_fields(theta, k, mode), mode)
+
+    @staticmethod
+    def unpacked_fields(theta: np.ndarray, k: int, mode: Mode) -> tuple:
+        """(beta*, dp*, r, m0, m1, p*, tau*) of a packed vector: the fields
+        unpack sets, as views, without building or checking a ParamVector."""
         theta = np.asarray(theta, dtype=float)
         select, gather = packed_layout(k, mode)
         if theta.shape != select.shape:
@@ -184,8 +190,8 @@ class ParamVector:
                 f"expected {select.size} coordinates, got {theta.shape}")
         natural = theta[gather]
         blocks = natural[3:].reshape(2, k + 3)
-        return cls(natural[0], natural[1], natural[2], blocks[:, 0], blocks[:, 1],
-                   blocks[:, 2:-1], blocks[:, -1], mode)
+        return (natural[0], natural[1], natural[2], blocks[:, 0], blocks[:, 1],
+                blocks[:, 2:-1], blocks[:, -1])
 
 
 @dataclass(frozen=True)

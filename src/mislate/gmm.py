@@ -5,8 +5,9 @@ constrained nonlinear least-squares problem in the residuals W^{1/2} gbar,
 warm-started from the closed-form identification solution. The constraint
 m0 + m1 <= 1 - eps is enforced by projection plus a hinge penalty residual;
 it is inactive at every interior solution. The fit reads the data only
-through the caller's per-cell CellStats table; the residual Jacobian and the
-sandwich use the closed-form moment Jacobian.
+through the caller's per-cell CellStats table, reduced once per fit to the
+MomentSums that every residual and Jacobian evaluation reads; the residual
+Jacobian and the sandwich use the closed-form moment Jacobian.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import optimize, stats
+from scipy.special import ndtri
 
 from .data import CellStats, Mode, ParamVector, n_params, param_names, validate
 from .exceptions import (
@@ -26,7 +28,8 @@ from .exceptions import (
     ValidationError,
 )
 from .identification import identify
-from .moments import MomentLayout, gbar, moment_jacobian, sample_moments
+from .moments import (MomentLayout, MomentSums, gbar, moment_jacobian,
+                      sample_moments)
 
 EPS_CONSTRAINT = 1e-4
 PENALTY = 10.0
@@ -164,14 +167,15 @@ def _w_half(w: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def _residual(x: np.ndarray, table: CellStats, w_half: np.ndarray) -> np.ndarray:
-    """W^{1/2} gbar at the projected point, then the hinge penalties."""
+def _residual(x: np.ndarray, table, w_half: np.ndarray) -> np.ndarray:
+    """W^{1/2} gbar at the projected point, then the hinge penalties; table
+    is a CellStats or its MomentSums."""
     k, mode = table.k, table.mode
     xp, viols = _project(x, k, mode)
     return np.concatenate([w_half @ gbar(table, xp, k, mode), PENALTY * viols])
 
 
-def _residual_jac(x: np.ndarray, table: CellStats, w_half: np.ndarray) -> np.ndarray:
+def _residual_jac(x: np.ndarray, table, w_half: np.ndarray) -> np.ndarray:
     """Jacobian of _residual: W^{1/2} G(P(x)) DP(x) over PENALTY dviol/dx."""
     k, mode = table.k, table.mode
     xp, _ = _project(x, k, mode)
@@ -180,8 +184,8 @@ def _residual_jac(x: np.ndarray, table: CellStats, w_half: np.ndarray) -> np.nda
     return np.vstack([w_half @ G @ d_xp, PENALTY * d_viols])
 
 
-def _minimize(table: CellStats, x0, w_half):
-    k, mode = table.k, table.mode
+def _minimize(sums: MomentSums, x0, w_half):
+    k, mode = sums.k, sums.mode
     dp_sign = np.sign(ParamVector.unpack(x0, k, mode).delta_p_star) or 1.0
     lo, hi = _bounds(k, mode, dp_sign)
     x0 = _clip_start(x0, lo, hi, k, mode)
@@ -191,7 +195,7 @@ def _minimize(table: CellStats, x0, w_half):
         _residual,
         x0,
         jac=_residual_jac,
-        args=(table, w_half),
+        args=(sums, w_half),
         bounds=(lo, hi),
         method="trf",
         xtol=TOL_STEP,
@@ -223,7 +227,7 @@ def sandwich_cov(G: np.ndarray, W: np.ndarray, Omega: np.ndarray, n: int,
 
 def confidence_intervals(theta_flat: np.ndarray, vcov: np.ndarray, level: float) -> np.ndarray:
     """Per-parameter normal intervals theta_j +/- z * se_j, shape (dim, 2)."""
-    zcrit = stats.norm.ppf(0.5 + level / 2.0)
+    zcrit = ndtri(0.5 + level / 2.0)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
     return np.column_stack([theta_flat - zcrit * se, theta_flat + zcrit * se])
 
@@ -238,8 +242,9 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
     layout = MomentLayout(k, mode)
 
     x0 = starting_value(table, cfg).pack()
+    sums = MomentSums.of(table)
     w_identity = np.eye(layout.n_moments)
-    x_hat, objective, converged = _minimize(table, x0, w_identity)
+    x_hat, objective, converged = _minimize(sums, x0, w_identity)
 
     theta_hat = ParamVector.unpack(x_hat, k, mode)
     ev = sample_moments(table, theta_hat)
@@ -248,12 +253,12 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
     if cfg.weighting == "optimal":
         weight = np.linalg.pinv(omega)
         w_half = _w_half(weight)
-        x_hat, objective, converged = _minimize(table, x_hat, w_half)
+        x_hat, objective, converged = _minimize(sums, x_hat, w_half)
         theta_hat = ParamVector.unpack(x_hat, k, mode)
         ev = sample_moments(table, theta_hat)
         omega = ev.omega()
 
-    G = moment_jacobian(table, theta_hat)
+    G = moment_jacobian(sums, theta_hat)
     vcov = sandwich_cov(G, weight, omega, n, w_half)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
     ci = confidence_intervals(x_hat, vcov, cfg.ci_level)

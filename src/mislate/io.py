@@ -134,7 +134,19 @@ def _plain_columns(lines: list, delimiter: str, width: int, cols: list):
     """Columns cols of the lines split on the delimiter, which gives csv's
     tokens, or None unless the lines are plain: no quote or NUL, no CR
     except in a CRLF line end, and width fields, none over csv's size
-    limit, on every line."""
+    limit, on every line. When they are not, the lines whose fields are
+    all whitespace (blank rows, which the row rules skip) are dropped and
+    the rest is tried again."""
+    fields = _split_lines(lines, delimiter, width, cols)
+    if fields is None:
+        kept = [line for line in lines if line.replace(delimiter, "").strip()]
+        if len(kept) < len(lines):
+            fields = _split_lines(kept, delimiter, width, cols)
+    return fields
+
+
+def _split_lines(lines: list, delimiter: str, width: int, cols: list):
+    """_plain_columns without the blank-row retry."""
     block = "".join(lines).removesuffix("\n") + "\n"  # the last may lack it
     if "\r" in block:
         block = block.replace("\r\n", "\n")
@@ -189,13 +201,15 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
     at a time, so parsing holds one chunk. A plain chunk (no quote or NUL,
     no CR except in CRLF line ends, the header's field count on every line,
     or the first line's in a headerless file) is split on the delimiter, so
-    CRLF lines are plain. The first chunk that is not plain, and the rest of
-    the file after it, go through csv.reader, so a quoted field never
-    straddles the two. On plain lines the two give the same tokens, so the
-    result does not depend on which one ran. Either way a chunk is converted
-    a column at a time; one that fails a columnar check is read again by the
-    row rules, which report the first bad row by the physical line it starts
-    on. A record the csv module rejects is reported as soon as it is read.
+    CRLF lines are plain; a line whose fields are all whitespace is a blank
+    row, which is dropped from the split. The first chunk that is not
+    plain, and the rest of the file after it, go through csv.reader, so a
+    quoted field never straddles the two. On plain lines the two give the
+    same tokens, so the result does not depend on which one ran. Either way
+    a chunk is converted a column at a time; one that fails a columnar check
+    is read again by the row rules, which report the first bad row by the
+    physical line it starts on. A record the csv module rejects is reported
+    as soon as it is read.
     """
     grow = v_support is None
     index = {} if grow else {lab: k for k, lab in enumerate(v_support)}

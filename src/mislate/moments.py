@@ -8,13 +8,13 @@ shrinks the parameter vector but not the moment vector.
 
 moment_matrix is the one definition of the moment function, row by row.
 Within a (z, v, t) cell every component is affine in y, so the sample mean
-and second-moment matrix depend on the data only through the per-cell count,
-sum of y and within-cell sum of squares of y of a CellStats table.
-sample_moments evaluates moment_matrix on a fixed grid holding every cell at
-y = 0 and y = 1, reads off each cell's intercept and slope, and combines
-them with the table; no evaluation touches the n rows. moment_jacobian
-differentiates the same intercepts and slopes in closed form and combines
-them the same way.
+depends on the data only through per-(z, v) counts and sums of y, held
+divided by n in MomentSums. gbar and moment_jacobian are the sample mean and
+its Jacobian in closed form on those sums: a few array operations on (2, K)
+blocks, O(K^2) per evaluation, with no row and no grid. sample_moments
+evaluates moment_matrix once on a fixed grid holding every cell at y = 0 and
+y = 1, and reads off each cell's intercept and slope for the second-moment
+matrix Omega, which also needs the within-cell sums of squares.
 """
 from __future__ import annotations
 
@@ -92,27 +92,63 @@ class MomentEval:
         return (a.T @ (n_c * a) + cross + cross.T + b.T @ (syy * b)) / st.n
 
 
-def _check_domain(theta: ParamVector):
-    if not 0.0 < theta.r < 1.0:
-        raise DomainError(f"r-moment: r={theta.r} outside (0,1)")
-    s = theta.s
+@dataclass(frozen=True)
+class MomentSums:
+    """Per-(z, v) sums of a CellStats table, each divided by its n: all that
+    the sample moment mean and its Jacobian read of the data. Build it once
+    and pass it to gbar and moment_jacobian in place of the table."""
+
+    p: np.ndarray        # (2, K) n_zv / n
+    n1: np.ndarray       # (2, K) treated count / n
+    s1: np.ndarray       # (2, K) sum of y over treated rows / n
+    s0: np.ndarray       # (2, K) sum of y over untreated rows / n
+    t_z: np.ndarray      # (2,) sum over v of n1
+    y_z: np.ndarray      # (2,) sum of y / n by z
+    r_hat: float
+    mode: Mode
+
+    @property
+    def k(self) -> int:
+        return self.p.shape[1]
+
+    @classmethod
+    def of(cls, stats: CellStats) -> "MomentSums":
+        n = stats.n
+        n1 = stats.n_zvt[:, :, 1] / n
+        s = stats.sum_y / n
+        return cls(p=stats.n_zv / n, n1=n1, s1=s[:, :, 1], s0=s[:, :, 0],
+                   t_z=n1.sum(axis=1), y_z=s.sum(axis=(1, 2)),
+                   r_hat=stats.r_hat, mode=stats.mode)
+
+
+def _sums(table) -> MomentSums:
+    """The MomentSums of a CellStats table; a MomentSums as it is."""
+    return table if isinstance(table, MomentSums) else MomentSums.of(table)
+
+
+def _check_domain(r, dp, m0, m1, p_star) -> tuple:
+    """(s, q): s_z = 1 - m0_z - m1_z and the (2, K) cell probabilities
+    q = m0_z + s_z p*_zv, after checking that every moment is defined."""
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"r-moment: r={r} outside (0,1)")
+    s = 1.0 - m0 - m1
     for z in (0, 1):
         if s[z] <= 0.0:
             raise DomainError(f"p-moment: m0+m1 >= 1 at z={z}")
-    if theta.delta_p_star == 0.0:
+    if dp == 0.0:
         raise DomainError("beta-moment: delta_p_star is zero")
-    q = theta.m0[:, None] + s[:, None] * theta.p_star
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
+    q = m0[:, None] + s[:, None] * p_star
+    if q.min() <= 0.0 or q.max() >= 1.0:
         raise DomainError("tau-moment: cell denominator outside (0,1)")
-    return q
+    return s, q
 
 
 def moment_matrix(ds: Dataset, theta: ParamVector) -> np.ndarray:
     """Per-observation moment rows, shape (n, 4K+3)."""
     k = ds.k
     layout = MomentLayout(k, theta.mode)
-    q = _check_domain(theta)
-    s = theta.s
+    s, q = _check_domain(theta.r, theta.delta_p_star, theta.m0, theta.m1,
+                         theta.p_star)
 
     y, t, z, v = ds.y, ds.t.astype(float), ds.z.astype(float), ds.v
     n = ds.n
@@ -159,19 +195,38 @@ def _cell_grid(k: int, mode: Mode) -> Dataset:
 
 
 def sample_moments(stats: CellStats, theta: ParamVector) -> MomentEval:
-    """Sample mean of the moment function from the per-cell table."""
+    """Sample mean of the moment function, with the per-cell intercepts and
+    slopes that Omega needs, read off moment_matrix on the cell grid."""
     c = 4 * stats.k
     g = moment_matrix(_cell_grid(stats.k, theta.mode), theta)
-    a, b = g[:c], g[c:] - g[:c]
-    gbar_ = (stats.n_zvt.ravel() @ a + stats.sum_y.ravel() @ b) / stats.n
-    return MomentEval(gbar=gbar_, a=a, b=b, stats=stats,
+    return MomentEval(gbar=gbar(stats, theta.pack(), stats.k, theta.mode),
+                      a=g[:c], b=g[c:] - g[:c], stats=stats,
                       layout=MomentLayout(stats.k, theta.mode))
 
 
-def gbar(stats: CellStats, theta_flat: np.ndarray, k: int, mode: Mode) -> np.ndarray:
-    """Sample moment mean from a packed coordinate vector."""
-    theta = ParamVector.unpack(theta_flat, k, mode)
-    return sample_moments(stats, theta).gbar
+def gbar(table, theta_flat: np.ndarray, k: int, mode: Mode) -> np.ndarray:
+    """Sample moment mean at a packed coordinate vector, in closed form on a
+    CellStats table or its MomentSums.
+
+    With P = n_zv/n, N1 the treated share, S_t the sums of y by arm over n,
+    q = m0_z + s_z p*, alpha = P (1-m1) p* tau - S1 and
+    gamma = P (1-m0) (1-p*) tau + S0, the cell rows are P q - N1 and
+    P tau - alpha/q - gamma/(1-q); the rest read the per-z totals.
+    """
+    sums = _sums(table)
+    beta, dp, r, m0, m1, ps, tau = ParamVector.unpacked_fields(theta_flat, k, mode)
+    s, q = _check_domain(r, dp, m0, m1, ps)
+    p, tau = sums.p, tau[:, None]
+    alpha = p * (1.0 - m1[:, None]) * ps * tau - sums.s1
+    gamma = p * (1.0 - m0[:, None]) * (1.0 - ps) * tau + sums.s0
+    (t0, t1), (y0, y1) = sums.t_z, sums.y_z
+    return np.concatenate([
+        [r - sums.r_hat],
+        (p * q - sums.n1).ravel(),
+        (p * tau - alpha / q - gamma / (1.0 - q)).ravel(),
+        [dp - (t1 / r - m0[1]) / s[1] + (t0 / (1.0 - r) - m0[0]) / s[0],
+         beta - (y1 / r - y0 / (1.0 - r)) / dp],
+    ])
 
 
 @lru_cache(maxsize=None)
@@ -185,73 +240,56 @@ def _natural_from_packed(k: int, mode: Mode) -> np.ndarray:
     return d
 
 
-def moment_jacobian(stats: CellStats, theta: ParamVector) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _cell_entries(k: int) -> tuple:
+    """(rows, cols) of the p moments' Jacobian entries: rows (2, K) is each
+    cell's p row, cols (4, 2, K) the natural columns of its
+    (m0_z, m1_z, p*_zv, tau*_z). The tau rows are rows + 2K."""
+    z, v = np.indices((2, k))
+    base = 3 + z * (k + 3)
+    return 1 + z * k + v, np.array([base, base + 1, base + 2 + v, base + 2 + k])
+
+
+def moment_jacobian(table, theta: ParamVector) -> np.ndarray:
     """Jacobian of the sample moment mean with respect to the packed
-    parameter vector, shape (4K+3, dim), in closed form.
-
-    Cell by cell it differentiates the intercept a and slope b that
-    sample_moments reads off moment_matrix, with respect to the natural
-    coordinates, and contracts them with the table the same way:
-    G = (N da + Sy db) / n.
-    """
-    k = stats.k
-    layout = MomentLayout(k, theta.mode)
-    q = _check_domain(theta)
-    s = theta.s
+    parameter vector, shape (4K+3, dim), in closed form on a CellStats table
+    or its MomentSums: gbar's terms differentiated by hand, in the natural
+    coordinates, then mapped to the packed ones."""
+    sums = _sums(table)
+    k = sums.k
     r, dp = theta.r, theta.delta_p_star
-    n_cells, n_mom = 4 * k, layout.n_moments
-    da = np.zeros((n_cells, n_mom, n_params(k, Mode.CASE_I)))
-    db = np.zeros_like(da)
+    m0, m1, ps = theta.m0, theta.m1, theta.p_star
+    s, q = _check_domain(r, dp, m0, m1, ps)
+    p, q1, ps1, sz = sums.p, 1.0 - q, 1.0 - ps, s[:, None]
+    cm0, cm1 = 1.0 - m0[:, None], 1.0 - m1[:, None]
+    # gbar's alpha = P tau h1 - S1 and gamma = P tau h0 + S0
+    h1, h0 = cm1 * ps, cm0 * ps1
+    ptau = p * theta.tau_star[:, None]
+    w = (ptau * h1 - sums.s1) / q ** 2 - (ptau * h0 + sums.s0) / q1 ** 2
+    a, b = ptau / q, ptau / q1
+    rows, cols = _cell_entries(k)
+    g = np.zeros((4 * k + 3, 2 * k + 9))
+    # p rows P q - N1 by (m0_z, m1_z, p*_zv): dq = (1-p*, -p*, s)
+    g[rows, cols[:3]] = np.array([p * ps1, -p * ps, p * sz])
+    # tau rows P tau - alpha/q - gamma/(1-q) by (m0_z, m1_z, p*_zv, tau*_z)
+    g[rows + 2 * k, cols] = np.array([(b + w) * ps1, (a - w) * ps,
+                                      cm0 * b - cm1 * a + w * sz,
+                                      p * (1.0 - h1 / q - h0 / q1)])
+    g[0, 2] = 1.0                 # r row: r - r_hat
 
-    z, v, t = (x.ravel() for x in np.indices((2, k, 2)))
-    cell = np.arange(n_cells)[:, None]
-    m0, m1 = theta.m0[z], theta.m1[z]
-    ps, tau = theta.p_star[z, v], theta.tau_star[z]
-    # natural column of m0_z; m1_z, p*_{z,.} and tau*_z follow it. Rows of
-    # dq, d_a and d_b are cells, columns the cell's (m0_z, m1_z, p*_zv, tau*_z)
-    m0_col = 3 + np.arange(2) * (k + 3)
-    base = m0_col[z]
-    cols = np.column_stack([base, base + 1, base + 2 + v, base + 2 + k])
-    zero = np.zeros(n_cells)
+    # first-stage row: dp* - u1/s_1 + u0/s_0, u1 = T1/r - m0_1,
+    # u0 = T0/(1-r) - m0_0; columns dp*, r, m0_0, m1_0, m0_1, m1_1
+    (t0, t1), (y0, y1) = sums.t_z, sums.y_z
+    u0, u1 = t0 / (1.0 - r) - m0[0], t1 / r - m0[1]
+    m_cols = [3, 4, k + 6, k + 7]
+    i = 1 + 4 * k
+    g[i, 1] = 1.0
+    g[i, 2] = t1 / (r ** 2 * s[1]) + t0 / ((1.0 - r) ** 2 * s[0])
+    g[i, m_cols] = [-1.0 / s[0] + u0 / s[0] ** 2, u0 / s[0] ** 2,
+                    1.0 / s[1] - u1 / s[1] ** 2, -u1 / s[1] ** 2]
 
-    # p moment: a = q - t with q = m0 + s p*
-    dq = np.column_stack([1.0 - ps, -ps, s[z], zero])
-    da[cell, layout.p_index(z, v)[:, None], cols] = dq
-
-    # tau moment: a = tau + A/q - B/(1-q), b = t/q - (1-t)/(1-q), where at
-    # y = 0 A = -(1-m1) p* tau and B = (1-m0)(1-p*) tau
-    big_a = -(1.0 - m1) * ps * tau
-    big_b = (1.0 - m0) * (1.0 - ps) * tau
-    d_a = np.column_stack([zero, ps * tau, -(1.0 - m1) * tau, -(1.0 - m1) * ps])
-    d_b = np.column_stack([-(1.0 - ps) * tau, zero, -(1.0 - m0) * tau,
-                           (1.0 - m0) * (1.0 - ps)])
-    qc = q[z, v][:, None]
-    q1 = 1.0 - qc
-    row = layout.tau_index(z, v)[:, None]
-    da[cell, row, cols] = (
-        [0.0, 0.0, 0.0, 1.0] + d_a / qc - big_a[:, None] * dq / qc ** 2
-        - d_b / q1 - big_b[:, None] * dq / q1 ** 2)
-    db[cell, row, cols] = -(t[:, None] / qc ** 2 + (1 - t[:, None]) / q1 ** 2) * dq
-
-    da[:, layout.r_index(), 2] = 1.0
-
-    # first-stage moment: dp* - (t z/r - m0_1)/s_1 + (t (1-z)/(1-r) - m0_0)/s_0
-    u1 = t * z / r - theta.m0[1]
-    u0 = t * (1 - z) / (1.0 - r) - theta.m0[0]
-    i = layout.dp_index()
-    da[:, i, 1] = 1.0
-    da[:, i, 2] = t * z / (r ** 2 * s[1]) + t * (1 - z) / ((1.0 - r) ** 2 * s[0])
-    da[:, i, m0_col[0]] = -1.0 / s[0] + u0 / s[0] ** 2
-    da[:, i, m0_col[0] + 1] = u0 / s[0] ** 2
-    da[:, i, m0_col[1]] = 1.0 / s[1] - u1 / s[1] ** 2
-    da[:, i, m0_col[1] + 1] = -u1 / s[1] ** 2
-
-    # LATE moment: b* - y (z/r - (1-z)/(1-r)) / dp*
-    i = layout.beta_index()
-    da[:, i, 0] = 1.0
-    db[:, i, 1] = (z / r - (1 - z) / (1.0 - r)) / dp ** 2
-    db[:, i, 2] = (z / r ** 2 + (1 - z) / (1.0 - r) ** 2) / dp
-
-    g = (stats.n_zvt.ravel() @ da.reshape(n_cells, -1)
-         + stats.sum_y.ravel() @ db.reshape(n_cells, -1)) / stats.n
-    return g.reshape(n_mom, -1) @ _natural_from_packed(k, theta.mode)
+    # LATE row: b* - (Y1/r - Y0/(1-r)) / dp*
+    i += 1
+    g[i, :3] = [1.0, (y1 / r - y0 / (1.0 - r)) / dp ** 2,
+                (y1 / r ** 2 + y0 / (1.0 - r) ** 2) / dp]
+    return g @ _natural_from_packed(k, theta.mode)

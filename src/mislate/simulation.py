@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from .baselines import ols, wald_iv
@@ -80,7 +81,7 @@ def _rng(seed: int, rep: int = 0) -> np.random.Generator:
 def _std_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     u = rng.random(n)
     u[u == 0.0] = 0.5 ** 53
-    return norm.ppf(u)
+    return ndtri(u)
 
 
 def generate(design: DesignSpec, n: int, seed: int, rep: int = 0):
@@ -261,7 +262,7 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     truth = true_params(design)
     true_flat = truth.pack()
     true_vals = {p: float(true_flat[i]) for p, i in _TRACKED.items()}
-    zcrit = norm.ppf(0.5 + ci_level / 2.0)
+    zcrit = ndtri(0.5 + ci_level / 2.0)
 
     tasks = [(design.id, n, seed, rep, ci_level, tuple(estimators))
              for rep in range(reps)]

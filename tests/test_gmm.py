@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import central_differences, random_theta, simulate_from_theta
+from conftest import (central_differences, count_calls, random_theta,
+                      simulate_from_theta)
 from test_moments import _exact_count_dataset, _oracle_theta
 from mislate.data import Dataset, Mode, ParamVector, cell_stats
-from mislate.exceptions import NotOveridentified, RankDeficient, ValidationError
+from mislate.exceptions import (MislateError, NotOveridentified, RankDeficient,
+                                ValidationError)
 from mislate import gmm
 from mislate.gmm import (
     GmmConfig,
@@ -17,6 +19,8 @@ from mislate.gmm import (
     sandwich_cov,
 )
 from mislate.identification import identify
+from mislate.moments import gbar, moment_matrix
+from mislate.simulation import DesignSpec, generate
 
 
 class TestConfig:
@@ -164,6 +168,22 @@ class TestEstimate:
         est = estimate(table, GmmConfig(start=theta))
         closed = identify(table, Mode.CASE_II).theta
         np.testing.assert_allclose(est.theta_flat, closed.pack(), atol=1e-6)
+
+    def test_fallback_fit_evaluates_the_grid_at_most_twice(self, monkeypatch):
+        # a draw whose closed form fails, so the fit starts from the
+        # fallback and iterates
+        ds, _ = generate(DesignSpec(4), 1000, seed=0, rep=7)
+        table = cell_stats(ds)
+        with pytest.raises(MislateError):
+            identify(table, table.mode)
+        grid = count_calls(monkeypatch, moment_matrix)
+        steps = count_calls(monkeypatch, gbar)
+        for weighting in ("identity", "optimal"):
+            grid.clear()
+            steps.clear()
+            estimate(table, GmmConfig(weighting=weighting))
+            assert len(steps) > 20
+            assert len(grid) <= 2
 
     def test_consistency_with_growing_n(self, rng):
         theta = random_theta(rng, Mode.CASE_II, 2)

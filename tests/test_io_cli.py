@@ -221,21 +221,25 @@ def _text(kind, records):
             lines.append(f"{y},{t},{z},{v}")
         if kind == "blank-lines" and i % 3 == 0:
             lines.append("")
+        if kind == "blank-line" and i == 1:
+            lines.append(" \t ")
         if kind == "whitespace-rows" and i % 3 == 1:
             lines.append("  ,\t, ,  " if i % 2 else "   ")
     end = "\r\n" if kind == "crlf" else "\n"
     return end.join(lines) + ("" if kind == "no-final-newline" else end)
 
 
-KINDS = ("plain", "blank-lines", "whitespace-rows", "crlf", "quoted",
-         "padded-binaries", "extra-columns", "headerless-tab", "quoted-late",
-         "ragged-late", "no-final-newline", "unicode-labels")
-# layouts with no blank row: every chunk converts a column at a time
-COLUMNAR_KINDS = set(KINDS) - {"blank-lines", "whitespace-rows"}
-# layouts whose rows are all split on the delimiter: csv.reader reads the
-# header alone
-SPLIT_KINDS = {"plain", "crlf", "extra-columns", "headerless-tab",
-               "padded-binaries", "no-final-newline", "unicode-labels"}
+KINDS = ("plain", "blank-line", "blank-lines", "whitespace-rows", "crlf",
+         "quoted", "padded-binaries", "extra-columns", "headerless-tab",
+         "quoted-late", "ragged-late", "no-final-newline", "unicode-labels")
+# every chunk converts a column at a time, except where a blank row keeps
+# its delimiters (the split keeps it, and its empty y fails the conversion)
+COLUMNAR_KINDS = set(KINDS) - {"whitespace-rows"}
+# layouts whose rows are all split on the delimiter, blank rows dropped:
+# csv.reader reads the header alone
+SPLIT_KINDS = {"plain", "blank-line", "blank-lines", "crlf", "extra-columns",
+               "headerless-tab", "padded-binaries", "no-final-newline",
+               "unicode-labels"}
 
 
 def _schema(kind):
@@ -375,6 +379,18 @@ class TestChunkedReader:
         path = tmp_path / "bad.csv"
         path.write_text(_lines(*rows))
         assert _parse_failure(path) == ("column 'y' not numeric at line 10", 10)
+
+    def test_bad_row_after_blank_line_in_split_chunk(self, tmp_path,
+                                                     small_chunks):
+        # chunk 2 is split without its blank line; the row rules still
+        # number its lines from the file
+        rows = _clean(CHUNK + 1) + [" \t ", "x,0,0,0", "1.0,0,1,0"]
+        path = tmp_path / "bad.csv"
+        path.write_text(_lines(*rows))
+        assert _parse_failure(path) == ("column 'y' not numeric at line 8", 8)
+        with pytest.raises(ParseError) as ref:
+            _row_loop(path, STD_SCHEMA)
+        assert (str(ref.value), ref.value.line) == ("column 'y' not numeric at line 8", 8)
 
     @pytest.mark.parametrize("y", ["nan", "NaN", "inf", "-inf", " Infinity "])
     @pytest.mark.parametrize("row", [2, CHUNK + 1])

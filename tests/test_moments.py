@@ -12,6 +12,7 @@ from mislate.identification import (forward_cell_stats, identify, implied_p,
                                     implied_tau)
 from mislate.moments import (
     MomentLayout,
+    MomentSums,
     gbar,
     moment_jacobian,
     moment_matrix,
@@ -174,6 +175,15 @@ class TestStructure:
         np.testing.assert_allclose(ev.omega(), expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("mode,k", TABLE_CASES)
+    def test_closed_form_gbar_matches_cell_intercepts_and_slopes(
+            self, rng, mode, k):
+        theta, ds = _table_case(rng, mode, k)
+        stats = cell_stats(ds)
+        ev = sample_moments(stats, theta)
+        cells = (stats.n_zvt.ravel() @ ev.a + stats.sum_y.ravel() @ ev.b) / stats.n
+        assert np.max(np.abs(ev.gbar - cells)) <= 1e-13
+
+    @pytest.mark.parametrize("mode,k", TABLE_CASES)
     def test_table_gbar_and_jacobian_match_rows(self, rng, mode, k):
         theta, ds = _table_case(rng, mode, k)
         stats = cell_stats(ds)
@@ -256,6 +266,27 @@ class TestDomainGuards:
         ds = _exact_count_dataset(_oracle_theta(), per_cell=40)
         with pytest.raises(DomainError):
             moment_matrix(ds, self._theta(delta_p_star=0.0))
+
+
+    @pytest.mark.parametrize("over,prefix", [
+        (dict(r=1.0), "r-moment"),
+        (dict(m0=np.array([0.6, 0.6]), m1=np.array([0.5, 0.5])), "p-moment"),
+        (dict(delta_p_star=0.0), "beta-moment"),
+        (dict(m0=np.zeros(2), p_star=np.array([[0.0, 0.35], [0.5, 0.75]])),
+         "tau-moment"),
+    ], ids=["r-1", "s-negative", "dp-0", "q-0"])
+    def test_closed_forms_raise_the_row_messages(self, over, prefix):
+        ds = _exact_count_dataset(_oracle_theta(), per_cell=40)
+        theta = self._theta(**over)
+        with pytest.raises(DomainError) as rows:
+            moment_matrix(ds, theta)
+        assert str(rows.value).startswith(prefix)
+        for table in (cell_stats(ds), MomentSums.of(cell_stats(ds))):
+            for closed_form in (lambda: gbar(table, theta.pack(), 2, theta.mode),
+                                lambda: moment_jacobian(table, theta)):
+                with pytest.raises(DomainError) as err:
+                    closed_form()
+                assert str(err.value) == str(rows.value)
 
 
 class TestJacobian:

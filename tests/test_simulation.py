@@ -37,6 +37,15 @@ class TestGenerate:
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.t, b.t)
 
+    @pytest.mark.parametrize("design", [2, 5])
+    def test_normal_draws_match_the_norm_ppf_oracle(self, monkeypatch, design):
+        fast = generate(DesignSpec(design), 5000, seed=11, rep=2)
+        monkeypatch.setattr(mislate.simulation, "ndtri", norm.ppf)
+        oracle = generate(DesignSpec(design), 5000, seed=11, rep=2)
+        for got, want in zip(fast, oracle):
+            for name in vars(got):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_streams_differ_across_reps_and_seeds(self):
         a, _ = generate(DesignSpec(1), 500, seed=42, rep=0)
         b, _ = generate(DesignSpec(1), 500, seed=42, rep=1)
