@@ -140,6 +140,11 @@ def _emit(report: dict, as_json: bool):
 
 def cmd_estimate(args) -> int:
     try:
+        cfg = GmmConfig(weighting=args.weight, ci_level=args.level)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
         ds, mode = _load(args)
     except (OSError, ParseError, SchemaError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -152,7 +157,6 @@ def cmd_estimate(args) -> int:
             raise ValidationError("; ".join(problems))
         report["dataset"] = _dataset_summary(stats)
         report["diagnostics"] = _diagnostics(stats, problems)
-        cfg = GmmConfig(weighting=args.weight, ci_level=args.level)
         est = gmm_estimate(stats, cfg)
     except (ValidationError, MislateError) as exc:
         report["error"] = str(exc)

@@ -4,7 +4,10 @@ Forward maps take latent parameters (misclassification probabilities, true
 conditional treatment probabilities, outcome contrasts) to observable cell
 quantities; the inverse solver recovers the latent parameters from observed
 cells by solving small linear systems in B0 = m0(1-m1), B1 = (1-m0)m1 and
-taking the monotone square-root branch for s = 1 - m0 - m1.
+taking the monotone square-root branch for s = 1 - m0 - m1. tau*_z is then
+the count-weighted least-squares fit of the observed contrasts on their
+attenuation factors. Every step runs in double precision, so the result
+does not depend on the platform's long double.
 """
 from __future__ import annotations
 
@@ -38,6 +41,11 @@ class BPair:
 
     b0: float
     b1: float
+
+    @property
+    def discriminant(self) -> float:
+        """(B0 - B1 + 1)^2 - 4 B0, whose square root is s = 1 - m0 - m1."""
+        return (self.b0 - self.b1 + 1.0) ** 2 - 4.0 * self.b0
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,7 @@ def m_factor(m0: float, m1: float, p) -> float:
     tau = M(m0, m1, p) * tau_star."""
     if m0 + m1 >= 1.0:
         raise MonotonicityViolated(f"m0+m1={m0 + m1} >= 1")
-    p = np.asarray(p)  # dtype preserved so extended-precision callers work
+    p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DegenerateCell("observed treatment probability on the boundary")
     s = 1.0 - m0 - m1
@@ -121,17 +129,16 @@ def solve_b_case_ii(w_z0: WTriple, w_z1: WTriple) -> BPair:
 
 def b_to_m(b: BPair, disc_tol: float = DISC_TOL) -> tuple:
     """Invert (B0, B1) to (m0, m1, s) on the monotone branch s > 0."""
-    disc = (b.b0 - b.b1 + 1.0) ** 2 - 4.0 * b.b0
+    disc = b.discriminant
     if disc < -disc_tol:
         raise NegativeDiscriminant(f"discriminant {disc} < -{disc_tol}")
-    zero = disc - disc  # preserves extended-precision input dtypes
-    s = np.sqrt(max(disc, zero))
+    s = np.sqrt(max(disc, 0.0))
     m0 = (b.b0 - b.b1 + 1.0 - s) / 2.0
     m1 = 1.0 - m0 - s
     for name, m in (("m0", m0), ("m1", m1)):
         if m < -PROB_TOL or m >= 1.0:
             raise InvalidProbability(f"recovered {name}={m} outside [0,1)")
-    return max(m0, zero), max(m1, zero), s
+    return max(m0, 0.0), max(m1, 0.0), s
 
 
 def p_star_from_p(p: float, m0: float, m1: float) -> float:
@@ -156,17 +163,6 @@ def _pair_triples(stats: CellStats, z: int, k1: int, k2: int) -> WTriple:
     return w_triple(
         stats.tau_zv[z, k1], stats.tau_zv[z, k2],
         stats.p_zv[z, k1], stats.p_zv[z, k2],
-    )
-
-
-def _pair_triples_ld(stats: CellStats, z: int, k1: int, k2: int) -> WTriple:
-    """Extended-precision variant used by the solver; near-singular systems
-    amplify double rounding noticeably, so the solve itself carries extra
-    bits and only the final parameters are rounded back."""
-    ld = np.longdouble
-    return w_triple(
-        ld(stats.tau_zv[z, k1]), ld(stats.tau_zv[z, k2]),
-        ld(stats.p_zv[z, k1]), ld(stats.p_zv[z, k2]),
     )
 
 
@@ -196,16 +192,18 @@ def nonsingularity_diag(stats: CellStats, mode: Mode) -> dict:
 
 
 def _tau_star(stats: CellStats, z: int, m0: float, m1: float) -> float:
-    """Count-weighted deattenuated outcome contrast for one z.
+    """Count-weighted least-squares fit of tau_zv = M_zv tau*_z for one z:
+    sum n M tau / sum n M^2.
 
-    All cells agree exactly in population (and in just-identified samples);
-    the weights settle the overidentified finite-sample case.
+    All cells agree exactly in population (and in just-identified samples),
+    where this is tau_zv / M_zv in every cell. Unlike the mean of those
+    ratios it does not amplify a cell whose attenuation factor is near 0.
     """
-    m = m_factor(m0, m1, stats.p_zv[z].astype(np.longdouble))
+    m = m_factor(m0, m1, stats.p_zv[z])
     if np.any(np.abs(m) < 1e-12):
         raise SingularSystem("attenuation factor vanishes in a cell")
-    w = stats.n_zv[z] / stats.n_zv[z].sum()
-    return float(np.sum(w * stats.tau_zv[z] / m))
+    n = stats.n_zv[z]
+    return float(np.sum(n * m * stats.tau_zv[z]) / np.sum(n * m * m))
 
 
 def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResult:
@@ -222,9 +220,7 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
     if np.any(stats.p_zv <= 0.0) or np.any(stats.p_zv >= 1.0):
         raise DegenerateCell("a cell treatment probability is 0 or 1")
     dets = nonsingularity_diag(stats, mode)
-    m0 = np.empty(2, dtype=np.longdouble)
-    m1 = np.empty(2, dtype=np.longdouble)
-    s = np.empty(2, dtype=np.longdouble)
+    m0, m1, s = np.empty(2), np.empty(2), np.empty(2)
 
     if mode is Mode.CASE_I:
         selected = []
@@ -237,10 +233,10 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
                 trip = max(cands, key=lambda t: abs(cands[t]))
             k1, k2, k3 = trip
             b = solve_b_case_i(
-                _pair_triples_ld(stats, z, k1, k2),
-                _pair_triples_ld(stats, z, k1, k3),
+                _pair_triples(stats, z, k1, k2),
+                _pair_triples(stats, z, k1, k3),
             )
-            discs.append(float((b.b0 - b.b1 + 1.0) ** 2 - 4.0 * b.b0))
+            discs.append(float(b.discriminant))
             m0[z], m1[z], s[z] = b_to_m(b)
             selected.append(trip)
         selected = tuple(selected)
@@ -252,17 +248,16 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
             pair = max(dets, key=lambda p: abs(dets[p]))
         k1, k2 = pair
         b = solve_b_case_ii(
-            _pair_triples_ld(stats, 0, k1, k2), _pair_triples_ld(stats, 1, k1, k2)
+            _pair_triples(stats, 0, k1, k2), _pair_triples(stats, 1, k1, k2)
         )
-        discs = (float((b.b0 - b.b1 + 1.0) ** 2 - 4.0 * b.b0),)
-        m0c, m1c, sc = b_to_m(b)
-        m0[:], m1[:], s[:] = m0c, m1c, sc
+        discs = (float(b.discriminant),)
+        m0[:], m1[:], s[:] = b_to_m(b)
         selected = pair
 
     k = stats.k
     p_star = np.empty((2, k))
     tau_star = np.empty(2)
-    p_star_z = np.empty(2, dtype=np.longdouble)
+    p_star_z = np.empty(2)
     for z in (0, 1):
         for kk in range(k):
             p_star[z, kk] = p_star_from_p(stats.p_zv[z, kk], m0[z], m1[z])
@@ -275,15 +270,15 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
         beta_star=float(beta_star),
         delta_p_star=float(delta_p_star),
         r=stats.r_hat,
-        m0=m0.astype(float),
-        m1=m1.astype(float),
+        m0=m0,
+        m1=m1,
         p_star=p_star,
         tau_star=tau_star,
         mode=mode,
     )
     return IdentifyResult(
         theta=theta,
-        s=s.astype(float),
+        s=s,
         determinants=dets,
         discriminants=discs,
         support_points=selected,

@@ -209,8 +209,12 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
     a chunk is converted a column at a time; one that fails a columnar check
     is read again by the row rules, which report the first bad row by the
     physical line it starts on. A record the csv module rejects is reported
-    as soon as it is read.
+    as soon as it is read. A delimiter that is not one character, or is a
+    quote, CR or LF, raises SchemaError.
     """
+    if len(schema.delimiter) != 1 or schema.delimiter in '"\r\n':
+        raise SchemaError(f"delimiter must be one character other than a "
+                          f"quote, CR or LF, got {schema.delimiter!r}")
     grow = v_support is None
     index = {} if grow else {lab: k for k, lab in enumerate(v_support)}
     columns = []

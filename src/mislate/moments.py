@@ -6,15 +6,15 @@ true first-stage moment, and the LATE moment. In CASE_II the z-specific
 misclassification probabilities are replaced by shared (m0, m1), which
 shrinks the parameter vector but not the moment vector.
 
-moment_matrix is the one definition of the moment function, row by row.
-Within a (z, v, t) cell every component is affine in y, so the sample mean
-depends on the data only through per-(z, v) counts and sums of y, held
-divided by n in MomentSums. gbar and moment_jacobian are the sample mean and
-its Jacobian in closed form on those sums: a few array operations on (2, K)
-blocks, O(K^2) per evaluation, with no row and no grid. sample_moments
-evaluates moment_matrix once on a fixed grid holding every cell at y = 0 and
-y = 1, and reads off each cell's intercept and slope for the second-moment
-matrix Omega, which also needs the within-cell sums of squares.
+Within a (z, v, t) cell every component is affine in y: the row of a cell
+is a + b y, with intercept a and slope b read off the parameters. So the
+sample mean depends on the data only through per-(z, v) counts and sums of
+y, held divided by n in MomentSums. gbar and moment_jacobian are the sample
+mean and its Jacobian in closed form on those sums: a few array operations
+on (2, K) blocks, O(K^2) per evaluation, with no row. sample_moments also
+returns every cell's a and b for the second-moment matrix Omega, which needs
+the within-cell sums of squares as well. The row-by-row moment function is
+the test suite's oracle (tests/conftest.py), not part of the package.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import CellStats, Dataset, Mode, ParamVector, n_params, packed_layout
+from .data import CellStats, Mode, ParamVector, n_params, packed_layout
 from .exceptions import DomainError
 
 
@@ -143,65 +143,31 @@ def _check_domain(r, dp, m0, m1, p_star) -> tuple:
     return s, q
 
 
-def moment_matrix(ds: Dataset, theta: ParamVector) -> np.ndarray:
-    """Per-observation moment rows, shape (n, 4K+3)."""
-    k = ds.k
-    layout = MomentLayout(k, theta.mode)
-    s, q = _check_domain(theta.r, theta.delta_p_star, theta.m0, theta.m1,
-                         theta.p_star)
-
-    y, t, z, v = ds.y, ds.t.astype(float), ds.z.astype(float), ds.v
-    n = ds.n
-    g = np.zeros((n, layout.n_moments))
-    g[:, 0] = theta.r - z
-
-    zi = ds.z.astype(np.int64)
-    cell_q = q[zi, v]
-    cell_ps = theta.p_star[zi, v]
-    cell_m0 = theta.m0[zi]
-    cell_m1 = theta.m1[zi]
-    cell_s = s[zi]
-    cell_tau = theta.tau_star[zi]
-
-    p_val = cell_m0 + cell_s * cell_ps - t
-    tau_val = (
-        cell_tau
-        + (y * t - (1.0 - cell_m1) * cell_ps * cell_tau) / cell_q
-        - (y * (1.0 - t) + (1.0 - cell_m0) * (1.0 - cell_ps) * cell_tau)
-        / (1.0 - cell_q)
-    )
-    rows = np.arange(n)
-    g[rows, 1 + zi * k + v] = p_val
-    g[rows, 1 + 2 * k + zi * k + v] = tau_val
-
-    g[:, layout.dp_index()] = theta.delta_p_star - (
-        (t * z / theta.r - theta.m0[1]) / s[1]
-        - (t * (1.0 - z) / (1.0 - theta.r) - theta.m0[0]) / s[0]
-    )
-    g[:, layout.beta_index()] = theta.beta_star - (
-        y * z / theta.r - y * (1.0 - z) / (1.0 - theta.r)
-    ) / theta.delta_p_star
-    return g
-
-
-@lru_cache(maxsize=None)
-def _cell_grid(k: int, mode: Mode) -> Dataset:
-    """Every (z, v, t) cell, in CellStats order, at y = 0 (rows 0..4K-1) and
-    again at y = 1 (rows 4K..8K-1). Dataset arrays are read-only, so one
-    grid serves every evaluation."""
-    z, v, t = (np.tile(x.ravel(), 2) for x in np.indices((2, k, 2)))
-    return Dataset(y=np.repeat([0.0, 1.0], 4 * k), t=t, z=z, v=v,
-                   v_support=tuple(range(k)), mode=mode)
-
-
 def sample_moments(stats: CellStats, theta: ParamVector) -> MomentEval:
-    """Sample mean of the moment function, with the per-cell intercepts and
-    slopes that Omega needs, read off moment_matrix on the cell grid."""
-    c = 4 * stats.k
-    g = moment_matrix(_cell_grid(stats.k, theta.mode), theta)
-    return MomentEval(gbar=gbar(stats, theta.pack(), stats.k, theta.mode),
-                      a=g[:c], b=g[c:] - g[:c], stats=stats,
-                      layout=MomentLayout(stats.k, theta.mode))
+    """Sample mean of the moment function, with the per-cell intercepts a and
+    slopes b that Omega needs, in closed form: only the tau and LATE rows
+    depend on y."""
+    k = stats.k
+    layout = MomentLayout(k, theta.mode)
+    r, dp, m0, m1, ps = (theta.r, theta.delta_p_star, theta.m0, theta.m1,
+                         theta.p_star)
+    s, q = _check_domain(r, dp, m0, m1, ps)
+    z, v, t = (x.ravel() for x in np.indices((2, k, 2)))
+    cell, qc, pc = np.arange(4 * k), q[z, v], ps[z, v]
+    a = np.zeros((4 * k, layout.n_moments))
+    b = np.zeros_like(a)
+    a[:, layout.r_index()] = r - z
+    a[cell, layout.p_index(z, v)] = qc - t
+    tau = layout.tau_index(z, v)
+    a[cell, tau] = theta.tau_star[z] * (
+        1.0 - (1.0 - m1[z]) * pc / qc - (1.0 - m0[z]) * (1.0 - pc) / (1.0 - qc))
+    b[cell, tau] = t / qc - (1.0 - t) / (1.0 - qc)
+    a[:, layout.dp_index()] = dp - ((t * z / r - m0[1]) / s[1]
+                                    - (t * (1 - z) / (1.0 - r) - m0[0]) / s[0])
+    a[:, layout.beta_index()] = theta.beta_star
+    b[:, layout.beta_index()] = -(z / r - (1 - z) / (1.0 - r)) / dp
+    return MomentEval(gbar=gbar(stats, theta.pack(), k, theta.mode),
+                      a=a, b=b, stats=stats, layout=layout)
 
 
 def gbar(table, theta_flat: np.ndarray, k: int, mode: Mode) -> np.ndarray:

@@ -256,9 +256,14 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     SD uses the uncentered convention so rmse^2 = bias^2 + sd^2 exactly.
     At most min(workers, CPU count, reps) worker processes run; the
     per-replication streams make the result independent of that number.
+    n, reps or workers below 1, or a ci_level outside (0, 1), raises
+    ValueError before any replication runs.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    for name, value in (("n", n), ("reps", reps), ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if not 0.0 < ci_level < 1.0:
+        raise ValueError(f"ci_level must be in (0,1), got {ci_level}")
     truth = true_params(design)
     true_flat = truth.pack()
     true_vals = {p: float(true_flat[i]) for p, i in _TRACKED.items()}

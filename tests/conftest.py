@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mislate.data import Dataset, Mode, ParamVector
+from mislate.moments import MomentLayout, _check_domain
 
 
 def random_theta(rng: np.random.Generator, mode: Mode, k: int) -> ParamVector:
@@ -104,6 +105,56 @@ def row_iv_fit(y, X, Z, hc1=False):
     if hc1:
         v = v * n / (n - kx)
     return b, np.sqrt(np.clip(np.diag(v), 0.0, None)), v
+
+
+def moment_matrix(ds: Dataset, theta: ParamVector) -> np.ndarray:
+    """Per-observation moment rows, shape (n, 4K+3): the moment function row
+    by row. The oracle for the closed forms in mislate.moments."""
+    k = ds.k
+    layout = MomentLayout(k, theta.mode)
+    s, q = _check_domain(theta.r, theta.delta_p_star, theta.m0, theta.m1,
+                         theta.p_star)
+
+    y, t, z, v = ds.y, ds.t.astype(float), ds.z.astype(float), ds.v
+    n = ds.n
+    g = np.zeros((n, layout.n_moments))
+    g[:, 0] = theta.r - z
+
+    zi = ds.z.astype(np.int64)
+    cell_q = q[zi, v]
+    cell_ps = theta.p_star[zi, v]
+    cell_m0 = theta.m0[zi]
+    cell_m1 = theta.m1[zi]
+    cell_s = s[zi]
+    cell_tau = theta.tau_star[zi]
+
+    p_val = cell_m0 + cell_s * cell_ps - t
+    tau_val = (
+        cell_tau
+        + (y * t - (1.0 - cell_m1) * cell_ps * cell_tau) / cell_q
+        - (y * (1.0 - t) + (1.0 - cell_m0) * (1.0 - cell_ps) * cell_tau)
+        / (1.0 - cell_q)
+    )
+    rows = np.arange(n)
+    g[rows, 1 + zi * k + v] = p_val
+    g[rows, 1 + 2 * k + zi * k + v] = tau_val
+
+    g[:, layout.dp_index()] = theta.delta_p_star - (
+        (t * z / theta.r - theta.m0[1]) / s[1]
+        - (t * (1.0 - z) / (1.0 - theta.r) - theta.m0[0]) / s[0]
+    )
+    g[:, layout.beta_index()] = theta.beta_star - (
+        y * z / theta.r - y * (1.0 - z) / (1.0 - theta.r)
+    ) / theta.delta_p_star
+    return g
+
+
+def cell_grid(k: int, mode: Mode) -> Dataset:
+    """Every (z, v, t) cell, in CellStats order, at y = 0 (rows 0..4K-1) and
+    again at y = 1 (rows 4K..8K-1)."""
+    z, v, t = (np.tile(x.ravel(), 2) for x in np.indices((2, k, 2)))
+    return Dataset(y=np.repeat([0.0, 1.0], 4 * k), t=t, z=z, v=v,
+                   v_support=tuple(range(k)), mode=mode)
 
 
 def row_validate(ds: Dataset) -> list:

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mislate
 from conftest import random_theta
 from mislate.data import Mode, ParamVector
 from mislate.exceptions import (
@@ -273,3 +276,13 @@ class TestIdentify:
         wald = late_from_reduced(stats.mu_z[1], stats.mu_z[0],
                                  stats.p_z[1] - stats.p_z[0])
         assert wald == pytest.approx(theta.beta_star / s, abs=1e-10)
+
+
+def test_no_extended_precision_in_the_package():
+    # numpy's long double is plain double on some platforms, so a result
+    # that needs it would not be the same everywhere
+    src = Path(mislate.__file__).resolve().parent
+    for path in sorted(src.glob("**/*.py")):
+        text = path.read_text()
+        for name in ("longdouble", "float128", "float96"):
+            assert name not in text, f"{path.name} names {name}"

@@ -154,6 +154,21 @@ class TestLoadCsv:
             load_csv(bad, schema, Mode.CASE_II)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "bare"])
+    @pytest.mark.parametrize("delimiter", ["", ";;", "ab", '"', "\r", "\n"],
+                             ids=["empty", "two", "ab", "quote", "cr", "lf"])
+    def test_rejects_delimiter_that_is_not_one_plain_character(
+            self, tmp_path, delimiter, header):
+        path = tmp_path / "rows.csv"
+        path.write_text("y,t,z,v\n1.0,0,0,0\n")
+        schema = CsvSchema(y_col="y", t_col="t", z_col="z", v_col="v",
+                           delimiter=delimiter, header=header)
+        with pytest.raises(SchemaError) as err:
+            load_csv(path, schema, Mode.CASE_II)
+        assert str(err.value) == (
+            "delimiter must be one character other than a quote, CR or LF, "
+            f"got {delimiter!r}")
+
 
 # chunk size the reader tests run with, so that a few rows span several chunks
 CHUNK = 4
@@ -638,6 +653,30 @@ class TestCli:
         code, _ = _run(capsys, ["estimate"] + _data_args(path))
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("delimiter", ["", ";;", "ab"],
+                             ids=["empty", "two", "ab"])
+    @pytest.mark.parametrize("command", ["estimate", "identify"])
+    def test_bad_delimiter_is_io_error(self, sample_csv, capsys, command,
+                                       delimiter):
+        path, _ = sample_csv
+        code = main([command, "--delimiter", delimiter] + _data_args(path))
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == (
+            "error: delimiter must be one character other than a quote, CR "
+            f"or LF, got {delimiter!r}\n")
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "1"])
+    def test_estimate_level_outside_unit_interval_is_io_error(
+            self, sample_csv, capsys, level):
+        path, _ = sample_csv
+        code = main(["estimate", "--level", level] + _data_args(path))
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == "error: ci_level must be in (0,1)\n"
+
     def test_oversized_field_is_io_error(self, tmp_path, capsys):
         path = _oversized_csv(tmp_path / "big.csv")
         code = main(["estimate"] + _data_args(path))
@@ -678,6 +717,20 @@ class TestCli:
                                   "--reps", "1", "--threads", threads])
         assert code == EXIT_IO
         assert out == ""
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "0"], "n must be at least 1, got 0"),
+        (["--reps", "-1"], "reps must be at least 1, got -1"),
+        (["--level", "1.5"], "ci_level must be in (0,1), got 1.5"),
+    ], ids=["n-0", "reps-negative", "level-1.5"])
+    def test_simulate_bad_option_value_is_io_error(self, capsys, flags,
+                                                   message):
+        code = main(["simulate", "--design", "1", "--n", "100", "--reps", "1"]
+                    + flags)
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_console_script_is_registered(self, monkeypatch):
         target = _declared_scripts().get("mislate")
@@ -785,6 +838,8 @@ class TestRunMontecarlo:
     @pytest.mark.parametrize("argv,message", [
         (["--workers", "0"], "workers must be at least 1, got 0"),
         (["--designs", "7"], "design must be 1..6, got 7"),
+        (["--n", "0"], "n must be at least 1, got 0"),
+        (["--reps", "0"], "reps must be at least 1, got 0"),
     ])
     def test_bad_option_value_is_io_error(self, capsys, argv, message):
         assert _run_montecarlo().main(["--reps", "2"] + argv) == EXIT_IO

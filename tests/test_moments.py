@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import central_differences, random_theta, simulate_from_theta
+from conftest import (cell_grid, central_differences, moment_matrix,
+                      random_theta, simulate_from_theta)
 from mislate.data import Dataset, Mode, ParamVector, cell_stats
 from mislate.exceptions import DomainError
 from mislate.identification import (forward_cell_stats, identify, implied_p,
@@ -15,7 +16,6 @@ from mislate.moments import (
     MomentSums,
     gbar,
     moment_jacobian,
-    moment_matrix,
     sample_moments,
 )
 
@@ -182,6 +182,10 @@ class TestStructure:
         ev = sample_moments(stats, theta)
         cells = (stats.n_zvt.ravel() @ ev.a + stats.sum_y.ravel() @ ev.b) / stats.n
         assert np.max(np.abs(ev.gbar - cells)) <= 1e-13
+        # every cell's row at y = 0 and y = 1, against the row-by-row oracle
+        rows = moment_matrix(cell_grid(k, mode), theta)
+        assert np.max(np.abs(ev.a - rows[:4 * k])) <= 1e-13
+        assert np.max(np.abs(ev.a + ev.b - rows[4 * k:])) <= 1e-13
 
     @pytest.mark.parametrize("mode,k", TABLE_CASES)
     def test_table_gbar_and_jacobian_match_rows(self, rng, mode, k):

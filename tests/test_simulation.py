@@ -245,6 +245,24 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             run_study(DesignSpec(1), n=1000, reps=2, seed=1, workers=workers)
 
+    @pytest.mark.parametrize("over,message", [
+        (dict(n=0), "n must be at least 1, got 0"),
+        (dict(reps=0), "reps must be at least 1, got 0"),
+        (dict(reps=-1), "reps must be at least 1, got -1"),
+        (dict(ci_level=1.5), "ci_level must be in (0,1), got 1.5"),
+        (dict(ci_level=0.0), "ci_level must be in (0,1), got 0.0"),
+    ], ids=["n-0", "reps-0", "reps-negative", "level-1.5", "level-0"])
+    def test_rejects_bad_size_or_level_up_front(self, monkeypatch, over,
+                                                message):
+        def no_rep(task):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(mislate.simulation, "_one_rep", no_rep)
+        args = dict(n=500, reps=3, seed=0, estimators=("iv",)) | over
+        with pytest.raises(ValueError) as err:
+            run_study(DesignSpec(1), **args)
+        assert str(err.value) == message
+
     def test_worker_pool_is_bounded(self, monkeypatch):
         # a fake pool that runs in this process records the requested size,
         # so no worker process is started
