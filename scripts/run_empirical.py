@@ -10,8 +10,9 @@ human-readable summary. Column names are passed explicitly:
         --outcome lwage --treatment college --instrument near4 \
         --exogenous near2
 
-Exit codes follow the CLI: 0 success, 1 an unreadable or malformed CSV
-(`error: ...` on stderr), 2 a validation, baseline or estimation failure.
+Exit codes follow the CLI: 0 success, 1 an unreadable or malformed CSV or
+an option value out of range such as `--level 1.5` (`error: ...` on
+stderr), 2 a validation, baseline or estimation failure.
 """
 import argparse
 import sys
@@ -25,7 +26,7 @@ from mislate.gmm import GmmConfig, estimate
 from mislate.io import CsvSchema, load_csv
 
 
-def _summary(stats, args) -> None:
+def _summary(stats, cfg, args) -> None:
     """Print the baselines and the corrected estimate for a validated table."""
     print(f"n = {stats.n}, treated share = {stats.p_zv.mean():.3f}, "
           f"instrument share = {stats.r_hat:.3f}")
@@ -38,7 +39,7 @@ def _summary(stats, args) -> None:
         print(f"relevance z={z}: {r.coef[1]: .3f}  ({r.robust_se[1]:.3f})  "
               f"n={r.n}")
 
-    est = estimate(stats, GmmConfig(weighting=args.weight, ci_level=args.level))
+    est = estimate(stats, cfg)
     print(f"converged = {est.converged}, objective = {est.objective:.3e}")
     for i, name in enumerate(est.param_names):
         print(f"{name:>16}: {est.theta_flat[i]: .3f}  ({est.se[i]:.3f})  "
@@ -63,6 +64,11 @@ def main(argv=None) -> int:
                     help="small-sample HC1 correction for the baseline SEs")
     args = ap.parse_args(argv)
 
+    try:
+        cfg = GmmConfig(weighting=args.weight, ci_level=args.level)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     schema = CsvSchema(y_col=args.outcome, t_col=args.treatment,
                        z_col=args.instrument, v_col=args.exogenous)
     try:
@@ -77,7 +83,7 @@ def main(argv=None) -> int:
         return EXIT_DIAG
 
     try:
-        _summary(stats, args)
+        _summary(stats, cfg, args)
     except MislateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAG

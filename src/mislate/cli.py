@@ -133,6 +133,19 @@ def _diagnostics(stats, problems: list) -> dict:
     }
 
 
+def _tabulate(ds, report: dict):
+    """Cell table of a validated sample, with its dataset summary and
+    diagnostics added to the report; raises ValidationError listing every
+    problem validate finds."""
+    stats = cell_stats(ds)
+    problems = validate(stats)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    report["dataset"] = _dataset_summary(stats)
+    report["diagnostics"] = _diagnostics(stats, problems)
+    return stats
+
+
 def _emit(report: dict, as_json: bool):
     sys.stdout.write(mio.report_json(report) + "\n" if as_json
                      else mio.report_text(report))
@@ -151,12 +164,7 @@ def cmd_estimate(args) -> int:
         return EXIT_IO
     report = _meta(args)
     try:
-        stats = cell_stats(ds)
-        problems = validate(stats)
-        if problems:
-            raise ValidationError("; ".join(problems))
-        report["dataset"] = _dataset_summary(stats)
-        report["diagnostics"] = _diagnostics(stats, problems)
+        stats = _tabulate(ds, report)
         est = gmm_estimate(stats, cfg)
     except (ValidationError, MislateError) as exc:
         report["error"] = str(exc)
@@ -209,12 +217,7 @@ def cmd_identify(args) -> int:
         return EXIT_IO
     report = _meta(args)
     try:
-        stats = cell_stats(ds)
-        problems = validate(stats)
-        if problems:
-            raise ValidationError("; ".join(problems))
-        report["dataset"] = _dataset_summary(stats)
-        report["diagnostics"] = _diagnostics(stats, problems)
+        stats = _tabulate(ds, report)
         result = identify(stats, mode, support_points=support_points)
     except (ValidationError, MislateError) as exc:
         report["error"] = str(exc)

@@ -4,14 +4,17 @@ Forward maps take latent parameters (misclassification probabilities, true
 conditional treatment probabilities, outcome contrasts) to observable cell
 quantities; the inverse solver recovers the latent parameters from observed
 cells by solving small linear systems in B0 = m0(1-m1), B1 = (1-m0)m1 and
-taking the monotone square-root branch for s = 1 - m0 - m1. tau*_z is then
-the count-weighted least-squares fit of the observed contrasts on their
+taking the monotone square-root branch for s = 1 - m0 - m1. Both modes
+solve the same 2x2 system and differ only in which two (z, v, v') cell
+pairs make it up, which the candidate table records. tau*_z is then the
+count-weighted least-squares fit of the observed contrasts on their
 attenuation factors. Every step runs in double precision, so the result
 does not depend on the platform's long double.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -67,30 +70,41 @@ class IdentifyResult:
     support_points: tuple         # selected support indices (per z in case i)
 
 
-def implied_p(m0: float, m1: float, p_star: float) -> float:
-    """Observable treatment probability implied by the latent one:
-    p = m0 + (1 - m0 - m1) * p_star."""
-    if m0 + m1 >= 1.0:
-        raise MonotonicityViolated(f"m0+m1={m0 + m1} >= 1")
-    if not 0.0 <= p_star <= 1.0:
-        raise InvalidProbability(f"p_star={p_star} outside [0,1]")
-    return m0 + (1.0 - m0 - m1) * p_star
-
-
-def m_factor(m0: float, m1: float, p) -> float:
-    """Attenuation factor linking observed and latent outcome contrasts:
-    tau = M(m0, m1, p) * tau_star."""
-    if m0 + m1 >= 1.0:
-        raise MonotonicityViolated(f"m0+m1={m0 + m1} >= 1")
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise DegenerateCell("observed treatment probability on the boundary")
-    s = 1.0 - m0 - m1
-    out = (1.0 - m0 * (1.0 - m1) / p - (1.0 - m0) * m1 / (1.0 - p)) / s
+def _scalar(out):
+    """A float for 0-d results, the array otherwise."""
     return float(out) if out.ndim == 0 else out
 
 
-def implied_tau(m0: float, m1: float, p: float, tau_star: float) -> float:
+def _check_monotone(m0, m1):
+    """Raise MonotonicityViolated naming the first m0 + m1 >= 1."""
+    total = np.asarray(m0 + m1)
+    if (total >= 1.0).any():
+        raise MonotonicityViolated(f"m0+m1={total[total >= 1.0][0]} >= 1")
+
+
+def implied_p(m0, m1, p_star):
+    """Observable treatment probability implied by the latent one:
+    p = m0 + (1 - m0 - m1) * p_star. Broadcasts over arrays."""
+    _check_monotone(m0, m1)
+    p_star = np.asarray(p_star, dtype=float)
+    bad = ~((0.0 <= p_star) & (p_star <= 1.0))
+    if bad.any():
+        raise InvalidProbability(f"p_star={p_star[bad][0]} outside [0,1]")
+    return _scalar(m0 + (1.0 - m0 - m1) * p_star)
+
+
+def m_factor(m0, m1, p):
+    """Attenuation factor linking observed and latent outcome contrasts:
+    tau = M(m0, m1, p) * tau_star. Broadcasts over arrays."""
+    _check_monotone(m0, m1)
+    p = np.asarray(p, dtype=float)
+    if ((p <= 0.0) | (p >= 1.0)).any():
+        raise DegenerateCell("observed treatment probability on the boundary")
+    s = 1.0 - m0 - m1
+    return _scalar((1.0 - m0 * (1.0 - m1) / p - (1.0 - m0) * m1 / (1.0 - p)) / s)
+
+
+def implied_tau(m0, m1, p, tau_star):
     """Observable outcome contrast implied by the latent one."""
     return m_factor(m0, m1, p) * tau_star
 
@@ -107,31 +121,27 @@ def w_triple(tau_v: float, tau_vp: float, p_v: float, p_vp: float) -> WTriple:
     )
 
 
-def _solve_pair(wa: WTriple, wb: WTriple) -> tuple:
-    det = wa.w0 * wb.w1 - wb.w0 * wa.w1
+def _det(wa: WTriple, wb: WTriple) -> float:
+    """Determinant of the system of equations wa, wb in (B0, B1)."""
+    return wa.w0 * wb.w1 - wb.w0 * wa.w1
+
+
+def solve_b(wa: WTriple, wb: WTriple) -> BPair:
+    """Solve two identification equations for (B0, B1): the cell pairs
+    (v1, v2) and (v1, v3) at one z in CASE_I, the pair (v1, v2) at z = 0
+    and at z = 1 in CASE_II."""
+    det = _det(wa, wb)
     if abs(det) < DET_TOL:
         raise SingularSystem(f"determinant {det} below tolerance")
-    b0 = (-wa.w2 * wb.w1 + wb.w2 * wa.w1) / det
-    b1 = (-wa.w0 * wb.w2 + wb.w0 * wa.w2) / det
-    return BPair(b0, b1), det
+    return BPair((-wa.w2 * wb.w1 + wb.w2 * wa.w1) / det,
+                 (-wa.w0 * wb.w2 + wb.w0 * wa.w2) / det)
 
 
-def solve_b_case_i(w12: WTriple, w13: WTriple) -> BPair:
-    """Solve the two-equation system from cell pairs (v1,v2) and (v1,v3)
-    at a fixed z for (B0z, B1z)."""
-    return _solve_pair(w12, w13)[0]
-
-
-def solve_b_case_ii(w_z0: WTriple, w_z1: WTriple) -> BPair:
-    """Solve the system coupling z=0 and z=1 for the shared (B0, B1)."""
-    return _solve_pair(w_z0, w_z1)[0]
-
-
-def b_to_m(b: BPair, disc_tol: float = DISC_TOL) -> tuple:
+def b_to_m(b: BPair) -> tuple:
     """Invert (B0, B1) to (m0, m1, s) on the monotone branch s > 0."""
     disc = b.discriminant
-    if disc < -disc_tol:
-        raise NegativeDiscriminant(f"discriminant {disc} < -{disc_tol}")
+    if disc < -DISC_TOL:
+        raise NegativeDiscriminant(f"discriminant {disc} < -{DISC_TOL}")
     s = np.sqrt(max(disc, 0.0))
     m0 = (b.b0 - b.b1 + 1.0 - s) / 2.0
     m1 = 1.0 - m0 - s
@@ -141,15 +151,16 @@ def b_to_m(b: BPair, disc_tol: float = DISC_TOL) -> tuple:
     return max(m0, 0.0), max(m1, 0.0), s
 
 
-def p_star_from_p(p: float, m0: float, m1: float) -> float:
+def p_star_from_p(p, m0, m1):
     """Latent treatment probability (p - m0) / (1 - m0 - m1), clamped to
-    [0, 1] within PROB_TOL."""
-    if m0 + m1 >= 1.0:
-        raise MonotonicityViolated(f"m0+m1={m0 + m1} >= 1")
-    p_star = (p - m0) / (1.0 - m0 - m1)
-    if p_star < -PROB_TOL or p_star > 1.0 + PROB_TOL:
-        raise InvalidProbability(f"implied p_star={p_star} outside [0,1]")
-    return min(max(p_star, 0.0), 1.0)
+    [0, 1] within PROB_TOL. Broadcasts over arrays; a value further out
+    raises InvalidProbability naming the first one in C order."""
+    _check_monotone(m0, m1)
+    p_star = np.asarray((p - m0) / (1.0 - m0 - m1))
+    bad = (p_star < -PROB_TOL) | (p_star > 1.0 + PROB_TOL)
+    if bad.any():
+        raise InvalidProbability(f"implied p_star={p_star[bad][0]} outside [0,1]")
+    return _scalar(np.minimum(np.maximum(p_star, 0.0), 1.0))
 
 
 def late_from_reduced(mu1: float, mu0: float, dp_star: float) -> float:
@@ -159,11 +170,40 @@ def late_from_reduced(mu1: float, mu0: float, dp_star: float) -> float:
     return (mu1 - mu0) / dp_star
 
 
-def _pair_triples(stats: CellStats, z: int, k1: int, k2: int) -> WTriple:
-    return w_triple(
-        stats.tau_zv[z, k1], stats.tau_zv[z, k2],
-        stats.p_zv[z, k1], stats.p_zv[z, k2],
-    )
+def _cell_pairs(arms: tuple, support: tuple) -> tuple:
+    """The (z, v, v') cell pairs of a candidate's two equations: the first
+    support point against each later one, in each z arm of its group."""
+    first, *rest = support
+    return tuple((z, first, v) for z in arms for v in rest)
+
+
+@lru_cache(maxsize=None)
+def _candidates(k: int, mode: Mode) -> tuple:
+    """The candidate systems with K support points, by group.
+
+    A group is a tuple of z arms that share one (B0, B1). Each comes with
+    its candidates, in nonsingularity_diag's order, as (key, support, the
+    (z, v, v') cell pairs of the two equations):
+        CASE_I, groups (0,) and (1,):
+            (z, (v1, v2, v3)) -> (z, v1, v2), (z, v1, v3)
+        CASE_II, group (0, 1):
+            (v1, v2) -> (0, v1, v2), (1, v1, v2)
+    """
+    if mode is Mode.CASE_I:
+        groups = [((z,), [((z, sup), sup) for sup in combinations(range(k), 3)])
+                  for z in (0, 1)]
+    else:
+        groups = [((0, 1), [(sup, sup) for sup in combinations(range(k), 2)])]
+    return tuple((arms, tuple((key, sup, _cell_pairs(arms, sup))
+                              for key, sup in cands))
+                 for arms, cands in groups)
+
+
+def _equations(stats: CellStats, pairs: tuple) -> tuple:
+    """The equations of the given (z, v, v') cell pairs."""
+    tau, p = stats.tau_zv, stats.p_zv
+    return tuple(w_triple(tau[z, v], tau[z, vp], p[z, v], p[z, vp])
+                 for z, v, vp in pairs)
 
 
 def nonsingularity_diag(stats: CellStats, mode: Mode) -> dict:
@@ -173,22 +213,9 @@ def nonsingularity_diag(stats: CellStats, mode: Mode) -> dict:
     (v1, v2) pairs shared across z. Zero (or near-zero) values flag a failing
     nonsingularity condition for that candidate.
     """
-    k = stats.k
-    out = {}
-    if mode is Mode.CASE_I:
-        for z in (0, 1):
-            for trip in combinations(range(k), 3):
-                k1, k2, k3 = trip
-                wa = _pair_triples(stats, z, k1, k2)
-                wb = _pair_triples(stats, z, k1, k3)
-                out[(z, trip)] = wa.w0 * wb.w1 - wb.w0 * wa.w1
-    else:
-        for pair in combinations(range(k), 2):
-            k1, k2 = pair
-            wa = _pair_triples(stats, 0, k1, k2)
-            wb = _pair_triples(stats, 1, k1, k2)
-            out[pair] = wa.w0 * wb.w1 - wb.w0 * wa.w1
-    return out
+    return {key: _det(*_equations(stats, pairs))
+            for _, cands in _candidates(stats.k, mode)
+            for key, _, pairs in cands}
 
 
 def _tau_star(stats: CellStats, z: int, m0: float, m1: float) -> float:
@@ -200,70 +227,52 @@ def _tau_star(stats: CellStats, z: int, m0: float, m1: float) -> float:
     ratios it does not amplify a cell whose attenuation factor is near 0.
     """
     m = m_factor(m0, m1, stats.p_zv[z])
-    if np.any(np.abs(m) < 1e-12):
+    if (np.abs(m) < 1e-12).any():
         raise SingularSystem("attenuation factor vanishes in a cell")
     n = stats.n_zv[z]
-    return float(np.sum(n * m * stats.tau_zv[z]) / np.sum(n * m * m))
+    return float((n * m * stats.tau_zv[z]).sum() / (n * m * m).sum())
 
 
 def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResult:
     """Closed-form recovery of the full parameter vector from cell statistics.
 
-    support_points pins the support indices used ((triple_z0, triple_z1) in
-    CASE_I, a single pair in CASE_II); by default the candidate with the
-    largest absolute determinant is selected. A table with an empty
+    Each group of z arms sharing one (B0, B1) solves one candidate system.
+    support_points pins their supports: one per group ((triple_z0,
+    triple_z1) in CASE_I), or the support itself where the mode has a
+    single group (a pair in CASE_II). By default each group takes its
+    candidate with the largest absolute determinant. A table with an empty
     (z, v, t) cell raises EmptyCell.
     """
-    empty = stats.empty_cells()
-    if empty:
-        raise EmptyCell(empty[0])
-    if np.any(stats.p_zv <= 0.0) or np.any(stats.p_zv >= 1.0):
+    if (stats.n_zvt == 0).any():
+        raise EmptyCell(stats.empty_cells()[0])
+    if ((stats.p_zv <= 0.0) | (stats.p_zv >= 1.0)).any():
         raise DegenerateCell("a cell treatment probability is 0 or 1")
     dets = nonsingularity_diag(stats, mode)
-    m0, m1, s = np.empty(2), np.empty(2), np.empty(2)
-
-    if mode is Mode.CASE_I:
-        selected = []
-        discs = []
-        for z in (0, 1):
-            if support_points is not None:
-                trip = tuple(support_points[z])
-            else:
-                cands = {t: d for (zz, t), d in dets.items() if zz == z}
-                trip = max(cands, key=lambda t: abs(cands[t]))
-            k1, k2, k3 = trip
-            b = solve_b_case_i(
-                _pair_triples(stats, z, k1, k2),
-                _pair_triples(stats, z, k1, k3),
-            )
-            discs.append(float(b.discriminant))
-            m0[z], m1[z], s[z] = b_to_m(b)
-            selected.append(trip)
-        selected = tuple(selected)
-        discs = tuple(discs)
-    else:
-        if support_points is not None:
-            pair = tuple(support_points)
+    groups = _candidates(stats.k, mode)
+    pins = (support_points,) if len(groups) == 1 else support_points
+    m = np.empty((2, 3))  # (m0, m1, s) per z
+    selected, discs = [], []
+    for g, (arms, cands) in enumerate(groups):
+        if support_points is None:
+            _, support, pairs = max(cands, key=lambda cand: abs(dets[cand[0]]))
         else:
-            pair = max(dets, key=lambda p: abs(dets[p]))
-        k1, k2 = pair
-        b = solve_b_case_ii(
-            _pair_triples(stats, 0, k1, k2), _pair_triples(stats, 1, k1, k2)
-        )
-        discs = (float(b.discriminant),)
-        m0[:], m1[:], s[:] = b_to_m(b)
-        selected = pair
+            support = tuple(pins[g])
+            pairs = _cell_pairs(arms, support)
+        wa, wb = _equations(stats, pairs)
+        b = solve_b(wa, wb)
+        discs.append(float(b.discriminant))
+        m[list(arms)] = b_to_m(b)
+        selected.append(support)
+    m0, m1, s = m.T
 
-    k = stats.k
-    p_star = np.empty((2, k))
+    # z by z: p* of the cells and of the arm, then tau*_z, so that a failure
+    # at z = 0 is reported before any at z = 1
+    p_star = np.concatenate([stats.p_zv, stats.p_z[:, None]], axis=1)
     tau_star = np.empty(2)
-    p_star_z = np.empty(2)
     for z in (0, 1):
-        for kk in range(k):
-            p_star[z, kk] = p_star_from_p(stats.p_zv[z, kk], m0[z], m1[z])
-        p_star_z[z] = p_star_from_p(stats.p_z[z], m0[z], m1[z])
+        p_star[z] = p_star_from_p(p_star[z], m0[z], m1[z])
         tau_star[z] = _tau_star(stats, z, m0[z], m1[z])
-    delta_p_star = p_star_z[1] - p_star_z[0]
+    delta_p_star = p_star[1, -1] - p_star[0, -1]
     beta_star = late_from_reduced(stats.mu_z[1], stats.mu_z[0], delta_p_star)
 
     theta = ParamVector(
@@ -272,7 +281,7 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
         r=stats.r_hat,
         m0=m0,
         m1=m1,
-        p_star=p_star,
+        p_star=p_star[:, :-1],
         tau_star=tau_star,
         mode=mode,
     )
@@ -280,8 +289,8 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
         theta=theta,
         s=s,
         determinants=dets,
-        discriminants=discs,
-        support_points=selected,
+        discriminants=tuple(discs),
+        support_points=selected[0] if len(groups) == 1 else tuple(selected),
     )
 
 
@@ -303,14 +312,9 @@ def forward_cell_stats(theta: ParamVector, v_weights=None) -> CellStats:
         w = np.broadcast_to(np.asarray(v_weights, dtype=float), (2, k)).copy()
         w /= w.sum(axis=1, keepdims=True)
 
-    p_zv = np.empty((2, k))
-    tau_zv = np.empty((2, k))
-    for z in (0, 1):
-        for kk in range(k):
-            p_zv[z, kk] = implied_p(theta.m0[z], theta.m1[z], theta.p_star[z, kk])
-            tau_zv[z, kk] = implied_tau(
-                theta.m0[z], theta.m1[z], p_zv[z, kk], theta.tau_star[z]
-            )
+    m0, m1 = theta.m0[:, None], theta.m1[:, None]
+    p_zv = implied_p(m0, m1, theta.p_star)
+    tau_zv = implied_tau(m0, m1, p_zv, theta.tau_star[:, None])
     p_star_z = (w * theta.p_star).sum(axis=1)
     mu_z = np.array([0.0, theta.beta_star * (p_star_z[1] - p_star_z[0])])
     pz = np.array([1.0 - theta.r, theta.r])

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -5,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mislate
-from conftest import random_theta
-from mislate.data import Mode, ParamVector
+from conftest import random_theta, simulate_from_theta
+from mislate.data import CellStats, Mode, ParamVector, cell_stats
 from mislate.exceptions import (
     DegenerateCell,
     InvalidProbability,
+    MislateError,
     MonotonicityViolated,
     SingularSystem,
     WeakFirstStage,
@@ -25,8 +28,7 @@ from mislate.identification import (
     m_factor,
     nonsingularity_diag,
     p_star_from_p,
-    solve_b_case_i,
-    solve_b_case_ii,
+    solve_b,
     w_triple,
 )
 
@@ -115,24 +117,24 @@ def _w_from_params(m0, m1, p_stars, tau_star):
 class TestSolveB:
     def test_case_i_round_trip(self):
         w12, w13 = _w_from_params(0.2, 0.3, [0.2, 0.5, 0.8], 1.0)
-        b = solve_b_case_i(w12, w13)
+        b = solve_b(w12, w13)
         assert b.b0 == pytest.approx(0.2 * 0.7, abs=1e-10)
         assert b.b1 == pytest.approx(0.8 * 0.3, abs=1e-10)
 
     def test_case_i_zero_misclassification(self):
         w12, w13 = _w_from_params(0.0, 0.0, [0.2, 0.5, 0.8], 1.0)
-        b = solve_b_case_i(w12, w13)
+        b = solve_b(w12, w13)
         assert abs(b.b0) < 1e-12 and abs(b.b1) < 1e-12
 
     def test_case_i_zero_tau_singular(self):
         w12, w13 = _w_from_params(0.2, 0.3, [0.2, 0.5, 0.8], 0.0)
         with pytest.raises(SingularSystem):
-            solve_b_case_i(w12, w13)
+            solve_b(w12, w13)
 
     def test_case_ii_round_trip(self):
         wz0 = _w_from_params(0.25, 0.25, [0.3, 0.7], 1.0)
         wz1 = _w_from_params(0.25, 0.25, [0.4, 0.9], 0.8)
-        b = solve_b_case_ii(wz0, wz1)
+        b = solve_b(wz0, wz1)
         assert b.b0 == pytest.approx(0.1875, abs=1e-10)
         assert b.b1 == pytest.approx(0.1875, abs=1e-10)
 
@@ -140,7 +142,7 @@ class TestSolveB:
         wz0 = _w_from_params(0.25, 0.25, [0.3, 0.7], 0.0)
         wz1 = _w_from_params(0.25, 0.25, [0.4, 0.9], 0.8)
         with pytest.raises(SingularSystem):
-            solve_b_case_ii(wz0, wz1)
+            solve_b(wz0, wz1)
 
 
 class TestBToM:
@@ -276,6 +278,92 @@ class TestIdentify:
         wald = late_from_reduced(stats.mu_z[1], stats.mu_z[0],
                                  stats.p_z[1] - stats.p_z[0])
         assert wald == pytest.approx(theta.beta_star / s, abs=1e-10)
+
+
+@pytest.mark.parametrize("mode,k", [(Mode.CASE_II, 3), (Mode.CASE_I, 4)])
+def test_broadcast_maps_match_the_scalar_loop(rng, mode, k):
+    theta = random_theta(rng, mode, k)
+    m0, m1, tau_star = (np.broadcast_to(x[:, None], (2, k))
+                        for x in (theta.m0, theta.m1, theta.tau_star))
+
+    def loop(fn, *args):
+        """fn called entry by entry on (2, K) arguments."""
+        entries = zip(*(np.ravel(x) for x in args))
+        return np.array([fn(*e) for e in entries]).reshape(2, k)
+
+    p = implied_p(m0, m1, theta.p_star)
+    assert np.array_equal(p, loop(implied_p, m0, m1, theta.p_star))
+    tau = implied_tau(m0, m1, p, tau_star)
+    assert np.array_equal(tau, loop(implied_tau, m0, m1, p, tau_star))
+    back = p_star_from_p(p, m0, m1)
+    assert np.array_equal(back, loop(p_star_from_p, p, m0, m1))
+    assert isinstance(implied_p(0.1, 0.2, 0.3), float)
+    assert isinstance(p_star_from_p(0.5, 0.1, 0.2), float)
+
+
+def _default_pick(dets: dict, mode: Mode):
+    """The support identify selects without support_points: the candidate
+    with the largest |determinant|, per z in CASE_I."""
+    if mode is Mode.CASE_II:
+        return max(dets, key=lambda c: abs(dets[c]))
+    return tuple(max((c for c in dets if c[0] == z), key=lambda c: abs(dets[c]))[1]
+                 for z in (0, 1))
+
+
+@pytest.mark.parametrize("mode,k", [(Mode.CASE_II, 2), (Mode.CASE_II, 3),
+                                    (Mode.CASE_I, 3), (Mode.CASE_I, 4)])
+def test_pinning_the_default_pick_changes_nothing(mode, k):
+    # the pinned and the default path share one loop; pinning the candidate
+    # the default picks must give the same bits, or the same failure
+    rng = np.random.default_rng(100 + k)
+    for _ in range(6):
+        theta = random_theta(rng, mode, k)
+        sample = simulate_from_theta(theta, 20_000, rng)
+        for stats in (forward_cell_stats(theta),
+                      cell_stats(dataclasses.replace(sample, mode=mode))):
+            pin = _default_pick(nonsingularity_diag(stats, mode), mode)
+            try:
+                default = identify(stats, mode)
+            except MislateError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    identify(stats, mode, support_points=pin)
+                continue
+            pinned = identify(stats, mode, support_points=pin)
+            assert default.support_points == pinned.support_points == pin
+            assert pinned.theta.pack().tobytes() == default.theta.pack().tobytes()
+            assert pinned.s.tobytes() == default.s.tobytes()
+            assert list(pinned.determinants.items()) == list(
+                default.determinants.items())
+            assert pinned.discriminants == default.discriminants
+
+
+def _table_with_latent(m0: float, m1: float, p_star, tau_star) -> CellStats:
+    """Population CASE_II table of the given latent cell probabilities,
+    which may lie outside [0, 1], with equal cell weights."""
+    p_star = np.asarray(p_star, dtype=float)
+    k = p_star.shape[1]
+    p = m0 + (1.0 - m0 - m1) * p_star
+    tau = m_factor(m0, m1, p) * np.asarray(tau_star)[:, None]
+    n_zvt = np.stack([1.0 - p, p], axis=2) / (2 * k)
+    ybar = np.stack([np.zeros((2, k)), tau], axis=2)
+    return CellStats(n_zvt=n_zvt, sum_y=n_zvt * ybar, ss_y=np.zeros((2, k, 2)),
+                     mode=Mode.CASE_II, v_support=tuple(range(k)))
+
+
+@pytest.mark.parametrize("p_star,first", [
+    # bad cells at z=0 and z=1: the first z=0 one is named
+    ([[0.3, -0.02, -0.05], [-0.03, 0.6, 0.9]], -0.02),
+    # bad cells at z=1 only: the first in v order is named
+    ([[0.3, 0.5, 0.7], [0.2, -0.04, -0.01]], -0.04),
+    ([[0.3, 0.5, 0.7], [-0.01, 0.6, 1.05]], -0.01),
+])
+def test_invalid_p_star_names_the_first_bad_cell(p_star, first):
+    stats = _table_with_latent(0.2, 0.2, p_star, [1.0, 0.8])
+    with pytest.raises(InvalidProbability) as exc:
+        identify(stats, Mode.CASE_II)
+    got = re.fullmatch(r"implied p_star=(\S+) outside \[0,1\]", str(exc.value))
+    assert got is not None
+    assert float(got.group(1)) == pytest.approx(first, abs=1e-9)
 
 
 def test_no_extended_precision_in_the_package():

@@ -790,6 +790,16 @@ class TestRunEmpirical:
         assert captured.out == ""
         assert captured.err.startswith("error: [Errno 2] No such file")
 
+    @pytest.mark.parametrize("level", ["1.5", "0", "1"])
+    def test_level_outside_unit_interval_is_io_error(self, sample_csv, capsys,
+                                                     level):
+        path, _ = sample_csv
+        code = _run_empirical().main(["--level", level] + _data_args(path))
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == "error: ci_level must be in (0,1)\n"
+
     def test_estimation_failure_is_diagnostic_failure(self, sample_csv,
                                                       monkeypatch, capsys):
         script = _run_empirical()
