@@ -2,12 +2,17 @@
 
 The objective Q(theta) = gbar(theta)' W gbar(theta) is minimised as a box
 constrained nonlinear least-squares problem in the residuals W^{1/2} gbar,
-warm-started from the closed-form identification solution. The constraint
+warm-started from the closed-form identification solution, by the
+package's trust-region reflective loop (lsq.trf). The constraint
 m0 + m1 <= 1 - eps is enforced by projection plus a hinge penalty residual;
 it is inactive at every interior solution. The fit reads the data only
 through the caller's per-cell CellStats table, reduced once per fit to the
-MomentSums that every residual and Jacobian evaluation reads; the residual
-Jacobian and the sandwich use the closed-form moment Jacobian.
+MomentSums that every evaluation reads. One evaluation gives the residuals
+and their Jacobian together, from gbar's closed-form terms and the
+closed-form moment Jacobian; under identity weighting and while the hinge
+is inactive it multiplies by neither W^{1/2} nor the projection's
+Jacobian. A just-identified fit that starts at the closed form stops after
+that one evaluation. The sandwich uses the same moment Jacobian.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import stats
 from scipy.special import ndtri
 
 from .data import CellStats, Mode, ParamVector, n_params, param_names, validate
@@ -28,8 +33,9 @@ from .exceptions import (
     ValidationError,
 )
 from .identification import identify
-from .moments import (MomentLayout, MomentSums, gbar, moment_jacobian,
-                      sample_moments)
+from .lsq import trf
+from .moments import (MomentLayout, MomentSums, gbar_and_jacobian,
+                      moment_jacobian, sample_moments)
 
 EPS_CONSTRAINT = 1e-4
 PENALTY = 10.0
@@ -69,16 +75,20 @@ class Estimate:
     param_names: list = field(default_factory=list)
 
 
-def _bounds(k: int, mode: Mode, dp_sign: float) -> tuple:
-    """Packed lower and upper bounds: probabilities in [eps, 1 - eps],
-    delta_p_star away from 0 on the side of dp_sign, the rest free."""
+@lru_cache(maxsize=None)
+def _bounds(k: int, mode: Mode, dp_positive: bool) -> tuple:
+    """Packed lower and upper bounds, read-only: probabilities in
+    [eps, 1 - eps], delta_p_star at least eps (dp_positive) or at most
+    -eps, the rest free."""
     eps, inf = EPS_CONSTRAINT, np.inf
 
     def packed(free, dp, prob):
-        return ParamVector(free, dp, prob, np.full(2, prob), np.full(2, prob),
-                           np.full((2, k), prob), np.full(2, free), mode).pack()
+        x = ParamVector(free, dp, prob, np.full(2, prob), np.full(2, prob),
+                        np.full((2, k), prob), np.full(2, free), mode).pack()
+        x.setflags(write=False)
+        return x
 
-    if dp_sign >= 0:
+    if dp_positive:
         return packed(-inf, eps, eps), packed(inf, inf, 1.0 - eps)
     return packed(-inf, -inf, eps), packed(inf, -eps, 1.0 - eps)
 
@@ -91,43 +101,33 @@ def _m_indices(k: int, mode: Mode) -> tuple:
 
 
 def _project(x: np.ndarray, k: int, mode: Mode) -> tuple:
-    """Scale (m0, m1) onto m0+m1 <= 1-eps when violated; return the
-    projected vector and per-constraint violations."""
-    viols = []
-    xp = x
-    for i0, i1 in _m_indices(k, mode):
+    """Scale (m0, m1) onto m0+m1 <= 1-eps where violated. Returns the
+    projected vector, the per-constraint violations, and the derivatives of
+    both with respect to x, (d_xp, d_viols), or None while no constraint is
+    violated (then d_xp is the identity and d_viols zero)."""
+    pairs = _m_indices(k, mode)
+    viols = np.zeros(len(pairs))
+    xp, jac = x, None
+    for row, (i0, i1) in enumerate(pairs):
         tot = x[i0] + x[i1]
-        v = max(0.0, tot - (1.0 - EPS_CONSTRAINT))
-        viols.append(v)
+        v = tot - (1.0 - EPS_CONSTRAINT)
         if v > 0.0:
-            if xp is x:
+            if jac is None:
                 xp = x.copy()
+                jac = np.eye(x.size), np.zeros((len(pairs), x.size))
+            idx = [i0, i1]
             scale = (1.0 - EPS_CONSTRAINT) / tot
+            viols[row] = v
             xp[i0] *= scale
             xp[i1] *= scale
-    return xp, np.array(viols)
-
-
-def _project_jac(x: np.ndarray, k: int, mode: Mode) -> tuple:
-    """Derivatives with respect to x of _project's projected vector and of
-    its violations."""
-    pairs = _m_indices(k, mode)
-    d_xp = np.eye(x.size)
-    d_viols = np.zeros((len(pairs), x.size))
-    for row, (i0, i1) in enumerate(pairs):
-        idx = [i0, i1]
-        tot = x[i0] + x[i1]
-        if tot - (1.0 - EPS_CONSTRAINT) > 0.0:
-            scale = (1.0 - EPS_CONSTRAINT) / tot
-            d_xp[np.ix_(idx, idx)] = scale * (np.eye(2) - x[idx, None] / tot)
-            d_viols[row, idx] = 1.0
-    return d_xp, d_viols
+            jac[0][np.ix_(idx, idx)] = scale * (np.eye(2) - x[idx, None] / tot)
+            jac[1][row, idx] = 1.0
+    return xp, viols, jac
 
 
 def _clip_start(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, k, mode) -> np.ndarray:
     x = np.clip(x, lo + 1e-12, hi - 1e-12)
-    x, _ = _project(x, k, mode)
-    return x
+    return _project(x, k, mode)[0]
 
 
 def _fallback_start(table: CellStats) -> ParamVector:
@@ -153,8 +153,15 @@ def _fallback_start(table: CellStats) -> ParamVector:
 
 
 def starting_value(table: CellStats, cfg: GmmConfig) -> ParamVector:
-    if cfg.start is not None:
-        return cfg.start
+    """cfg.start, which must have the table's mode and K; else the closed
+    form, or the fallback start where the closed form fails."""
+    start = cfg.start
+    if start is not None:
+        if (start.mode, start.k) != (table.mode, table.k):
+            raise ValidationError(
+                f"start is laid out for {start.mode.value} with K={start.k}, "
+                f"the table for {table.mode.value} with K={table.k}")
+        return start
     try:
         return identify(table, table.mode).theta
     except MislateError:
@@ -167,43 +174,36 @@ def _w_half(w: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def _residual(x: np.ndarray, table, w_half: np.ndarray) -> np.ndarray:
-    """W^{1/2} gbar at the projected point, then the hinge penalties; table
-    is a CellStats or its MomentSums."""
+def _evaluate(x: np.ndarray, table, w_half: Optional[np.ndarray]) -> tuple:
+    """The residuals W^{1/2} gbar(P(x)) and PENALTY * violations, and their
+    Jacobian W^{1/2} G(P(x)) DP(x) over PENALTY dviol/dx, from one
+    projection and one set of moment terms; w_half None stands for the
+    identity. table is a CellStats or its MomentSums."""
     k, mode = table.k, table.mode
-    xp, viols = _project(x, k, mode)
-    return np.concatenate([w_half @ gbar(table, xp, k, mode), PENALTY * viols])
-
-
-def _residual_jac(x: np.ndarray, table, w_half: np.ndarray) -> np.ndarray:
-    """Jacobian of _residual: W^{1/2} G(P(x)) DP(x) over PENALTY dviol/dx."""
-    k, mode = table.k, table.mode
-    xp, _ = _project(x, k, mode)
-    d_xp, d_viols = _project_jac(x, k, mode)
-    G = moment_jacobian(table, ParamVector.unpack(xp, k, mode))
-    return np.vstack([w_half @ G @ d_xp, PENALTY * d_viols])
+    xp, viols, jac = _project(x, k, mode)
+    g, G = gbar_and_jacobian(table, xp, k, mode)
+    if w_half is not None:
+        g, G = w_half @ g, w_half @ G
+    if jac is None:
+        d_viols = np.zeros((viols.size, x.size))
+    else:
+        d_xp, d_viols = jac
+        G = G @ d_xp
+    return (np.concatenate([g, PENALTY * viols]),
+            np.concatenate([G, PENALTY * d_viols]))
 
 
 def _minimize(sums: MomentSums, x0, w_half):
     k, mode = sums.k, sums.mode
-    dp_sign = np.sign(ParamVector.unpack(x0, k, mode).delta_p_star) or 1.0
-    lo, hi = _bounds(k, mode, dp_sign)
+    dp = ParamVector.unpacked_fields(x0, k, mode)[1]
+    lo, hi = _bounds(k, mode, bool(dp >= 0))
     x0 = _clip_start(x0, lo, hi, k, mode)
     n_con = len(_m_indices(k, mode))
 
-    res = optimize.least_squares(
-        _residual,
-        x0,
-        jac=_residual_jac,
-        args=(sums, w_half),
-        bounds=(lo, hi),
-        method="trf",
-        xtol=TOL_STEP,
-        gtol=TOL_GRAD,
-        ftol=TOL_STEP,
-        max_nfev=MAX_ITER * (x0.size + 1),
-    )
-    x_hat, _ = _project(res.x, k, mode)
+    res = trf(lambda x: _evaluate(x, sums, w_half), x0, lo, hi,
+              ftol=TOL_STEP, xtol=TOL_STEP, gtol=TOL_GRAD,
+              max_nfev=MAX_ITER * (x0.size + 1))
+    x_hat = _project(res.x, k, mode)[0]
     core = res.fun[: res.fun.size - n_con]
     return x_hat, float(core @ core), res.status > 0
 
@@ -243,13 +243,12 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
 
     x0 = starting_value(table, cfg).pack()
     sums = MomentSums.of(table)
-    w_identity = np.eye(layout.n_moments)
-    x_hat, objective, converged = _minimize(sums, x0, w_identity)
+    x_hat, objective, converged = _minimize(sums, x0, None)
 
     theta_hat = ParamVector.unpack(x_hat, k, mode)
     ev = sample_moments(table, theta_hat)
     omega = ev.omega()
-    weight = w_half = w_identity
+    weight = w_half = np.eye(layout.n_moments)
     if cfg.weighting == "optimal":
         weight = np.linalg.pinv(omega)
         w_half = _w_half(weight)

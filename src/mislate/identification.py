@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .exceptions import (
     MonotonicityViolated,
     NegativeDiscriminant,
     SingularSystem,
+    ValidationError,
     WeakFirstStage,
 )
 
@@ -233,6 +235,30 @@ def _tau_star(stats: CellStats, z: int, m0: float, m1: float) -> float:
     return float((n * m * stats.tau_zv[z]).sum() / (n * m * m).sum())
 
 
+def _pins(support_points, k: int, mode: Mode) -> tuple:
+    """The pinned support of each group, as tuples of int: two triples in
+    CASE_I, one pair in CASE_II, each of distinct indices in 0..K-1. Raises
+    ValidationError on any other form."""
+    case_i = mode is Mode.CASE_I
+    size, shape = (3, "two triples") if case_i else (2, "a pair")
+    try:
+        pins = tuple(tuple(index(i) for i in pin)
+                     for pin in (support_points if case_i else (support_points,)))
+    except TypeError:
+        pins = ()
+    if len(pins) != (2 if case_i else 1) or any(len(pin) != size for pin in pins):
+        raise ValidationError(f"support_points must be {shape} of integer "
+                              f"indices in {mode.value}, got {support_points!r}")
+    for pin in pins:
+        if not all(0 <= i < k for i in pin):
+            raise ValidationError(f"support_points indices must lie in "
+                                  f"0..{k - 1}, got {support_points!r}")
+        if len(set(pin)) != size:
+            raise ValidationError(f"support_points indices must be distinct, "
+                                  f"got {support_points!r}")
+    return pins
+
+
 def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResult:
     """Closed-form recovery of the full parameter vector from cell statistics.
 
@@ -240,23 +266,24 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
     support_points pins their supports: one per group ((triple_z0,
     triple_z1) in CASE_I), or the support itself where the mode has a
     single group (a pair in CASE_II). By default each group takes its
-    candidate with the largest absolute determinant. A table with an empty
-    (z, v, t) cell raises EmptyCell.
+    candidate with the largest absolute determinant. A pin of another form,
+    or with an index outside 0..K-1 or repeated, raises ValidationError; a
+    table with an empty (z, v, t) cell raises EmptyCell.
     """
+    pins = None if support_points is None else _pins(support_points, stats.k, mode)
     if (stats.n_zvt == 0).any():
         raise EmptyCell(stats.empty_cells()[0])
     if ((stats.p_zv <= 0.0) | (stats.p_zv >= 1.0)).any():
         raise DegenerateCell("a cell treatment probability is 0 or 1")
     dets = nonsingularity_diag(stats, mode)
     groups = _candidates(stats.k, mode)
-    pins = (support_points,) if len(groups) == 1 else support_points
     m = np.empty((2, 3))  # (m0, m1, s) per z
     selected, discs = [], []
     for g, (arms, cands) in enumerate(groups):
-        if support_points is None:
+        if pins is None:
             _, support, pairs = max(cands, key=lambda cand: abs(dets[cand[0]]))
         else:
-            support = tuple(pins[g])
+            support = pins[g]
             pairs = _cell_pairs(arms, support)
         wa, wb = _equations(stats, pairs)
         b = solve_b(wa, wb)

@@ -11,7 +11,9 @@ is a + b y, with intercept a and slope b read off the parameters. So the
 sample mean depends on the data only through per-(z, v) counts and sums of
 y, held divided by n in MomentSums. gbar and moment_jacobian are the sample
 mean and its Jacobian in closed form on those sums: a few array operations
-on (2, K) blocks, O(K^2) per evaluation, with no row. sample_moments also
+on (2, K) blocks, O(K^2) per evaluation, with no row. Both are built on one
+set of shared terms, and gbar_and_jacobian, which each step of a GMM fit
+calls, returns the two from one pass over them. sample_moments also
 returns every cell's a and b for the second-moment matrix Omega, which needs
 the within-cell sums of squares as well. The row-by-row moment function is
 the test suite's oracle (tests/conftest.py), not part of the package.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,92 +173,136 @@ def sample_moments(stats: CellStats, theta: ParamVector) -> MomentEval:
                       a=a, b=b, stats=stats, layout=layout)
 
 
-def gbar(table, theta_flat: np.ndarray, k: int, mode: Mode) -> np.ndarray:
-    """Sample moment mean at a packed coordinate vector, in closed form on a
-    CellStats table or its MomentSums.
+@lru_cache(maxsize=None)
+def _jacobian_entries(k: int, mode: Mode) -> np.ndarray:
+    """Flat positions in the (4K+3, dim) packed Jacobian of the values
+    _jacobian lists, in its order: per (z, v) cell the p row's (m0_z, m1_z,
+    p*_zv) entries and the tau row's (m0_z, m1_z, p*_zv, tau*_z) entries,
+    each block in (z, v) order; then r's row; then the first-stage row's dp*,
+    r, m0_0, m1_0, m0_1, m1_1; then the LATE row's b*, dp*, r. In CASE_II
+    the first-stage row lists the shared m0 (and m1) twice, and the two
+    values add."""
+    z, v = np.indices((2, k))
+    base = 3 + z * (k + 3)                     # natural column of m0_z
+    p_row, tau_row = 1 + z * k + v, 1 + 2 * k + z * k + v
+    cell_cols = [base, base + 1, base + 2 + v, base + 2 + k]
+    rows = [p_row] * 3 + [tau_row] * 4
+    cols = cell_cols[:3] + cell_cols
+    fs, late = 1 + 4 * k, 2 + 4 * k
+    rows.append(np.array([0, fs, fs, fs, fs, fs, fs, late, late, late]))
+    cols.append(np.array([2, 1, 2, 3, 4, k + 6, k + 7, 0, 1, 2]))
+    gather = packed_layout(k, mode)[1]
+    rows = np.concatenate(rows, axis=None)
+    cols = gather[np.concatenate(cols, axis=None)]
+    flat = rows * packed_layout(k, mode)[0].size + cols
+    flat.setflags(write=False)
+    return flat
+
+
+class _Terms(NamedTuple):
+    """The shared terms of gbar and its Jacobian at one parameter value."""
+
+    sums: MomentSums
+    beta: float
+    dp: float
+    r: float
+    s: np.ndarray        # (2,) 1 - m0 - m1
+    cm0: np.ndarray      # (2, 1) 1 - m0
+    cm1: np.ndarray      # (2, 1) 1 - m1
+    ps: np.ndarray       # (2, K) p*
+    q: np.ndarray        # (2, K) m0 + s p*
+    ptau: np.ndarray     # (2, K) P tau*
+    h1: np.ndarray       # (2, K) (1-m1) p*
+    h0: np.ndarray       # (2, K) (1-m0) (1-p*)
+    alpha: np.ndarray    # (2, K) P tau* h1 - S1
+    gamma: np.ndarray    # (2, K) P tau* h0 + S0
+    u0: float            # T0 / (1-r) - m0_0
+    u1: float            # T1 / r - m0_1
+    late: float          # Y1 / r - Y0 / (1-r)
+
+
+def _terms(table, fields: tuple) -> _Terms:
+    """gbar's terms at the fields (beta*, dp*, r, m0, m1, p*, tau*) of a
+    parameter vector, on a CellStats table or its MomentSums.
 
     With P = n_zv/n, N1 the treated share, S_t the sums of y by arm over n,
-    q = m0_z + s_z p*, alpha = P (1-m1) p* tau - S1 and
-    gamma = P (1-m0) (1-p*) tau + S0, the cell rows are P q - N1 and
+    q = m0_z + s_z p*, alpha = P tau (1-m1) p* - S1 and
+    gamma = P tau (1-m0) (1-p*) + S0, the cell rows are P q - N1 and
     P tau - alpha/q - gamma/(1-q); the rest read the per-z totals.
     """
     sums = _sums(table)
-    beta, dp, r, m0, m1, ps, tau = ParamVector.unpacked_fields(theta_flat, k, mode)
+    beta, dp, r, m0, m1, ps, tau = fields
     s, q = _check_domain(r, dp, m0, m1, ps)
-    p, tau = sums.p, tau[:, None]
-    alpha = p * (1.0 - m1[:, None]) * ps * tau - sums.s1
-    gamma = p * (1.0 - m0[:, None]) * (1.0 - ps) * tau + sums.s0
+    cm0, cm1 = 1.0 - m0[:, None], 1.0 - m1[:, None]
+    ptau = sums.p * tau[:, None]
+    h1, h0 = cm1 * ps, cm0 * (1.0 - ps)
     (t0, t1), (y0, y1) = sums.t_z, sums.y_z
+    return _Terms(sums=sums, beta=beta, dp=dp, r=r, s=s, cm0=cm0, cm1=cm1,
+                  ps=ps, q=q, ptau=ptau, h1=h1, h0=h0,
+                  alpha=ptau * h1 - sums.s1, gamma=ptau * h0 + sums.s0,
+                  u0=t0 / (1.0 - r) - m0[0], u1=t1 / r - m0[1],
+                  late=y1 / r - y0 / (1.0 - r))
+
+
+def _gbar(t: _Terms) -> np.ndarray:
+    sums, q, s = t.sums, t.q, t.s
     return np.concatenate([
-        [r - sums.r_hat],
-        (p * q - sums.n1).ravel(),
-        (p * tau - alpha / q - gamma / (1.0 - q)).ravel(),
-        [dp - (t1 / r - m0[1]) / s[1] + (t0 / (1.0 - r) - m0[0]) / s[0],
-         beta - (y1 / r - y0 / (1.0 - r)) / dp],
+        [t.r - sums.r_hat],
+        (sums.p * q - sums.n1).ravel(),
+        (t.ptau - t.alpha / q - t.gamma / (1.0 - q)).ravel(),
+        [t.dp - t.u1 / s[1] + t.u0 / s[0], t.beta - t.late / t.dp],
     ])
 
 
-@lru_cache(maxsize=None)
-def _natural_from_packed(k: int, mode: Mode) -> np.ndarray:
-    """0/1 matrix D with natural = D @ packed. The natural coordinates are
-    the CASE_I packing (b*, dp*, r, then per z: m0_z, m1_z, p*_{z,.}, tau*_z);
-    in CASE_II one packed m0 (and one m1) feeds both z."""
-    select, gather = packed_layout(k, mode)
-    d = np.eye(select.size)[gather]
-    d.setflags(write=False)
-    return d
+def _jacobian(t: _Terms, mode: Mode) -> np.ndarray:
+    """gbar's terms differentiated by hand: each nonzero entry, placed in
+    the packed columns (where CASE_II's shared m0 and m1 sum their z
+    parts)."""
+    sums, q, s, r, dp, ps = t.sums, t.q, t.s, t.r, t.dp, t.ps
+    k = sums.k
+    p, q1, ps1, sz = sums.p, 1.0 - q, 1.0 - ps, s[:, None]
+    cm0, cm1, ptau = t.cm0, t.cm1, t.ptau
+    w = t.alpha / q ** 2 - t.gamma / q1 ** 2
+    a, b = ptau / q, ptau / q1
+    (t0, t1), (y0, y1) = sums.t_z, sums.y_z
+    u0, u1 = t.u0, t.u1
+    values = np.concatenate([
+        # p rows P q - N1 by (m0_z, m1_z, p*_zv): dq = (1-p*, -p*, s)
+        p * ps1, -p * ps, p * sz,
+        # tau rows P tau - alpha/q - gamma/(1-q) by (m0_z, m1_z, p*_zv, tau*_z)
+        (b + w) * ps1, (a - w) * ps, cm0 * b - cm1 * a + w * sz,
+        p * (1.0 - t.h1 / q - t.h0 / q1),
+        # r row r - r_hat; first-stage row dp* - u1/s_1 + u0/s_0 by dp*, r,
+        # m0_0, m1_0, m0_1, m1_1; LATE row b* - (Y1/r - Y0/(1-r)) / dp* by
+        # b*, dp*, r
+        [1.0, 1.0, t1 / (r ** 2 * s[1]) + t0 / ((1.0 - r) ** 2 * s[0]),
+         -1.0 / s[0] + u0 / s[0] ** 2, u0 / s[0] ** 2,
+         1.0 / s[1] - u1 / s[1] ** 2, -u1 / s[1] ** 2,
+         1.0, t.late / dp ** 2, (y1 / r ** 2 + y0 / (1.0 - r) ** 2) / dp],
+    ], axis=None)
+    n_packed = packed_layout(k, mode)[0].size
+    return np.bincount(_jacobian_entries(k, mode), weights=values,
+                       minlength=(4 * k + 3) * n_packed).reshape(4 * k + 3, n_packed)
 
 
-@lru_cache(maxsize=None)
-def _cell_entries(k: int) -> tuple:
-    """(rows, cols) of the p moments' Jacobian entries: rows (2, K) is each
-    cell's p row, cols (4, 2, K) the natural columns of its
-    (m0_z, m1_z, p*_zv, tau*_z). The tau rows are rows + 2K."""
-    z, v = np.indices((2, k))
-    base = 3 + z * (k + 3)
-    return 1 + z * k + v, np.array([base, base + 1, base + 2 + v, base + 2 + k])
+def gbar(table, theta_flat: np.ndarray, k: int, mode: Mode) -> np.ndarray:
+    """Sample moment mean at a packed coordinate vector, in closed form on a
+    CellStats table or its MomentSums."""
+    return _gbar(_terms(table, ParamVector.unpacked_fields(theta_flat, k, mode)))
 
 
 def moment_jacobian(table, theta: ParamVector) -> np.ndarray:
     """Jacobian of the sample moment mean with respect to the packed
     parameter vector, shape (4K+3, dim), in closed form on a CellStats table
-    or its MomentSums: gbar's terms differentiated by hand, in the natural
-    coordinates, then mapped to the packed ones."""
-    sums = _sums(table)
-    k = sums.k
-    r, dp = theta.r, theta.delta_p_star
-    m0, m1, ps = theta.m0, theta.m1, theta.p_star
-    s, q = _check_domain(r, dp, m0, m1, ps)
-    p, q1, ps1, sz = sums.p, 1.0 - q, 1.0 - ps, s[:, None]
-    cm0, cm1 = 1.0 - m0[:, None], 1.0 - m1[:, None]
-    # gbar's alpha = P tau h1 - S1 and gamma = P tau h0 + S0
-    h1, h0 = cm1 * ps, cm0 * ps1
-    ptau = p * theta.tau_star[:, None]
-    w = (ptau * h1 - sums.s1) / q ** 2 - (ptau * h0 + sums.s0) / q1 ** 2
-    a, b = ptau / q, ptau / q1
-    rows, cols = _cell_entries(k)
-    g = np.zeros((4 * k + 3, 2 * k + 9))
-    # p rows P q - N1 by (m0_z, m1_z, p*_zv): dq = (1-p*, -p*, s)
-    g[rows, cols[:3]] = np.array([p * ps1, -p * ps, p * sz])
-    # tau rows P tau - alpha/q - gamma/(1-q) by (m0_z, m1_z, p*_zv, tau*_z)
-    g[rows + 2 * k, cols] = np.array([(b + w) * ps1, (a - w) * ps,
-                                      cm0 * b - cm1 * a + w * sz,
-                                      p * (1.0 - h1 / q - h0 / q1)])
-    g[0, 2] = 1.0                 # r row: r - r_hat
+    or its MomentSums."""
+    fields = (theta.beta_star, theta.delta_p_star, theta.r, theta.m0,
+              theta.m1, theta.p_star, theta.tau_star)
+    return _jacobian(_terms(table, fields), theta.mode)
 
-    # first-stage row: dp* - u1/s_1 + u0/s_0, u1 = T1/r - m0_1,
-    # u0 = T0/(1-r) - m0_0; columns dp*, r, m0_0, m1_0, m0_1, m1_1
-    (t0, t1), (y0, y1) = sums.t_z, sums.y_z
-    u0, u1 = t0 / (1.0 - r) - m0[0], t1 / r - m0[1]
-    m_cols = [3, 4, k + 6, k + 7]
-    i = 1 + 4 * k
-    g[i, 1] = 1.0
-    g[i, 2] = t1 / (r ** 2 * s[1]) + t0 / ((1.0 - r) ** 2 * s[0])
-    g[i, m_cols] = [-1.0 / s[0] + u0 / s[0] ** 2, u0 / s[0] ** 2,
-                    1.0 / s[1] - u1 / s[1] ** 2, -u1 / s[1] ** 2]
 
-    # LATE row: b* - (Y1/r - Y0/(1-r)) / dp*
-    i += 1
-    g[i, :3] = [1.0, (y1 / r - y0 / (1.0 - r)) / dp ** 2,
-                (y1 / r ** 2 + y0 / (1.0 - r) ** 2) / dp]
-    return g @ _natural_from_packed(k, theta.mode)
+def gbar_and_jacobian(table, theta_flat: np.ndarray, k: int,
+                      mode: Mode) -> tuple:
+    """(gbar, moment_jacobian) at a packed coordinate vector, from one set
+    of shared terms: what each step of a fit reads."""
+    t = _terms(table, ParamVector.unpacked_fields(theta_flat, k, mode))
+    return _gbar(t), _jacobian(t, mode)

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from mislate.data import Dataset, Mode, ParamVector
 from mislate.moments import MomentLayout, _check_domain
@@ -105,6 +106,16 @@ def row_iv_fit(y, X, Z, hc1=False):
     if hc1:
         v = v * n / (n - kx)
     return b, np.sqrt(np.clip(np.diag(v), 0.0, None)), v
+
+
+def least_squares_oracle(evaluate, x0, lb, ub, *, ftol, xtol, gtol, max_nfev):
+    """scipy's least_squares with method="trf" on the residuals and
+    Jacobian of evaluate(x) -> (f, J), with the arguments the GMM fit gives
+    mislate.lsq.trf. The oracle for that port."""
+    return optimize.least_squares(
+        lambda x: evaluate(x)[0], x0, jac=lambda x: evaluate(x)[1],
+        bounds=(lb, ub), method="trf", ftol=ftol, xtol=xtol, gtol=gtol,
+        max_nfev=max_nfev)
 
 
 def moment_matrix(ds: Dataset, theta: ParamVector) -> np.ndarray:

@@ -19,7 +19,7 @@ from mislate.gmm import (
     sandwich_cov,
 )
 from mislate.identification import identify
-from mislate.moments import gbar, sample_moments
+from mislate.moments import sample_moments
 from mislate.simulation import DesignSpec, generate
 
 
@@ -169,6 +169,19 @@ class TestEstimate:
         closed = identify(table, Mode.CASE_II).theta
         np.testing.assert_allclose(est.theta_flat, closed.pack(), atol=1e-6)
 
+    def test_start_of_another_layout_is_refused(self):
+        # CASE_I with K = 2 and CASE_II with K = 3 both pack to 13
+        # coordinates, so the start would fit the solver but mean another
+        # parameter in most places
+        rng = np.random.default_rng(8)
+        theta = random_theta(rng, Mode.CASE_II, 3)
+        table = cell_stats(simulate_from_theta(theta, 3000, rng))
+        start = random_theta(rng, Mode.CASE_I, 2)
+        assert start.pack().size == theta.pack().size
+        with pytest.raises(ValidationError,
+                           match=r"case-i with K=2.*case-ii with K=3"):
+            estimate(table, GmmConfig(start=start))
+
     def test_fallback_fit_builds_omega_once_per_step(self, monkeypatch):
         # a draw whose closed form fails, so the fit starts from the
         # fallback and iterates; the cell rows behind Omega are built once
@@ -178,7 +191,7 @@ class TestEstimate:
         with pytest.raises(MislateError):
             identify(table, table.mode)
         omega = count_calls(monkeypatch, sample_moments)
-        steps = count_calls(monkeypatch, gbar)
+        steps = count_calls(monkeypatch, gmm._evaluate)
         for weighting, most in (("identity", 1), ("optimal", 2)):
             omega.clear()
             steps.clear()
@@ -215,9 +228,23 @@ class TestResidualJacobian:
         w_half = gmm._w_half(a @ a.T)
         assert np.all(gmm._project(x, k, mode)[1] > 0) == active
         expected = central_differences(
-            lambda x_: gmm._residual(x_, table, w_half), x)
-        np.testing.assert_allclose(gmm._residual_jac(x, table, w_half),
+            lambda x_: gmm._evaluate(x_, table, w_half)[0], x)
+        np.testing.assert_allclose(gmm._evaluate(x, table, w_half)[1],
                                    expected, rtol=1e-7, atol=1e-7)
+
+    @pytest.mark.parametrize("active", [False, True], ids=["inside", "projected"])
+    def test_identity_weighting_needs_no_matrix(self, rng, active):
+        # w_half None skips the products with W^{1/2} = I, which are exact
+        theta = random_theta(rng, Mode.CASE_II, 3)
+        table = cell_stats(simulate_from_theta(theta, 2000, rng))
+        x = theta.pack()
+        if active:
+            for i0, i1 in gmm._m_indices(3, Mode.CASE_II):
+                x[[i0, i1]] *= 1.2 / (x[i0] + x[i1])
+        f, J = gmm._evaluate(x, table, None)
+        f_eye, J_eye = gmm._evaluate(x, table, np.eye(15))
+        assert np.array_equal(f, f_eye) and np.array_equal(J, J_eye)
+        assert (f[-1] > 0) == active
 
 
 class TestReproducibility:

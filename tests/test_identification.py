@@ -15,6 +15,7 @@ from mislate.exceptions import (
     MislateError,
     MonotonicityViolated,
     SingularSystem,
+    ValidationError,
     WeakFirstStage,
 )
 from mislate.identification import (
@@ -335,6 +336,35 @@ def test_pinning_the_default_pick_changes_nothing(mode, k):
             assert list(pinned.determinants.items()) == list(
                 default.determinants.items())
             assert pinned.discriminants == default.discriminants
+
+
+@pytest.mark.parametrize("mode,pin", [
+    (Mode.CASE_II, (0, -1)),              # negative index
+    (Mode.CASE_II, (0, 3)),               # past K - 1
+    (Mode.CASE_II, (0, 0)),               # repeated
+    (Mode.CASE_II, (0, 1, 2)),            # a triple in case ii
+    (Mode.CASE_II, ((0, 1),)),            # a group of pairs in case ii
+    (Mode.CASE_II, (0.0, 1.0)),           # not integers
+    (Mode.CASE_I, (0, 1, 2)),             # one triple in case i
+    (Mode.CASE_I, ((0, 1, 2), (0, 1))),   # a pair for z = 1
+    (Mode.CASE_I, ((0, 1, 2), (0, 2, -1))),
+    (Mode.CASE_I, ((0, 1, 1), (0, 1, 2))),
+], ids=str)
+def test_identify_refuses_a_malformed_pin(mode, pin):
+    # K = 3 population tables, on which every well-formed pin solves; a
+    # negative index would otherwise count from the end
+    theta = random_theta(np.random.default_rng(7), mode, 3)
+    stats = forward_cell_stats(theta)
+    with pytest.raises(ValidationError, match="support_points"):
+        identify(stats, mode, support_points=pin)
+
+
+def test_identify_reports_the_pin_as_given():
+    theta = random_theta(np.random.default_rng(7), Mode.CASE_II, 3)
+    stats = forward_cell_stats(theta)
+    result = identify(stats, Mode.CASE_II, support_points=(np.int64(2), 0))
+    assert result.support_points == (2, 0)
+    np.testing.assert_allclose(result.theta.pack(), theta.pack(), rtol=1e-9)
 
 
 def _table_with_latent(m0: float, m1: float, p_star, tau_star) -> CellStats:

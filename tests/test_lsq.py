@@ -1,0 +1,137 @@
+"""The trust-region reflective loop of mislate.lsq against scipy's
+least_squares(method="trf"), on the GMM fit's own problems."""
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import (count_calls, least_squares_oracle, random_theta,
+                      simulate_from_theta)
+from mislate import gmm
+from mislate.data import Mode, ParamVector, cell_stats
+from mislate.exceptions import MislateError
+from mislate.identification import identify
+from mislate.lsq import trf
+from mislate.moments import MomentSums, sample_moments
+from mislate.simulation import DesignSpec, generate
+
+
+def _closed_form_start():
+    # the closed form succeeds on this sample (test_gmm's seed 8)
+    rng = np.random.default_rng(8)
+    table = cell_stats(simulate_from_theta(random_theta(rng, Mode.CASE_II, 2),
+                                           3000, rng))
+    return table, identify(table, table.mode).theta.pack(), None
+
+
+def _fallback_start():
+    # an mc_study draw whose closed form fails
+    ds, _ = generate(DesignSpec(4), 1000, seed=0, rep=7)
+    table = cell_stats(ds)
+    with pytest.raises(MislateError):
+        identify(table, table.mode)
+    return table, gmm._fallback_start(table).pack(), None
+
+
+def _hinge_active_start():
+    # m0 + m1 = 1.2 inside the box, so every evaluation near the start
+    # projects and the penalty residual is not zero
+    table, x0, _ = _closed_form_start()
+    theta = ParamVector.unpack(x0, table.k, table.mode)
+    x0 = replace(theta, m0=np.full(2, 0.6), m1=np.full(2, 0.6)).pack()
+    return table, x0, None
+
+
+def _case_i_start():
+    # an iterating just-identified fit: the fallback start, not the closed form
+    rng = np.random.default_rng(1)
+    theta = random_theta(rng, Mode.CASE_I, 3)
+    table = cell_stats(replace(simulate_from_theta(theta, 20_000, rng),
+                               mode=Mode.CASE_I))
+    return table, gmm._fallback_start(table).pack(), None
+
+
+def _two_step_start():
+    # the second step of an overidentified optimal fit: W from the first
+    rng = np.random.default_rng(1)
+    table = cell_stats(simulate_from_theta(random_theta(rng, Mode.CASE_II, 3),
+                                           20_000, rng))
+    first = gmm.estimate(table)
+    omega = sample_moments(table, first.theta_hat).omega()
+    return table, first.theta_flat, gmm._w_half(np.linalg.pinv(omega))
+
+
+CASES = {"closed-form": _closed_form_start, "fallback": _fallback_start,
+         "hinge-active": _hinge_active_start, "case-i": _case_i_start,
+         "two-step": _two_step_start}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_matches_least_squares(case):
+    table, x0, w_half = CASES[case]()
+    sums = MomentSums.of(table)
+    k, mode = table.k, table.mode
+    lo, hi = gmm._bounds(k, mode, bool(x0[1] >= 0))
+    if case != "hinge-active":
+        x0 = gmm._clip_start(x0, lo, hi, k, mode)
+    assert (gmm._project(x0, k, mode)[2] is not None) == (case == "hinge-active")
+
+    def evaluate(x):
+        return gmm._evaluate(x, sums, w_half)
+
+    tols = dict(ftol=gmm.TOL_STEP, xtol=gmm.TOL_STEP, gtol=gmm.TOL_GRAD,
+                max_nfev=gmm.MAX_ITER * (x0.size + 1))
+    ours = trf(evaluate, x0, lo, hi, **tols)
+    ref = least_squares_oracle(evaluate, x0, lo, hi, **tols)
+    assert (ours.nfev, ours.njev, ours.status) == (ref.nfev, ref.njev, ref.status)
+    np.testing.assert_allclose(ours.x, ref.x, rtol=1e-12, atol=0.0)
+    assert 0.5 * ours.fun @ ours.fun == pytest.approx(ref.cost, rel=1e-9,
+                                                      abs=1e-30)
+    if case == "closed-form":
+        assert (ours.nfev, ours.njev, ours.status) == (1, 1, 1)
+    else:
+        assert ours.nfev > 1
+
+
+def test_just_identified_fit_evaluates_once(monkeypatch):
+    table, _, _ = _closed_form_start()
+    calls = count_calls(monkeypatch, gmm._evaluate)
+    est = gmm.estimate(table)
+    assert len(calls) == 1
+    assert est.converged
+
+
+def test_bounds_are_shared_and_read_only():
+    lo, hi = gmm._bounds(3, Mode.CASE_II, True)
+    assert gmm._bounds(3, Mode.CASE_II, True)[0] is lo
+    assert not lo.flags.writeable and not hi.flags.writeable
+    lo_neg, hi_neg = gmm._bounds(3, Mode.CASE_II, False)
+    assert lo[1] == -hi_neg[1] == gmm.EPS_CONSTRAINT
+    assert hi[1] == -lo_neg[1] == np.inf
+
+
+def test_refuses_a_start_outside_the_box():
+    lb, ub = np.zeros(2), np.ones(2)
+    with pytest.raises(ValueError, match="outside"):
+        trf(lambda x: (x, np.eye(2)), np.array([0.5, 1.5]), lb, ub,
+            ftol=1e-12, xtol=1e-12, gtol=1e-10, max_nfev=10)
+
+
+def test_stops_at_max_nfev_with_status_0():
+    # the Rosenbrock residuals with x[1] unbounded: three evaluations stop
+    # short, a thousand reach the minimum at (1, 1) as scipy's loop does
+    def evaluate(x):
+        f = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        return f, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    lb, ub = np.array([-2.0, -np.inf]), np.array([2.0, np.inf])
+    x0 = np.array([-1.2, 1.0])
+    ours = trf(evaluate, x0, lb, ub, ftol=1e-12, xtol=1e-12, gtol=1e-10,
+               max_nfev=3)
+    assert ours.status == 0 and ours.nfev == 3
+    full = trf(evaluate, x0, lb, ub, ftol=1e-12, xtol=1e-12, gtol=1e-10,
+               max_nfev=1000)
+    ref = least_squares_oracle(evaluate, x0, lb, ub, ftol=1e-12, xtol=1e-12,
+                               gtol=1e-10, max_nfev=1000)
+    assert (full.nfev, full.njev, full.status) == (ref.nfev, ref.njev, ref.status)
+    np.testing.assert_allclose(full.x, [1.0, 1.0], rtol=1e-9)

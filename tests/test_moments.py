@@ -15,6 +15,7 @@ from mislate.moments import (
     MomentLayout,
     MomentSums,
     gbar,
+    gbar_and_jacobian,
     moment_jacobian,
     sample_moments,
 )
@@ -242,6 +243,17 @@ class TestAnalyticJacobian:
         # boundary: about 4e-8 at q = 0.015
         np.testing.assert_allclose(moment_jacobian(stats, theta), expected,
                                    rtol=1e-7, atol=1e-7)
+
+    @pytest.mark.parametrize("where", ["interior", "s-0.1"])
+    @pytest.mark.parametrize("mode,k", TABLE_CASES)
+    def test_combined_evaluation_is_gbar_and_jacobian(self, rng, mode, k,
+                                                      where):
+        # one set of shared terms: the same bits as the two calls
+        theta, stats = _jacobian_point(rng, mode, k, where)
+        sums = MomentSums.of(stats)
+        g, G = gbar_and_jacobian(sums, theta.pack(), k, mode)
+        assert g.tobytes() == gbar(sums, theta.pack(), k, mode).tobytes()
+        assert G.tobytes() == moment_jacobian(sums, theta).tobytes()
 
 
 class TestDomainGuards:
