@@ -21,8 +21,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtri
+from scipy.special import chdtrc, ndtri
 
 from .data import CellStats, Mode, ParamVector, n_params, param_names, validate
 from .exceptions import (
@@ -226,7 +225,10 @@ def sandwich_cov(G: np.ndarray, W: np.ndarray, Omega: np.ndarray, n: int,
 
 
 def confidence_intervals(theta_flat: np.ndarray, vcov: np.ndarray, level: float) -> np.ndarray:
-    """Per-parameter normal intervals theta_j +/- z * se_j, shape (dim, 2)."""
+    """Per-parameter normal intervals theta_j +/- z * se_j, shape (dim, 2).
+    A level outside (0, 1) raises ValueError."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("ci_level must be in (0,1)")
     zcrit = ndtri(0.5 + level / 2.0)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
     return np.column_stack([theta_flat - zcrit * se, theta_flat + zcrit * se])
@@ -266,7 +268,7 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
     j_stat = float(n * ev.gbar @ omega_inv @ ev.gbar)
     j_dof = layout.n_overid
     j_pvalue = (
-        float(stats.chi2.sf(j_stat, j_dof))
+        float(chdtrc(j_dof, j_stat))
         if (cfg.weighting == "optimal" and j_dof > 0)
         else None
     )

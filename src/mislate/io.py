@@ -194,8 +194,9 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
     """Read a (Y, T, Z, V) dataset.
 
     V labels are kept verbatim; the support order is first appearance unless
-    v_support pins it. Raises ParseError with the offending line number and
-    SchemaError when declared columns are missing.
+    v_support pins it. Raises ParseError with the offending line number,
+    SchemaError when declared columns are missing, and ValidationError when
+    v_support repeats a label.
 
     The header goes through csv.reader. The rows are read CHUNK_ROWS lines
     at a time, so parsing holds one chunk. A plain chunk (no quote or NUL,
@@ -217,6 +218,9 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
                           f"quote, CR or LF, got {schema.delimiter!r}")
     grow = v_support is None
     index = {} if grow else {lab: k for k, lab in enumerate(v_support)}
+    if not grow and len(index) < len(v_support):
+        repeated = next(lab for k, lab in enumerate(v_support) if index[lab] != k)
+        raise ValidationError(f"v_support repeats the label {repeated!r}")
     columns = []
     missing = None
     with open(path, newline="") as fh:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .baselines import ols, wald_iv
 from .data import Dataset, Mode, ParamVector, cell_stats, param_names
@@ -74,8 +73,17 @@ class LatentRecord:
     complier: np.ndarray
 
 
+def _check_stream_key(name: str, value: int):
+    """seed and rep are the two 64-bit halves of a Philox key."""
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
+
+
 def _rng(seed: int, rep: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(rep)))
+    seed, rep = int(seed), int(rep)
+    _check_stream_key("seed", seed)
+    _check_stream_key("rep", rep)
+    return np.random.Generator(np.random.Philox(key=(seed << 64) + rep))
 
 
 def _std_normal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -121,8 +129,9 @@ def generate(design: DesignSpec, n: int, seed: int, rep: int = 0):
 
 def _trunc_moments(c: float) -> tuple:
     """(E(U|U<c), E(U|U>c), E(U^2|U<c)) for standard normal U."""
-    lo = norm.cdf(c)
-    phi = norm.pdf(c)
+    lo = ndtr(c)
+    # scipy.stats.norm.pdf's expression, so the values match it bit for bit
+    phi = np.exp(-c ** 2 / 2.0) / np.sqrt(2 * np.pi)
     return -phi / lo, phi / (1.0 - lo), 1.0 - c * phi / lo
 
 
@@ -145,7 +154,7 @@ def true_params(design: DesignSpec) -> ParamVector:
     cross-checked with complier_effect_reference().
     """
     if design.repeated_measure:
-        p_star_z = np.array([norm.cdf(-0.5), norm.cdf(0.5)])
+        p_star_z = np.array([ndtr(-0.5), ndtr(0.5)])
         # V is informative about T* through the 0.3 flip rate
         p_star = np.empty((2, 2))
         for z in (0, 1):
@@ -156,7 +165,7 @@ def true_params(design: DesignSpec) -> ParamVector:
                 p_star[z, v] = like1 * pz / (like1 * pz + like0 * (1.0 - pz))
         tau = np.array([_tau_star_cell(design, z - 0.5) for z in (0, 1)])
     else:
-        p_star = np.array([[norm.cdf(z + v - 1.0) for v in (0, 1)] for z in (0, 1)])
+        p_star = np.array([[ndtr(z + v - 1.0) for v in (0, 1)] for z in (0, 1)])
         p_star_z = p_star.mean(axis=1)
         # cell-probability weights are 1/2 per v; tau_z* is their average
         tau = np.array([
@@ -256,12 +265,18 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     SD uses the uncentered convention so rmse^2 = bias^2 + sd^2 exactly.
     At most min(workers, CPU count, reps) worker processes run; the
     per-replication streams make the result independent of that number.
-    n, reps or workers below 1, or a ci_level outside (0, 1), raises
-    ValueError before any replication runs.
+    n, reps or workers below 1, a seed outside 0..2**64-1, estimators
+    that are empty or name anything but "gmm" and "iv", or a ci_level
+    outside (0, 1), raises ValueError before any replication runs.
     """
     for name, value in (("n", n), ("reps", reps), ("workers", workers)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    _check_stream_key("seed", int(seed))
+    estimators = tuple(estimators)
+    if not estimators or not set(estimators) <= {"gmm", "iv"}:
+        raise ValueError(f"estimators must be a non-empty selection of "
+                         f"'gmm' and 'iv', got {estimators!r}")
     if not 0.0 < ci_level < 1.0:
         raise ValueError(f"ci_level must be in (0,1), got {ci_level}")
     truth = true_params(design)
@@ -269,7 +284,7 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     true_vals = {p: float(true_flat[i]) for p, i in _TRACKED.items()}
     zcrit = ndtri(0.5 + ci_level / 2.0)
 
-    tasks = [(design.id, n, seed, rep, ci_level, tuple(estimators))
+    tasks = [(design.id, n, seed, rep, ci_level, estimators)
              for rep in range(reps)]
     pool_size = min(workers, os.cpu_count() or 1, reps)
     if pool_size > 1:

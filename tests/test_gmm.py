@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import (central_differences, count_calls, random_theta,
                       simulate_from_theta)
@@ -106,6 +107,11 @@ class TestConfidenceIntervals:
         wide = confidence_intervals(np.zeros(1), np.eye(1), 0.99)
         narrow = confidence_intervals(np.zeros(1), np.eye(1), 0.90)
         assert wide[0, 0] < narrow[0, 0] < narrow[0, 1] < wide[0, 1]
+
+    @pytest.mark.parametrize("level", [1.5, 0.0, 1.0, -0.2])
+    def test_rejects_level_outside_unit_interval(self, level):
+        with pytest.raises(ValueError, match=r"^ci_level must be in \(0,1\)$"):
+            confidence_intervals(np.zeros(1), np.eye(1), level)
 
 
 class TestEstimate:
@@ -296,6 +302,13 @@ class TestJTest:
         assert est.j_dof == 2
         with pytest.raises(ValidationError):
             j_test(est)
+
+    def test_pvalue_is_the_chi2_survival_function(self):
+        ds = simulate_from_theta(_calibration_theta(), 4000,
+                                 np.random.default_rng(3))
+        est = estimate(cell_stats(ds), GmmConfig(weighting="optimal"))
+        assert est.j_dof == 2 and 0.0 < est.j_pvalue < 1.0
+        assert est.j_pvalue == stats.chi2.sf(est.j_stat, est.j_dof)
 
     def test_size_calibration(self):
         # overidentified model (K=3 shared-error mode, 2 degrees of freedom):

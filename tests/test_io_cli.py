@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from importlib.metadata import (EntryPoint, PackageNotFoundError,
                                 distribution, entry_points)
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import count_calls, random_theta, simulate_from_theta
+import mislate
 from mislate import io as mio
 from mislate.cli import EXIT_DIAG, EXIT_IO, EXIT_OK, main
 from mislate.data import Mode, cell_stats
@@ -91,6 +94,12 @@ class TestLoadCsv:
         a = load_csv(path, STD_SCHEMA, Mode.CASE_II, v_support=("1", "0"))
         assert a.v_support == ("1", "0")
         np.testing.assert_array_equal(a.v, 1 - ds.v)
+
+    def test_v_support_repeating_a_label_is_refused(self, sample_csv):
+        path, _ = sample_csv
+        with pytest.raises(ValidationError) as err:
+            load_csv(path, STD_SCHEMA, Mode.CASE_II, v_support=("1", "0", "0"))
+        assert str(err.value) == "v_support repeats the label '0'"
 
     def test_verbatim_labels(self, tmp_path):
         path = tmp_path / "lab.csv"
@@ -677,6 +686,14 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: ci_level must be in (0,1)\n"
 
+    def test_repeated_v_support_label_is_io_error(self, sample_csv, capsys):
+        path, _ = sample_csv
+        code = main(["estimate", "--v-support", "1,0,0"] + _data_args(path))
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == "error: v_support repeats the label '0'\n"
+
     def test_oversized_field_is_io_error(self, tmp_path, capsys):
         path = _oversized_csv(tmp_path / "big.csv")
         code = main(["estimate"] + _data_args(path))
@@ -722,7 +739,8 @@ class TestCli:
         (["--n", "0"], "n must be at least 1, got 0"),
         (["--reps", "-1"], "reps must be at least 1, got -1"),
         (["--level", "1.5"], "ci_level must be in (0,1), got 1.5"),
-    ], ids=["n-0", "reps-negative", "level-1.5"])
+        (["--seed", "-1"], "seed must be in 0..2**64-1, got -1"),
+    ], ids=["n-0", "reps-negative", "level-1.5", "seed-negative"])
     def test_simulate_bad_option_value_is_io_error(self, capsys, flags,
                                                    message):
         code = main(["simulate", "--design", "1", "--n", "100", "--reps", "1"]
@@ -749,6 +767,19 @@ class TestCli:
         installed = entry_points().select(group="console_scripts",
                                           name="mislate")
         assert [e.value for e in installed] == [_declared_scripts()["mislate"]]
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    # a fresh interpreter: this one has loaded both for the tests' oracles
+    src = str(Path(mislate.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, mislate, mislate.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                         capture_output=True, text=True,
+                         env=os.environ | {"PYTHONPATH": path}).stdout
+    assert out == "[]\n"
 
 
 def _run_empirical():

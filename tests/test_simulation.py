@@ -8,11 +8,17 @@ from mislate.data import Mode, cell_stats
 from mislate.exceptions import MislateError
 from mislate.simulation import (
     DesignSpec,
+    _trunc_moments,
     complier_effect_reference,
     generate,
     run_study,
     true_params,
 )
+
+
+def _norm_trunc_moments(c):
+    lo, phi = norm.cdf(c), norm.pdf(c)
+    return -phi / lo, phi / (1.0 - lo), 1.0 - c * phi / lo
 
 
 class TestDesignSpec:
@@ -52,6 +58,20 @@ class TestGenerate:
         c, _ = generate(DesignSpec(1), 500, seed=43, rep=0)
         assert not np.array_equal(a.y, b.y)
         assert not np.array_equal(a.y, c.y)
+
+    @pytest.mark.parametrize("seed,rep,message", [
+        (-1, 0, "seed must be in 0..2**64-1, got -1"),
+        (2 ** 64, 0, "seed must be in 0..2**64-1, got 18446744073709551616"),
+        (0, -1, "rep must be in 0..2**64-1, got -1"),
+        (0, 2 ** 64, "rep must be in 0..2**64-1, got 18446744073709551616"),
+    ], ids=["seed-negative", "seed-2**64", "rep-negative", "rep-2**64"])
+    def test_stream_key_halves_are_64_bit(self, seed, rep, message):
+        # (seed, 2**64) would otherwise alias the stream of (seed + 1, 0)
+        with pytest.raises(ValueError) as err:
+            generate(DesignSpec(1), 10, seed=seed, rep=rep)
+        assert str(err.value) == message
+        top = 2 ** 64 - 1
+        assert generate(DesignSpec(1), 10, seed=top, rep=top)[0].n == 10
 
     def test_shapes_and_mode(self):
         ds, latent = generate(DesignSpec(4), 300, seed=0)
@@ -120,6 +140,19 @@ class TestTrueParams:
         assert t5.delta_p_star == pytest.approx(
             norm.cdf(0.5) - norm.cdf(-0.5), abs=1e-12)
         assert t5.delta_p_star == pytest.approx(0.3829, abs=5e-5)
+
+    @pytest.mark.parametrize("c", [-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.7])
+    def test_trunc_moments_match_the_norm_oracle(self, c):
+        assert _trunc_moments(c) == _norm_trunc_moments(c)
+
+    @pytest.mark.parametrize("design", range(1, 7))
+    def test_match_the_norm_cdf_and_pdf_oracle(self, monkeypatch, design):
+        fast = true_params(DesignSpec(design)).pack()
+        monkeypatch.setattr(mislate.simulation, "ndtr", norm.cdf)
+        monkeypatch.setattr(mislate.simulation, "_trunc_moments",
+                            _norm_trunc_moments)
+        oracle = true_params(DesignSpec(design)).pack()
+        assert fast.tobytes() == oracle.tobytes()
 
     def test_error_rates_and_mode(self):
         for d in range(1, 7):
@@ -251,7 +284,16 @@ class TestRunStudy:
         (dict(reps=-1), "reps must be at least 1, got -1"),
         (dict(ci_level=1.5), "ci_level must be in (0,1), got 1.5"),
         (dict(ci_level=0.0), "ci_level must be in (0,1), got 0.0"),
-    ], ids=["n-0", "reps-0", "reps-negative", "level-1.5", "level-0"])
+        (dict(seed=-1), "seed must be in 0..2**64-1, got -1"),
+        (dict(seed=2 ** 64),
+         "seed must be in 0..2**64-1, got 18446744073709551616"),
+        (dict(estimators=("gmn",)), "estimators must be a non-empty "
+         "selection of 'gmm' and 'iv', got ('gmn',)"),
+        (dict(estimators=()), "estimators must be a non-empty "
+         "selection of 'gmm' and 'iv', got ()"),
+    ], ids=["n-0", "reps-0", "reps-negative", "level-1.5", "level-0",
+            "seed-negative", "seed-2**64", "estimator-unknown",
+            "estimators-empty"])
     def test_rejects_bad_size_or_level_up_front(self, monkeypatch, over,
                                                 message):
         def no_rep(task):
