@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 
 import numpy as np
 
@@ -33,8 +32,12 @@ EXIT_NOCONV = 3
 
 
 def _version() -> str:
+    # imported here: importlib.metadata loads the email package, which only
+    # a report needs
+    from importlib.metadata import PackageNotFoundError, version
+
     try:
-        return pkg_version("mislate")
+        return version("mislate")
     except PackageNotFoundError:
         return "unknown"
 
@@ -68,7 +71,8 @@ def _load(args) -> tuple:
         y_col=args.outcome, t_col=args.treatment, z_col=args.instrument,
         v_col=args.exogenous, delimiter=args.delimiter,
     )
-    support = args.v_support.split(",") if args.v_support else None
+    support = ([label.strip() for label in args.v_support.split(",")]
+               if args.v_support else None)
     mode = Mode(args.mode)
     ds = mio.load_csv(args.data, schema, mode, v_support=support)
     return ds, mode

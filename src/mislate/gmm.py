@@ -21,8 +21,8 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import chdtrc, ndtri
 
+from ._special import chdtrc, ndtri_float
 from .data import CellStats, Mode, ParamVector, n_params, param_names, validate
 from .exceptions import (
     MislateError,
@@ -229,7 +229,7 @@ def confidence_intervals(theta_flat: np.ndarray, vcov: np.ndarray, level: float)
     A level outside (0, 1) raises ValueError."""
     if not 0.0 < level < 1.0:
         raise ValueError("ci_level must be in (0,1)")
-    zcrit = ndtri(0.5 + level / 2.0)
+    zcrit = ndtri_float(0.5 + level / 2.0)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
     return np.column_stack([theta_flat - zcrit * se, theta_flat + zcrit * se])
 
