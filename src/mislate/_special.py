@@ -1,7 +1,7 @@
 """The three special functions mislate needs, in numpy and ``math`` only.
 
 - ``ndtri``: the standard normal quantile, for the Monte Carlo's normal
-  draws and for the critical values of Wald intervals. It is Wichura's
+  draws and for the critical value of Wald intervals. It is Wichura's
   PPND16 (Algorithm AS 241, *Applied Statistics* 37(3), 1988), a rational
   approximation on three ranges of p whose own error is about 1e-16
   relative; evaluated in double precision it is within a few ulp of the
@@ -74,21 +74,16 @@ def _ratio(coef: list, r: np.ndarray) -> np.ndarray:
     return acc.real / acc.imag
 
 
-def _ratio_float(coef: list, r: float) -> float:
-    """_ratio for one float, in the same operations."""
-    acc = 0j
-    for c in coef:
-        acc = acc * r + c
-    return acc.real / acc.imag
-
-
 def ndtri(p) -> np.ndarray:
-    """Standard normal quantile of each element of the array p.
+    """Standard normal quantile of each element of p, in p's shape (a float
+    gives a 0-d array).
 
     ndtri(0) is -inf and ndtri(1) is +inf; p outside [0, 1] or NaN gives
     NaN. No floating-point warning is raised.
     """
     p = np.asarray(p, dtype=np.float64)
+    shape = p.shape
+    p = p.reshape(-1)
     q = p - 0.5
     # the central formula on every element, its r clamped at 0 where
     # |q| > 0.425 so that the tails, overwritten below, stay finite
@@ -112,23 +107,7 @@ def ndtri(p) -> np.ndarray:
         far &= s > 0.0
         xt[far] = _ratio(_FAR, r[far] - _SPLIT2)
     x[tail] = np.copysign(xt, q[tail])
-    return x
-
-
-def ndtri_float(p: float) -> float:
-    """ndtri for one Python float, in ``math`` alone (same edge values)."""
-    q = p - 0.5
-    if abs(q) <= _SPLIT1:
-        return q * _ratio_float(_CENTRAL, _CONST1 - q * q)
-    s = min(p, 1.0 - p)
-    if not s > 0.0:
-        return math.copysign(math.inf, q) if s == 0.0 else math.nan
-    r = math.sqrt(-math.log(s))
-    if r <= _SPLIT2:
-        x = _ratio_float(_NEAR, r - _CONST2)
-    else:
-        x = _ratio_float(_FAR, r - _SPLIT2)
-    return math.copysign(x, q)
+    return x.reshape(shape)
 
 
 def ndtr(x: float) -> float:
@@ -141,18 +120,17 @@ def chdtrc(dof: int, j: float) -> float:
 
     With x = j / 2 and m = dof // 2 it is e^-x (1 + x + ... + x^(m-1)/(m-1)!)
     for even dof, and erfc(sqrt x) + e^-x sqrt(x) (1/G(3/2) + x/G(5/2) + ...
-    + x^(m-1)/G(m+1/2)) for odd dof, G the gamma function. j = 0 gives 1,
-    a negative or NaN j gives NaN, and a j so large that e^-x underflows
-    gives 0.
+    + x^(m-1)/G(m+1/2)) for odd dof, G the gamma function. j <= 0 gives 1,
+    a NaN j gives NaN, and a j so large that e^-x underflows gives 0.
     """
-    if dof < 1 or dof != int(dof):
-        raise ValueError(f"dof must be a positive integer, got {dof}")
-    if not j >= 0.0:
+    if math.isnan(j):
         return math.nan
+    if j <= 0.0:
+        return 1.0
     if j == math.inf:
         return 0.0
     x = j / 2.0
-    m = int(dof) // 2
+    m = dof // 2
     if dof % 2 == 0:
         term, start, total = math.exp(-x), 1.0, 0.0
     else:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._special import ndtr, ndtri, ndtri_float
+from ._special import ndtr, ndtri
 from .baselines import ols, wald_iv
 from .data import Dataset, Mode, ParamVector, cell_stats, param_names
 from .exceptions import MislateError, NoConvergence
@@ -130,7 +130,7 @@ def generate(design: DesignSpec, n: int, seed: int, rep: int = 0):
 def _trunc_moments(c: float) -> tuple:
     """(E(U|U<c), E(U|U>c), E(U^2|U<c)) for standard normal U."""
     lo = ndtr(c)
-    # scipy.stats.norm.pdf's expression
+    # scipy.stats.norm.pdf's expression: phi equals norm.pdf(c) bit for bit
     phi = np.exp(-c ** 2 / 2.0) / np.sqrt(2 * np.pi)
     return -phi / lo, phi / (1.0 - lo), 1.0 - c * phi / lo
 
@@ -282,7 +282,7 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     truth = true_params(design)
     true_flat = truth.pack()
     true_vals = {p: float(true_flat[i]) for p, i in _TRACKED.items()}
-    zcrit = ndtri_float(0.5 + ci_level / 2.0)
+    zcrit = float(ndtri(0.5 + ci_level / 2.0))
 
     tasks = [(design.id, n, seed, rep, ci_level, estimators)
              for rep in range(reps)]

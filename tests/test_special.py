@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from mislate._special import chdtrc, ndtr, ndtri, ndtri_float
+from mislate._special import chdtrc, ndtr, ndtri
 
 # the far-tail, end-of-stream and branch-edge points of AS241
 EDGES = np.array([0.5 ** 53, 1.0 - 0.5 ** 53, 1e-300, 0.075, 0.925,
@@ -39,23 +39,9 @@ class TestNdtri:
         p = np.random.default_rng(1).random((3, 4))
         assert ndtri(p).shape == (3, 4)
         assert ndtri(np.empty(0)).shape == (0,)
-
-    def test_float_path_matches_scipy_and_the_array_kernel(self):
-        p = np.random.default_rng(2).random(20_000)
-        p = np.concatenate([p, EDGES])
-        got = np.array([ndtri_float(float(v)) for v in p])
-        assert _max_rel(got[p != 0.5], special.ndtri(p[p != 0.5])) <= 2e-15
-        # the same operations; only the tails' log may differ in its last bit
-        central = np.abs(p - 0.5) <= 0.425
-        np.testing.assert_array_equal(got[central], ndtri(p[central]))
-        assert ndtri_float(0.5) == 0.0
-
-    def test_float_path_ends(self):
-        assert ndtri_float(0.0) == -math.inf
-        assert ndtri_float(1.0) == math.inf
-        assert math.isnan(ndtri_float(-0.1))
-        assert math.isnan(ndtri_float(1.5))
-        assert math.isnan(ndtri_float(math.nan))
+        # the critical value of a Wald interval is ndtri of one float
+        assert ndtri(0.975).shape == ()
+        assert _max_rel(ndtri(0.975), special.ndtri(0.975)) <= 2e-15
 
 
 class TestNdtr:
@@ -83,10 +69,6 @@ class TestChdtrc:
         assert chdtrc(dof, 1e5) == 0.0
         assert chdtrc(dof, 1e308) == 0.0
         assert chdtrc(dof, math.inf) == 0.0
-        assert math.isnan(chdtrc(dof, -1.0))
+        # as scipy: a J statistic rounded below 0 has p-value 1
+        assert chdtrc(dof, -1.0) == 1.0
         assert math.isnan(chdtrc(dof, math.nan))
-
-    @pytest.mark.parametrize("dof", [0, -1, 2.5])
-    def test_dof_must_be_a_positive_integer(self, dof):
-        with pytest.raises(ValueError, match="dof must be a positive integer"):
-            chdtrc(dof, 1.0)
