@@ -22,7 +22,7 @@ from .exceptions import (
     ValidationError,
 )
 from .gmm import GmmConfig, estimate as gmm_estimate
-from .identification import identify, nonsingularity_diag
+from .identification import check_support_points, identify, nonsingularity_diag
 from .simulation import DesignSpec, run_study, true_params
 
 EXIT_OK = 0
@@ -80,8 +80,8 @@ def _load(args) -> tuple:
 
 def _support_points(text, mode: Mode, k: int):
     """Parse --support-points: a pair "i,j" in case-ii, two triples
-    "a,b,c;d,e,f" (one per z) in case-i, each of distinct indices in
-    0..K-1. Raises ValidationError on any other form."""
+    "a,b,c;d,e,f" (one per z) in case-i, checked as identify checks its
+    support_points. Raises ValidationError on any other form."""
     if text is None:
         return None
     case_i = mode is Mode.CASE_I
@@ -95,14 +95,12 @@ def _support_points(text, mode: Mode, k: int):
         raise ValidationError(f"--support-points must be {shape} of integer "
                               f"indices in {mode.value}, got {text!r}")
     out = [tuple(int(part) for part in parts) for parts in groups]
-    for idx in out:
-        if max(idx) >= k:
-            raise ValidationError(f"--support-points indices must lie in "
-                                  f"0..{k - 1}, got {text!r}")
-        if len(set(idx)) != len(idx):
-            raise ValidationError(f"--support-points indices must be "
-                                  f"distinct, got {text!r}")
-    return tuple(out) if case_i else out[0]
+    points = tuple(out) if case_i else out[0]
+    try:
+        check_support_points(points, k, mode)
+    except ValidationError as exc:
+        raise ValidationError(f"--support-points: {exc}") from None
+    return points
 
 
 def _dataset_summary(stats) -> dict:
@@ -121,12 +119,12 @@ def _dataset_summary(stats) -> dict:
             "p_z": stats.p_z, "mu_z": stats.mu_z, "cells": cells}
 
 
-def _diagnostics(stats, problems: list) -> dict:
-    """Determinants, relevance regressions and validate(stats)'s problems."""
+def _diagnostics(stats) -> dict:
+    """Determinants and relevance regressions of a validated table."""
     dets = nonsingularity_diag(stats, stats.mode)
     rel = relevance_test(stats)
     return {
-        "validation": problems,
+        "validation": [],
         "determinants": [{"candidate": str(k), "det": float(v)}
                          for k, v in dets.items()],
         "relevance": {
@@ -146,7 +144,7 @@ def _tabulate(ds, report: dict):
     if problems:
         raise ValidationError("; ".join(problems))
     report["dataset"] = _dataset_summary(stats)
-    report["diagnostics"] = _diagnostics(stats, problems)
+    report["diagnostics"] = _diagnostics(stats)
     return stats
 
 

@@ -11,8 +11,9 @@ MomentSums that every evaluation reads. One evaluation gives the residuals
 and their Jacobian together, from gbar's closed-form terms and the
 closed-form moment Jacobian; under identity weighting and while the hinge
 is inactive it multiplies by neither W^{1/2} nor the projection's
-Jacobian. A just-identified fit that starts at the closed form stops after
-that one evaluation. The sandwich uses the same moment Jacobian.
+Jacobian. A just-identified closed form inside the box zeroes every moment,
+so it is the estimate with no solver call. At the estimate one evaluation
+gives gbar, the moment Jacobian and Omega for the sandwich and J.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .exceptions import (
 from .identification import identify
 from .lsq import trf
 from .moments import (MomentLayout, MomentSums, gbar_and_jacobian,
-                      moment_jacobian, sample_moments)
+                      gbar_jacobian_omega)
 
 EPS_CONSTRAINT = 1e-4
 PENALTY = 10.0
@@ -124,9 +125,13 @@ def _project(x: np.ndarray, k: int, mode: Mode) -> tuple:
     return xp, viols, jac
 
 
-def _clip_start(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, k, mode) -> np.ndarray:
+def _clip_start(x: np.ndarray, k: int, mode: Mode) -> tuple:
+    """(x inside the box lo..hi and on m0 + m1 <= 1 - eps, lo, hi); the box
+    takes the sign of x's delta_p_star."""
+    dp = ParamVector.unpacked_fields(x, k, mode)[1]
+    lo, hi = _bounds(k, mode, bool(dp >= 0))
     x = np.clip(x, lo + 1e-12, hi - 1e-12)
-    return _project(x, k, mode)[0]
+    return _project(x, k, mode)[0], lo, hi
 
 
 def _fallback_start(table: CellStats) -> ParamVector:
@@ -151,20 +156,21 @@ def _fallback_start(table: CellStats) -> ParamVector:
     )
 
 
-def starting_value(table: CellStats, cfg: GmmConfig) -> ParamVector:
-    """cfg.start, which must have the table's mode and K; else the closed
-    form, or the fallback start where the closed form fails."""
+def starting_value(table: CellStats, cfg: GmmConfig) -> tuple:
+    """(start, source): cfg.start, which must have the table's mode and K,
+    as "user"; else the closed form as "closed_form", or the fallback start
+    as "fallback" where the closed form fails."""
     start = cfg.start
     if start is not None:
         if (start.mode, start.k) != (table.mode, table.k):
             raise ValidationError(
                 f"start is laid out for {start.mode.value} with K={start.k}, "
                 f"the table for {table.mode.value} with K={table.k}")
-        return start
+        return start, "user"
     try:
-        return identify(table, table.mode).theta
+        return identify(table, table.mode).theta, "closed_form"
     except MislateError:
-        return _fallback_start(table)
+        return _fallback_start(table), "fallback"
 
 
 def _w_half(w: np.ndarray) -> np.ndarray:
@@ -194,9 +200,7 @@ def _evaluate(x: np.ndarray, table, w_half: Optional[np.ndarray]) -> tuple:
 
 def _minimize(sums: MomentSums, x0, w_half):
     k, mode = sums.k, sums.mode
-    dp = ParamVector.unpacked_fields(x0, k, mode)[1]
-    lo, hi = _bounds(k, mode, bool(dp >= 0))
-    x0 = _clip_start(x0, lo, hi, k, mode)
+    x0, lo, hi = _clip_start(x0, k, mode)
     n_con = len(_m_indices(k, mode))
 
     res = trf(lambda x: _evaluate(x, sums, w_half), x0, lo, hi,
@@ -243,37 +247,42 @@ def confidence_intervals(theta_flat: np.ndarray, vcov: np.ndarray, level: float)
 
 
 def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
-    """Full GMM pipeline on a cell table: validate, start, minimise,
-    (optionally) re-weight, infer."""
+    """Full GMM pipeline on a cell table: validate, start, minimise (unless
+    the start is a just-identified closed form), (optionally) re-weight,
+    infer."""
     problems = validate(table)
     if problems:
         raise ValidationError("; ".join(problems))
     k, mode, n = table.k, table.mode, table.n
     layout = MomentLayout(k, mode)
 
-    x0 = starting_value(table, cfg).pack()
+    start, source = starting_value(table, cfg)
+    x_hat = start.pack()
     sums = MomentSums.of(table)
-    x_hat, objective, converged = _minimize(sums, x0, None)
-
-    theta_hat = ParamVector.unpack(x_hat, k, mode)
-    ev = sample_moments(table, theta_hat)
-    omega = ev.omega()
+    # a just-identified closed form sets every moment to zero, so it is the
+    # minimum under any weighting; a clipped one is not the closed form
+    closed = (source == "closed_form" and layout.n_overid == 0
+              and np.array_equal(_clip_start(x_hat, k, mode)[0], x_hat))
+    if not closed:
+        x_hat, objective, converged = _minimize(sums, x_hat, None)
+    g, G, omega = gbar_jacobian_omega(table, sums, x_hat)
     weight = w_half = np.eye(layout.n_moments)
     if cfg.weighting == "optimal":
         weight = np.linalg.pinv(omega)
         w_half = _w_half(weight)
-        x_hat, objective, converged = _minimize(sums, x_hat, w_half)
-        theta_hat = ParamVector.unpack(x_hat, k, mode)
-        ev = sample_moments(table, theta_hat)
-        omega = ev.omega()
+        if not closed:
+            x_hat, objective, converged = _minimize(sums, x_hat, w_half)
+            g, G, omega = gbar_jacobian_omega(table, sums, x_hat)
+    if closed:
+        core = w_half @ g
+        objective, converged = float(core @ core), True
 
-    G = moment_jacobian(sums, theta_hat)
+    theta_hat = ParamVector.unpack(x_hat, k, mode)
     vcov = sandwich_cov(G, weight, omega, n, w_half)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
     ci = confidence_intervals(x_hat, vcov, cfg.ci_level)
 
-    omega_inv = np.linalg.pinv(omega)
-    j_stat = float(n * ev.gbar @ omega_inv @ ev.gbar)
+    j_stat = float(n * g @ np.linalg.pinv(omega) @ g)
     j_dof = layout.n_overid
     j_pvalue = (
         float(chdtrc(j_dof, j_stat))

@@ -235,7 +235,7 @@ def _tau_star(stats: CellStats, z: int, m0: float, m1: float) -> float:
     return float((n * m * stats.tau_zv[z]).sum() / (n * m * m).sum())
 
 
-def _pins(support_points, k: int, mode: Mode) -> tuple:
+def check_support_points(support_points, k: int, mode: Mode) -> tuple:
     """The pinned support of each group, as tuples of int: two triples in
     CASE_I, one pair in CASE_II, each of distinct indices in 0..K-1. Raises
     ValidationError on any other form."""
@@ -270,7 +270,8 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
     or with an index outside 0..K-1 or repeated, raises ValidationError; a
     table with an empty (z, v, t) cell raises EmptyCell.
     """
-    pins = None if support_points is None else _pins(support_points, stats.k, mode)
+    pins = (None if support_points is None
+            else check_support_points(support_points, stats.k, mode))
     if (stats.n_zvt == 0).any():
         raise EmptyCell(stats.empty_cells()[0])
     if ((stats.p_zv <= 0.0) | (stats.p_zv >= 1.0)).any():

@@ -13,10 +13,11 @@ y, held divided by n in MomentSums. gbar and moment_jacobian are the sample
 mean and its Jacobian in closed form on those sums: a few array operations
 on (2, K) blocks, O(K^2) per evaluation, with no row. Both are built on one
 set of shared terms, and gbar_and_jacobian, which each step of a GMM fit
-calls, returns the two from one pass over them. sample_moments also
-returns every cell's a and b for the second-moment matrix Omega, which needs
-the within-cell sums of squares as well. The row-by-row moment function is
-the test suite's oracle (tests/conftest.py), not part of the package.
+calls, returns the two from one pass over them. gbar_jacobian_omega, which
+a fit calls once at each estimate, adds the second-moment matrix Omega from
+the same terms: each cell's a and b, summed against the cell's count, sum
+of y and sum of y squared. The row-by-row moment function is the test
+suite's oracle (tests/conftest.py), not part of the package.
 """
 from __future__ import annotations
 
@@ -73,29 +74,6 @@ class MomentLayout:
 
 
 @dataclass(frozen=True)
-class MomentEval:
-    """Moment function at one parameter value: row i in (z, v, t) cell c is
-    a[c] + b[c] * y_i, with cells in the C order of CellStats.n_zvt."""
-
-    gbar: np.ndarray
-    a: np.ndarray        # (4K, 4K+3) per-cell intercepts
-    b: np.ndarray        # (4K, 4K+3) per-cell slopes in y
-    stats: CellStats
-    layout: MomentLayout
-
-    def omega(self) -> np.ndarray:
-        """Uncentered second-moment matrix (1/n) sum g_i g_i', summed cell by
-        cell as a'Na + a'(Sy)b + b'(Sy)a + b'(Syy)b, where a cell's sum of
-        y squared is its centred sum of squares plus Sy times its mean."""
-        st = self.stats
-        n_c, sy = st.n_zvt.reshape(-1, 1), st.sum_y.reshape(-1, 1)
-        syy = st.ss_y.reshape(-1, 1) + sy * st.y_mean.reshape(-1, 1)
-        a, b = self.a, self.b
-        cross = a.T @ (sy * b)
-        return (a.T @ (n_c * a) + cross + cross.T + b.T @ (syy * b)) / st.n
-
-
-@dataclass(frozen=True)
 class MomentSums:
     """Per-(z, v) sums of a CellStats table, each divided by its n: all that
     the sample moment mean and its Jacobian read of the data. Build it once
@@ -124,11 +102,6 @@ class MomentSums:
                    r_hat=stats.r_hat, mode=stats.mode)
 
 
-def _sums(table) -> MomentSums:
-    """The MomentSums of a CellStats table; a MomentSums as it is."""
-    return table if isinstance(table, MomentSums) else MomentSums.of(table)
-
-
 def _check_domain(r, dp, m0, m1, p_star) -> tuple:
     """(s, q): s_z = 1 - m0_z - m1_z and the (2, K) cell probabilities
     q = m0_z + s_z p*_zv, after checking that every moment is defined."""
@@ -144,33 +117,6 @@ def _check_domain(r, dp, m0, m1, p_star) -> tuple:
     if q.min() <= 0.0 or q.max() >= 1.0:
         raise DomainError("tau-moment: cell denominator outside (0,1)")
     return s, q
-
-
-def sample_moments(stats: CellStats, theta: ParamVector) -> MomentEval:
-    """Sample mean of the moment function, with the per-cell intercepts a and
-    slopes b that Omega needs, in closed form: only the tau and LATE rows
-    depend on y."""
-    k = stats.k
-    layout = MomentLayout(k, theta.mode)
-    r, dp, m0, m1, ps = (theta.r, theta.delta_p_star, theta.m0, theta.m1,
-                         theta.p_star)
-    s, q = _check_domain(r, dp, m0, m1, ps)
-    z, v, t = (x.ravel() for x in np.indices((2, k, 2)))
-    cell, qc, pc = np.arange(4 * k), q[z, v], ps[z, v]
-    a = np.zeros((4 * k, layout.n_moments))
-    b = np.zeros_like(a)
-    a[:, layout.r_index()] = r - z
-    a[cell, layout.p_index(z, v)] = qc - t
-    tau = layout.tau_index(z, v)
-    a[cell, tau] = theta.tau_star[z] * (
-        1.0 - (1.0 - m1[z]) * pc / qc - (1.0 - m0[z]) * (1.0 - pc) / (1.0 - qc))
-    b[cell, tau] = t / qc - (1.0 - t) / (1.0 - qc)
-    a[:, layout.dp_index()] = dp - ((t * z / r - m0[1]) / s[1]
-                                    - (t * (1 - z) / (1.0 - r) - m0[0]) / s[0])
-    a[:, layout.beta_index()] = theta.beta_star
-    b[:, layout.beta_index()] = -(z / r - (1 - z) / (1.0 - r)) / dp
-    return MomentEval(gbar=gbar(stats, theta.pack(), k, theta.mode),
-                      a=a, b=b, stats=stats, layout=layout)
 
 
 @lru_cache(maxsize=None)
@@ -206,11 +152,13 @@ class _Terms(NamedTuple):
     beta: float
     dp: float
     r: float
+    m0: np.ndarray       # (2,) m0_z
     s: np.ndarray        # (2,) 1 - m0 - m1
     cm0: np.ndarray      # (2, 1) 1 - m0
     cm1: np.ndarray      # (2, 1) 1 - m1
     ps: np.ndarray       # (2, K) p*
     q: np.ndarray        # (2, K) m0 + s p*
+    tau: np.ndarray      # (2,) tau*
     ptau: np.ndarray     # (2, K) P tau*
     h1: np.ndarray       # (2, K) (1-m1) p*
     h0: np.ndarray       # (2, K) (1-m0) (1-p*)
@@ -230,15 +178,15 @@ def _terms(table, fields: tuple) -> _Terms:
     gamma = P tau (1-m0) (1-p*) + S0, the cell rows are P q - N1 and
     P tau - alpha/q - gamma/(1-q); the rest read the per-z totals.
     """
-    sums = _sums(table)
+    sums = table if isinstance(table, MomentSums) else MomentSums.of(table)
     beta, dp, r, m0, m1, ps, tau = fields
     s, q = _check_domain(r, dp, m0, m1, ps)
     cm0, cm1 = 1.0 - m0[:, None], 1.0 - m1[:, None]
     ptau = sums.p * tau[:, None]
     h1, h0 = cm1 * ps, cm0 * (1.0 - ps)
     (t0, t1), (y0, y1) = sums.t_z, sums.y_z
-    return _Terms(sums=sums, beta=beta, dp=dp, r=r, s=s, cm0=cm0, cm1=cm1,
-                  ps=ps, q=q, ptau=ptau, h1=h1, h0=h0,
+    return _Terms(sums=sums, beta=beta, dp=dp, r=r, m0=m0, s=s, cm0=cm0,
+                  cm1=cm1, ps=ps, q=q, tau=tau, ptau=ptau, h1=h1, h0=h0,
                   alpha=ptau * h1 - sums.s1, gamma=ptau * h0 + sums.s0,
                   u0=t0 / (1.0 - r) - m0[0], u1=t1 / r - m0[1],
                   late=y1 / r - y0 / (1.0 - r))
@@ -285,6 +233,27 @@ def _jacobian(t: _Terms, mode: Mode) -> np.ndarray:
                        minlength=(4 * k + 3) * n_packed).reshape(4 * k + 3, n_packed)
 
 
+def _cell_rows(t: _Terms) -> tuple:
+    """(a, b), each (4K, 4K+3): row i of (z, v, d) cell c, cells in the C
+    order of CellStats.n_zvt, is a[c] + b[c] y_i. Only the tau and LATE
+    rows depend on y."""
+    k, r, s, m0 = t.sums.k, t.r, t.s, t.m0
+    z, v, d = (x.ravel() for x in np.indices((2, k, 2)))
+    cell, zv, q = np.arange(4 * k), z * k + v, t.q[z, v]
+    tau_a = t.tau[:, None] * (1.0 - t.h1 / t.q - t.h0 / (1.0 - t.q))
+    a = np.zeros((4 * k, 4 * k + 3))
+    b = np.zeros_like(a)
+    a[:, 0] = r - z
+    a[cell, 1 + zv] = q - d
+    a[cell, 1 + 2 * k + zv] = tau_a[z, v]
+    b[cell, 1 + 2 * k + zv] = d / q - (1 - d) / (1.0 - q)
+    a[:, -2] = t.dp - ((d * z / r - m0[1]) / s[1]
+                       - (d * (1 - z) / (1.0 - r) - m0[0]) / s[0])
+    a[:, -1] = t.beta
+    b[:, -1] = -(z / r - (1 - z) / (1.0 - r)) / t.dp
+    return a, b
+
+
 def gbar(table, theta_flat: np.ndarray, k: int, mode: Mode) -> np.ndarray:
     """Sample moment mean at a packed coordinate vector, in closed form on a
     CellStats table or its MomentSums."""
@@ -306,3 +275,21 @@ def gbar_and_jacobian(table, theta_flat: np.ndarray, k: int,
     of shared terms: what each step of a fit reads."""
     t = _terms(table, ParamVector.unpacked_fields(theta_flat, k, mode))
     return _gbar(t), _jacobian(t, mode)
+
+
+def gbar_jacobian_omega(stats: CellStats, sums: MomentSums,
+                        theta_flat: np.ndarray) -> tuple:
+    """(gbar, moment_jacobian, Omega) at a packed coordinate vector, from one
+    set of shared terms: what a fit reads at its estimate. sums is
+    MomentSums.of(stats). Omega, the uncentered second moment (1/n) sum
+    g_i g_i', is summed cell by cell as a'Na + a'(Sy)b + b'(Sy)a + b'(Syy)b,
+    where a cell's sum of y squared is its centred sum of squares plus Sy
+    times its mean."""
+    t = _terms(sums, ParamVector.unpacked_fields(theta_flat, stats.k,
+                                                 stats.mode))
+    a, b = _cell_rows(t)
+    n_c, sy = stats.n_zvt.reshape(-1, 1), stats.sum_y.reshape(-1, 1)
+    syy = stats.ss_y.reshape(-1, 1) + sy * stats.y_mean.reshape(-1, 1)
+    cross = a.T @ (sy * b)
+    omega = (a.T @ (n_c * a) + cross + cross.T + b.T @ (syy * b)) / stats.n
+    return _gbar(t), _jacobian(t, stats.mode), omega

@@ -20,7 +20,7 @@ from mislate.gmm import (
     sandwich_cov,
 )
 from mislate.identification import identify
-from mislate.moments import sample_moments
+from mislate.moments import gbar_jacobian_omega
 from mislate.simulation import DesignSpec, generate
 
 
@@ -190,13 +190,13 @@ class TestEstimate:
 
     def test_fallback_fit_builds_omega_once_per_step(self, monkeypatch):
         # a draw whose closed form fails, so the fit starts from the
-        # fallback and iterates; the cell rows behind Omega are built once
-        # for an identity fit and twice for a two-step fit
+        # fallback and iterates; gbar, G and Omega are evaluated at the
+        # estimate once for an identity fit and twice for a two-step fit
         ds, _ = generate(DesignSpec(4), 1000, seed=0, rep=7)
         table = cell_stats(ds)
         with pytest.raises(MislateError):
             identify(table, table.mode)
-        omega = count_calls(monkeypatch, sample_moments)
+        omega = count_calls(monkeypatch, gbar_jacobian_omega)
         steps = count_calls(monkeypatch, gmm._evaluate)
         for weighting, most in (("identity", 1), ("optimal", 2)):
             omega.clear()
@@ -294,6 +294,14 @@ class TestJTest:
         assert dof == 0 and p is None
         with pytest.raises(NotOveridentified):
             j_test(est, require_pvalue=True)
+
+    def test_just_identified_fit_on_a_bound_keeps_its_j(self):
+        # J is 0 at dof 0 only for a closed-form fit; this draw's closed form
+        # fails and the fit ends on a bound with J about 55
+        ds, _ = generate(DesignSpec(4), 1000, seed=0, rep=7)
+        est = estimate(cell_stats(ds), GmmConfig(weighting="identity"))
+        assert est.j_dof == 0
+        assert est.j_stat > 1.0
 
     def test_identity_weighting_overidentified_refuses_pvalue(self, rng):
         ds = simulate_from_theta(_calibration_theta(), 4000,

@@ -10,9 +10,9 @@ from conftest import (count_calls, least_squares_oracle, random_theta,
 from mislate import gmm
 from mislate.data import Mode, ParamVector, cell_stats
 from mislate.exceptions import MislateError
-from mislate.identification import identify
+from mislate.identification import forward_cell_stats, identify
 from mislate.lsq import trf
-from mislate.moments import MomentSums, sample_moments
+from mislate.moments import MomentSums, gbar_jacobian_omega
 from mislate.simulation import DesignSpec, generate
 
 
@@ -57,7 +57,8 @@ def _two_step_start():
     table = cell_stats(simulate_from_theta(random_theta(rng, Mode.CASE_II, 3),
                                            20_000, rng))
     first = gmm.estimate(table)
-    omega = sample_moments(table, first.theta_hat).omega()
+    omega = gbar_jacobian_omega(table, MomentSums.of(table),
+                                first.theta_flat)[2]
     return table, first.theta_flat, gmm._w_half(np.linalg.pinv(omega))
 
 
@@ -73,7 +74,7 @@ def test_matches_least_squares(case):
     k, mode = table.k, table.mode
     lo, hi = gmm._bounds(k, mode, bool(x0[1] >= 0))
     if case != "hinge-active":
-        x0 = gmm._clip_start(x0, lo, hi, k, mode)
+        x0 = gmm._clip_start(x0, k, mode)[0]
     assert (gmm._project(x0, k, mode)[2] is not None) == (case == "hinge-active")
 
     def evaluate(x):
@@ -94,10 +95,28 @@ def test_matches_least_squares(case):
 
 
 def test_just_identified_fit_evaluates_once(monkeypatch):
-    table, _, _ = _closed_form_start()
+    # the closed form inside the box is the estimate: no solver call, and
+    # one evaluation of gbar, G and Omega there
+    table, x0, _ = _closed_form_start()
+    calls = count_calls(monkeypatch, gmm._evaluate)
+    at_estimate = count_calls(monkeypatch, gbar_jacobian_omega)
+    est = gmm.estimate(table)
+    assert len(calls) == 0 and len(at_estimate) == 1
+    assert est.theta_flat.tobytes() == x0.tobytes()
+    assert est.converged
+
+
+def test_closed_form_on_the_box_edge_reaches_the_solver(monkeypatch):
+    # a population table with m0 = 0: the closed form is exact, but the box
+    # moves m0 to EPS_CONSTRAINT, so the fit starts the solver from there
+    rng = np.random.default_rng(3)
+    theta = replace(random_theta(rng, Mode.CASE_II, 2), m0=np.zeros(2))
+    table = forward_cell_stats(theta)
+    closed = identify(table, table.mode).theta.pack()
+    assert not np.array_equal(gmm._clip_start(closed, 2, table.mode)[0], closed)
     calls = count_calls(monkeypatch, gmm._evaluate)
     est = gmm.estimate(table)
-    assert len(calls) == 1
+    assert len(calls) >= 1
     assert est.converged
 
 

@@ -11,13 +11,14 @@ from mislate.data import Dataset, Mode, ParamVector, cell_stats
 from mislate.exceptions import DomainError
 from mislate.identification import (forward_cell_stats, identify, implied_p,
                                     implied_tau)
+from mislate import moments
 from mislate.moments import (
     MomentLayout,
     MomentSums,
     gbar,
     gbar_and_jacobian,
+    gbar_jacobian_omega,
     moment_jacobian,
-    sample_moments,
 )
 
 
@@ -26,6 +27,11 @@ TABLE_CASES = [
     for mode, k in ((Mode.CASE_II, 2), (Mode.CASE_II, 5), (Mode.CASE_I, 3),
                     (Mode.CASE_I, 4))
 ]
+
+
+def _at(stats, theta):
+    """(gbar, G, Omega) as a fit evaluates them at its estimate."""
+    return gbar_jacobian_omega(stats, MomentSums.of(stats), theta.pack())
 
 
 class TestLayout:
@@ -94,15 +100,13 @@ class TestMomentZero:
     def test_exact_frequency_oracle(self):
         theta = _oracle_theta()
         ds = _exact_count_dataset(theta)
-        ev = sample_moments(cell_stats(ds), theta)
-        assert np.max(np.abs(ev.gbar)) < 1e-10
+        assert np.max(np.abs(_at(cell_stats(ds), theta)[0])) < 1e-10
 
     def test_closed_form_plug_in_zeroes_sample_moments(self, rng):
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 4000, rng)
         fitted = identify(cell_stats(ds), Mode.CASE_II).theta
-        ev = sample_moments(cell_stats(ds), fitted)
-        assert np.max(np.abs(ev.gbar)) < 1e-10
+        assert np.max(np.abs(_at(cell_stats(ds), fitted)[0])) < 1e-10
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
@@ -116,14 +120,12 @@ class TestMomentZero:
             # a small sample can land outside the identified region;
             # the property only concerns successful solves
             return
-        ev = sample_moments(cell_stats(ds), fitted)
-        assert np.max(np.abs(ev.gbar)) < 1e-9
+        assert np.max(np.abs(_at(cell_stats(ds), fitted)[0])) < 1e-9
 
     @pytest.mark.parametrize("mode,k", TABLE_CASES)
     def test_population_table_zeroes_moments(self, rng, mode, k):
         theta = random_theta(rng, mode, k)
-        ev = sample_moments(forward_cell_stats(theta), theta)
-        assert np.max(np.abs(ev.gbar)) < 1e-12
+        assert np.max(np.abs(_at(forward_cell_stats(theta), theta)[0])) < 1e-12
 
 
 def _table_case(rng, mode, k, n=500):
@@ -162,37 +164,58 @@ class TestStructure:
             z=np.concatenate([ds.z, ds.z]), v=np.concatenate([ds.v, ds.v]),
             v_support=ds.v_support, mode=ds.mode,
         )
-        a = sample_moments(cell_stats(ds), theta)
-        b = sample_moments(cell_stats(doubled), theta)
-        np.testing.assert_allclose(a.gbar, b.gbar, atol=1e-15)
-        np.testing.assert_allclose(a.omega(), b.omega(), atol=1e-15)
+        a = _at(cell_stats(ds), theta)
+        b = _at(cell_stats(doubled), theta)
+        np.testing.assert_allclose(a[0], b[0], atol=1e-15)
+        np.testing.assert_allclose(a[2], b[2], atol=1e-15)
 
     @pytest.mark.parametrize("mode,k", TABLE_CASES)
     def test_omega_is_uncentered_second_moment(self, rng, mode, k):
         theta, ds = _table_case(rng, mode, k)
-        ev = sample_moments(cell_stats(ds), theta)
+        omega = _at(cell_stats(ds), theta)[2]
         rows = moment_matrix(ds, theta)
         expected = sum(np.outer(row, row) for row in rows) / ds.n
-        np.testing.assert_allclose(ev.omega(), expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(omega, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mode,k", [
+        pytest.param(mode, k, id=f"{mode.value}-K{k}")
+        for mode, k in ((Mode.CASE_II, 2), (Mode.CASE_II, 3), (Mode.CASE_I, 3),
+                        (Mode.CASE_I, 4))])
+    def test_one_evaluation_at_the_estimate_matches_rows(self, rng, mode, k):
+        # gbar and G are the bits each solver step reads; Omega is the row
+        # oracle's second moment
+        theta, ds = _table_case(rng, mode, k, n=2000)
+        stats = cell_stats(ds)
+        sums = MomentSums.of(stats)
+        g, G, omega = gbar_jacobian_omega(stats, sums, theta.pack())
+        g_step, G_step = gbar_and_jacobian(sums, theta.pack(), k, mode)
+        assert g.tobytes() == g_step.tobytes()
+        assert G.tobytes() == G_step.tobytes()
+        np.testing.assert_allclose(g, _row_mean(ds, theta.pack(), k, mode),
+                                   rtol=1e-12, atol=1e-14)
+        rows = moment_matrix(ds, theta)
+        expected = sum(np.outer(row, row) for row in rows) / ds.n
+        np.testing.assert_allclose(omega, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("mode,k", TABLE_CASES)
     def test_closed_form_gbar_matches_cell_intercepts_and_slopes(
             self, rng, mode, k):
         theta, ds = _table_case(rng, mode, k)
         stats = cell_stats(ds)
-        ev = sample_moments(stats, theta)
-        cells = (stats.n_zvt.ravel() @ ev.a + stats.sum_y.ravel() @ ev.b) / stats.n
-        assert np.max(np.abs(ev.gbar - cells)) <= 1e-13
+        fields = ParamVector.unpacked_fields(theta.pack(), k, mode)
+        a, b = moments._cell_rows(moments._terms(stats, fields))
+        cells = (stats.n_zvt.ravel() @ a + stats.sum_y.ravel() @ b) / stats.n
+        assert np.max(np.abs(gbar(stats, theta.pack(), k, mode) - cells)) <= 1e-13
         # every cell's row at y = 0 and y = 1, against the row-by-row oracle
         rows = moment_matrix(cell_grid(k, mode), theta)
-        assert np.max(np.abs(ev.a - rows[:4 * k])) <= 1e-13
-        assert np.max(np.abs(ev.a + ev.b - rows[4 * k:])) <= 1e-13
+        assert np.max(np.abs(a - rows[:4 * k])) <= 1e-13
+        assert np.max(np.abs(a + b - rows[4 * k:])) <= 1e-13
 
     @pytest.mark.parametrize("mode,k", TABLE_CASES)
     def test_table_gbar_and_jacobian_match_rows(self, rng, mode, k):
         theta, ds = _table_case(rng, mode, k)
         stats = cell_stats(ds)
-        np.testing.assert_allclose(sample_moments(stats, theta).gbar,
+        np.testing.assert_allclose(_at(stats, theta)[0],
                                    _row_mean(ds, theta.pack(), k, mode),
                                    rtol=1e-12, atol=1e-14)
         # the same central differences, each side a mean over the n rows;
