@@ -82,8 +82,15 @@ def ndtri(p) -> np.ndarray:
     NaN. No floating-point warning is raised.
     """
     p = np.asarray(p, dtype=np.float64)
-    shape = p.shape
-    p = p.reshape(-1)
+    flat, x = p.reshape(-1), np.empty(p.size)
+    # in runs of 4096, whose temporaries stay in cache and come from the
+    # heap, where a block's would be fresh pages from the system each call
+    for i in range(0, flat.size, 4096):
+        x[i:i + 4096] = _ndtri(flat[i:i + 4096])
+    return x.reshape(p.shape)
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
     q = p - 0.5
     # the central formula on every element, its r clamped at 0 where
     # |q| > 0.425 so that the tails, overwritten below, stay finite
@@ -107,7 +114,7 @@ def ndtri(p) -> np.ndarray:
         far &= s > 0.0
         xt[far] = _ratio(_FAR, r[far] - _SPLIT2)
     x[tail] = np.copysign(xt, q[tail])
-    return x.reshape(shape)
+    return x
 
 
 def ndtr(x: float) -> float:

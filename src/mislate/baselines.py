@@ -4,7 +4,8 @@ corrected GMM estimates.
 
 Every regressor and instrument here is one of t, z and v, which are
 constant within a (z, v, t) cell, so each fit is a count-weighted fit over
-the 4K cells of a CellStats table and reads no row of the data.
+the 4K cells of a CellStats table and reads no row of the data; wald_iv
+and ols fit a stack of tables too, failing if any table fails.
 """
 from __future__ import annotations
 
@@ -30,20 +31,22 @@ def _iv_fit(n_c, ybar, ss, X, Z, names, hc1=False) -> RegressionResult:
     sandwich SEs. Cell c holds n_c rows sharing the regressor row X[c] and
     instrument row Z[c], with outcome mean ybar[c] and sum of squares ss[c]
     about that mean, so its residual sum of squares is
-    ss[c] + n_c (ybar[c] - X[c] b)^2. With Z = X this is OLS."""
-    n = n_c.sum()
+    ss[c] + n_c (ybar[c] - X[c] b)^2. With Z = X this is OLS; rows of n_c,
+    ybar and ss are a stack's tables."""
+    n = n_c.sum(axis=-1)
     kx = X.shape[1]
-    zx = Z.T @ (n_c[:, None] * X)
-    if np.linalg.matrix_rank(zx) < kx:
+    zx = Z.T @ (n_c[..., None] * X)
+    if np.any(np.linalg.matrix_rank(zx) < kx):
         raise RankDeficient("instrument-regressor cross-moment is singular")
     a_inv = np.linalg.inv(zx)
-    b = a_inv @ (Z.T @ (n_c * ybar))
-    e2 = ss + n_c * (ybar - X @ b) ** 2
-    v = a_inv @ ((Z * e2[:, None]).T @ Z) @ a_inv.T
+    b = (a_inv @ (Z.T @ (n_c * ybar)[..., None]))[..., 0]
+    e2 = ss + n_c * (ybar - (X @ b[..., None])[..., 0]) ** 2
+    v = a_inv @ (np.swapaxes(Z * e2[..., None], -1, -2) @ Z) @ np.swapaxes(a_inv, -1, -2)
     if hc1:
-        v = v * n / (n - kx)
-    se = np.sqrt(np.clip(np.diag(v), 0.0, None))
-    return RegressionResult(coef=b, robust_se=se, vcov=v, n=int(n), names=names)
+        v = v * n[..., None, None] / (n[..., None, None] - kx)
+    se = np.sqrt(np.clip(np.diagonal(v, axis1=-2, axis2=-1), 0.0, None))
+    n = int(n) if n.ndim == 0 else n.astype(np.int64)
+    return RegressionResult(coef=b, robust_se=se, vcov=v, n=n, names=names)
 
 
 def _v_numeric(stats: CellStats) -> np.ndarray:
@@ -58,19 +61,21 @@ def _v_numeric(stats: CellStats) -> np.ndarray:
 def _cells(stats: CellStats) -> tuple:
     """Count, y mean and y sum of squares of every (z, v, t) cell, flattened
     in the C order of n_zvt, and the cell's t, z and numeric v values."""
-    z, v, t = np.indices(stats.n_zvt.shape).reshape(3, -1)
+    z, v, t = np.indices(stats.n_zvt.shape[-3:]).reshape(3, -1)
     cols = {"t": t.astype(float), "z": z.astype(float),
             "v": _v_numeric(stats)[v]}
-    return stats.n_zvt.ravel(), stats.y_mean.ravel(), stats.ss_y.ravel(), cols
+    flat = stats.n_zvt.shape[:-3] + (-1,)
+    return (stats.n_zvt.reshape(flat), stats.y_mean.reshape(flat),
+            stats.ss_y.reshape(flat), cols)
 
 
 def wald_iv(stats: CellStats, hc1: bool = False) -> RegressionResult:
     """2SLS of Y on T (with intercept) instrumented by Z; the slope equals
     the Wald ratio (mu1-mu0)/(p1-p0)."""
-    if stats.p_z[1] == stats.p_z[0]:
+    if np.any(stats.p_z[..., 1] == stats.p_z[..., 0]):
         raise WeakFirstStage("observed first-stage contrast is zero")
     n_c, ybar, ss, cols = _cells(stats)
-    one = np.ones_like(n_c)
+    one = np.ones(n_c.shape[-1])
     return _iv_fit(n_c, ybar, ss, np.column_stack([one, cols["t"]]),
                    np.column_stack([one, cols["z"]]), ("const", "t"), hc1)
 
@@ -91,7 +96,7 @@ def ols(stats: CellStats, outcome: str = "y", regressors=("t",),
                               f"{tuple(regressors)}")
     if outcome != "y":
         ybar, ss = cols[outcome], np.zeros_like(n_c)
-    X = np.column_stack([np.ones_like(n_c)] + [cols[r] for r in regressors])
+    X = np.column_stack([np.ones(n_c.shape[-1])] + [cols[r] for r in regressors])
     return _iv_fit(n_c, ybar, ss, X, X, ("const",) + tuple(regressors), hc1)
 
 

@@ -2,11 +2,12 @@
 
 Observations are rows of (y, t, z, v) where t and z are binary and v is an
 integer code into an explicit support list. All types are immutable after
-construction; every function here is pure.
+construction; every function here is pure. Each type may also hold a
+stack of R samples, vectors or tables along a leading axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -49,14 +50,13 @@ class Dataset:
         for name, arr in (("y", y), ("t", t), ("z", z), ("v", v)):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
-        n = y.shape[0]
-        if not (t.shape[0] == z.shape[0] == v.shape[0] == n):
+        if not (t.shape == z.shape == v.shape == y.shape):
             raise ValidationError("column lengths differ")
         object.__setattr__(self, "v_support", tuple(self.v_support))
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @property
     def k(self) -> int:
@@ -112,7 +112,7 @@ class ParamVector:
 
     m0 and m1 are per-z arrays of length 2; in CASE_II both entries are equal
     and pack to a single free coordinate each. p_star has shape (2, K),
-    tau_star shape (2,).
+    tau_star shape (2,). Every field may carry a leading axis of R vectors.
     """
 
     beta_star: float
@@ -127,23 +127,23 @@ class ParamVector:
     def __post_init__(self):
         for name, shape in (("m0", (2,)), ("m1", (2,)), ("tau_star", (2,))):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
+            if arr.shape[-1:] != shape:
                 raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
         p = np.asarray(self.p_star, dtype=float)
-        if p.ndim != 2 or p.shape[0] != 2:
+        if p.ndim < 2 or p.shape[-2] != 2:
             raise ValidationError(f"p_star must have shape (2, K), got {p.shape}")
         object.__setattr__(self, "p_star", p)
         p.setflags(write=False)
-        if self.mode is Mode.CASE_II and not (
-            self.m0[0] == self.m0[1] and self.m1[0] == self.m1[1]
-        ):
+        m = np.stack([self.m0, self.m1])  # NaN in a failed stacked fit passes
+        if self.mode is Mode.CASE_II and np.any(
+                np.abs(m[..., 0] - m[..., 1]) > 0.0):
             raise ValidationError("CASE_II requires z-invariant m0 and m1")
 
     @property
     def k(self) -> int:
-        return self.p_star.shape[1]
+        return self.p_star.shape[-1]
 
     @property
     def s(self) -> np.ndarray:
@@ -170,10 +170,11 @@ class ParamVector:
         CASE_I:  (b*, dp*, r, m00, m10, p*_{0,.}, tau0*, m01, m11, p*_{1,.}, tau1*)
         CASE_II: (b*, dp*, r, m0,  p*_{0,.}, tau0*, m1,  p*_{1,.}, tau1*)
         """
-        blocks = np.column_stack([self.m0, self.m1, self.p_star, self.tau_star])
-        natural = np.concatenate(
-            [[self.beta_star, self.delta_p_star, self.r], blocks.ravel()])
-        return natural[packed_layout(self.k, self.mode)[0]]
+        blocks = np.stack([self.m0, self.m1, *np.moveaxis(self.p_star, -1, 0),
+                           self.tau_star], axis=-1)
+        natural = np.concatenate([np.array([self.beta_star, self.delta_p_star, self.r]).T,
+                                  blocks.reshape(blocks.shape[:-2] + (-1,))], axis=-1)
+        return natural[..., packed_layout(self.k, self.mode)[0]]
 
     @classmethod
     def unpack(cls, theta: np.ndarray, k: int, mode: Mode) -> "ParamVector":
@@ -182,14 +183,15 @@ class ParamVector:
     @staticmethod
     def unpacked_fields(theta: np.ndarray, k: int, mode: Mode) -> tuple:
         """(beta*, dp*, r, m0, m1, p*, tau*) of a packed vector: the fields
-        unpack sets, as views, without building or checking a ParamVector."""
+        unpack sets, as views, without building or checking a ParamVector;
+        a stack's, with its axis last, for the moment terms to broadcast."""
         theta = np.asarray(theta, dtype=float)
         select, gather = packed_layout(k, mode)
-        if theta.shape != select.shape:
+        if theta.shape[-1:] != select.shape:
             raise ValidationError(
                 f"expected {select.size} coordinates, got {theta.shape}")
-        natural = theta[gather]
-        blocks = natural[3:].reshape(2, k + 3)
+        natural = theta.T[gather]
+        blocks = natural[3:].reshape((2, k + 3) + theta.shape[:-1])
         return (natural[0], natural[1], natural[2], blocks[:, 0], blocks[:, 1],
                 blocks[:, 2:-1], blocks[:, -1])
 
@@ -206,7 +208,8 @@ class CellStats:
     variance. The summaries are derived at construction. tau_zv entries are
     NaN where a treatment arm is empty; n_zvt shows why. n is the total
     count as an integer: the row count of a sample, 1 for a population
-    table of cell probabilities.
+    table of cell probabilities. A stack's summaries, n too, keep its
+    leading axis, and stats[i] indexes it.
     """
 
     n_zvt: np.ndarray         # (2, K, 2) counts by treatment arm
@@ -225,20 +228,26 @@ class CellStats:
 
     def __post_init__(self):
         counts, ysums = self.n_zvt, self.sum_y
-        n_zv = counts.sum(axis=2)
-        n_z = n_zv.sum(axis=1)
-        n = int(round(float(n_z.sum())))
+        n_zv = counts.sum(axis=-1)
+        n_z = n_zv.sum(axis=-1)
+        n = np.rint(n_z.sum(axis=-1)).astype(np.int64)
+        n = int(n) if n.ndim == 0 else n
         with np.errstate(invalid="ignore", divide="ignore"):
             ybar = ysums / counts
+            r_hat = n_z[..., 1] / n
             derived = dict(
-                n=n, k=counts.shape[1], n_zv=n_zv,
-                p_zv=counts[:, :, 1] / n_zv,
-                tau_zv=ybar[:, :, 1] - ybar[:, :, 0],
-                p_z=counts[:, :, 1].sum(axis=1) / n_z,
-                mu_z=ysums.sum(axis=(1, 2)) / n_z,
-                r_hat=float(n_z[1] / n))
+                n=n, k=counts.shape[-2], n_zv=n_zv,
+                p_zv=counts[..., 1] / n_zv,
+                tau_zv=ybar[..., 1] - ybar[..., 0],
+                p_z=counts[..., 1].sum(axis=-1) / n_z,
+                mu_z=ysums.sum(axis=(-2, -1)) / n_z,
+                r_hat=float(r_hat) if r_hat.ndim == 0 else r_hat)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    def __getitem__(self, index) -> "CellStats":
+        return replace(self, n_zvt=self.n_zvt[index], sum_y=self.sum_y[index],
+                       ss_y=self.ss_y[index])
 
     @property
     def y_mean(self) -> np.ndarray:
@@ -280,7 +289,7 @@ def cell_stats(ds: Dataset) -> CellStats:
 
     A t or z outside {0, 1} or a v code outside 0..K-1 raises
     ValidationError. An empty (z, v, t) cell leaves its tau_zv NaN; validate
-    lists it.
+    lists it. A stack of samples gives the stack of their tables.
     """
     k = ds.k
     n = ds.n
@@ -289,15 +298,19 @@ def cell_stats(ds: Dataset) -> CellStats:
         raise ValidationError("t or z contains values outside {0,1}")
     if n and (ds.v.min() < 0 or ds.v.max() >= k):
         raise ValidationError("v contains codes outside the declared support")
-    # flat (z, v, t) cell of each row, in C order of the (2, K, 2) table
-    cell = (ds.z.astype(np.int64) * k + ds.v) * 2 + ds.t
-    counts = np.bincount(cell, minlength=4 * k).reshape(2, k, 2).astype(float)
-    ysums = np.bincount(cell, weights=ds.y, minlength=4 * k).reshape(2, k, 2)
+    # flat (z, v, t) cell of each row, in C order of the (2, K, 2) table, and
+    # after the previous sample's table in a stack
+    lead = ds.y.shape[:-1]
+    first = 4 * k * np.arange(int(np.prod(lead))).reshape(lead + (1,))
+    cell = ((ds.z.astype(np.int64) * k + ds.v) * 2 + ds.t + first).ravel()
+    shape, size = lead + (2, k, 2), first.size * 4 * k
+    counts = np.bincount(cell, minlength=size).reshape(shape).astype(float)
+    ysums = np.bincount(cell, weights=ds.y.ravel(), minlength=size).reshape(shape)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         ybar = ysums / counts
         # every row sits in a nonempty cell, so no NaN mean is read
-        ss = np.bincount(cell, weights=(ds.y - ybar.ravel()[cell]) ** 2,
-                         minlength=4 * k).reshape(2, k, 2)
+        ss = np.bincount(cell, weights=(ds.y.ravel() - ybar.ravel()[cell]) ** 2,
+                         minlength=size).reshape(shape)
     return CellStats(n_zvt=counts, sum_y=ysums, ss_y=ss, mode=ds.mode,
                      v_support=ds.v_support)

@@ -14,6 +14,8 @@ is inactive it multiplies by neither W^{1/2} nor the projection's
 Jacobian. A just-identified closed form inside the box zeroes every moment,
 so it is the estimate with no solver call. At the estimate one evaluation
 gives gbar, the moment Jacobian and Omega for the sandwich and J.
+_closed_forms makes the closed-form fits of a stack of tables with one
+call of each step, as estimate makes one table's.
 """
 from __future__ import annotations
 
@@ -156,27 +158,19 @@ def _fallback_start(table: CellStats) -> ParamVector:
     )
 
 
-def starting_value(table: CellStats, cfg: GmmConfig) -> tuple:
-    """(start, source): cfg.start, which must have the table's mode and K,
-    as "user"; else the closed form as "closed_form", or the fallback start
-    as "fallback" where the closed form fails."""
-    start = cfg.start
-    if start is not None:
-        if (start.mode, start.k) != (table.mode, table.k):
-            raise ValidationError(
-                f"start is laid out for {start.mode.value} with K={start.k}, "
-                f"the table for {table.mode.value} with K={table.k}")
-        return start, "user"
-    try:
-        return identify(table, table.mode).theta, "closed_form"
-    except MislateError:
-        return _fallback_start(table), "fallback"
-
-
 def _w_half(w: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(w)
     vals = np.clip(vals, 0.0, None)
-    return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+    root = np.eye(vals.shape[-1]) * np.sqrt(vals)[..., None, :]  # diag, stacked
+    return vecs @ root @ np.swapaxes(vecs, -1, -2)
+
+
+def _weights(omega: np.ndarray, weighting: str) -> tuple:
+    """(W, W^{1/2}): I, or pinv(Omega) and its root, stacked as Omega."""
+    if weighting == "identity":
+        return (np.eye(omega.shape[-1]),) * 2
+    weight = np.linalg.pinv(omega)
+    return weight, _w_half(weight)
 
 
 def _evaluate(x: np.ndarray, table, w_half: Optional[np.ndarray]) -> tuple:
@@ -216,16 +210,47 @@ def sandwich_cov(G: np.ndarray, W: np.ndarray, Omega: np.ndarray, n: int,
     """(G'WG)^-1 G'W Omega W G (G'WG)^-1 / n, computed as X Omega X' / n
     with X = V diag(1/s) U' W^{1/2} from the SVD W^{1/2} G = U diag(s) V',
     so cond(G) is not squared (X = G^-1 when G is square). w_half is
-    W^{1/2} when the caller holds it."""
+    W^{1/2} when the caller holds it. Stacked arguments give a stack."""
     if w_half is None:
         w_half = _w_half(W)
     u, s, vt = np.linalg.svd(w_half @ G, full_matrices=False)
     # matrix_rank's tolerance
-    if s.size < G.shape[1] or s[-1] <= s[0] * max(G.shape) * np.finfo(s.dtype).eps:
+    if s.shape[-1] < G.shape[-1] or np.any(
+            s[..., -1] <= s[..., 0] * max(G.shape[-2:]) * np.finfo(s.dtype).eps):
         raise RankDeficient("moment Jacobian is rank deficient")
-    x = (vt.T / s) @ (u.T @ w_half)
-    v = x @ Omega @ x.T / n
-    return (v + v.T) / 2.0
+    x = (np.swapaxes(vt, -1, -2) / s[..., None, :]) @ (np.swapaxes(u, -1, -2) @ w_half)
+    v = x @ Omega @ np.swapaxes(x, -1, -2) / np.reshape(n, np.shape(n) + (1, 1))
+    return (v + np.swapaxes(v, -1, -2)) / 2.0
+
+
+def _se(vcov: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.clip(np.diagonal(vcov, axis1=-2, axis2=-1), 0.0, None))
+
+
+def _is_closed(x: np.ndarray, k: int, mode: Mode) -> bool:
+    # a just-identified closed form zeroes every moment: the minimum, unclipped
+    return (MomentLayout(k, mode).n_overid == 0
+            and np.array_equal(_clip_start(x, k, mode)[0], x))
+
+
+def _closed_fit(table: CellStats, x: np.ndarray, weighting: str) -> tuple:
+    """(gbar, Omega, W^{1/2}, vcov) at closed forms x, stacked or not."""
+    g, G, omega = gbar_jacobian_omega(table, MomentSums.of(table), x)
+    weight, w_half = _weights(omega, weighting)
+    return g, omega, w_half, sandwich_cov(G, weight, omega, table.n, w_half)
+
+
+def _closed_forms(stats: CellStats, weighting: str) -> tuple:
+    """(closed, x, se) of a stack: where the closed form x is the estimate,
+    and its SEs there (NaN elsewhere). A check that trips there raises."""
+    ident = identify(stats, stats.mode)
+    x = ident.theta.pack()
+    closed = np.array([not failed and _is_closed(xi, stats.k, stats.mode)
+                       for failed, xi in zip(ident.failed, x)])
+    se = np.full_like(x, np.nan)
+    if closed.any():
+        se[closed] = _se(_closed_fit(stats[closed], x[closed], weighting)[-1])
+    return closed, x, se
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +267,7 @@ def confidence_intervals(theta_flat: np.ndarray, vcov: np.ndarray, level: float)
     if not 0.0 < level < 1.0:
         raise ValueError("ci_level must be in (0,1)")
     zcrit = _zcrit(level)
-    se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
+    se = _se(vcov)
     return np.column_stack([theta_flat - zcrit * se, theta_flat + zcrit * se])
 
 
@@ -256,30 +281,36 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
     k, mode, n = table.k, table.mode, table.n
     layout = MomentLayout(k, mode)
 
-    start, source = starting_value(table, cfg)
-    x_hat = start.pack()
-    sums = MomentSums.of(table)
-    # a just-identified closed form sets every moment to zero, so it is the
-    # minimum under any weighting; a clipped one is not the closed form
-    closed = (source == "closed_form" and layout.n_overid == 0
-              and np.array_equal(_clip_start(x_hat, k, mode)[0], x_hat))
-    if not closed:
-        x_hat, objective, converged = _minimize(sums, x_hat, None)
-    g, G, omega = gbar_jacobian_omega(table, sums, x_hat)
-    weight = w_half = np.eye(layout.n_moments)
-    if cfg.weighting == "optimal":
-        weight = np.linalg.pinv(omega)
-        w_half = _w_half(weight)
-        if not closed:
-            x_hat, objective, converged = _minimize(sums, x_hat, w_half)
-            g, G, omega = gbar_jacobian_omega(table, sums, x_hat)
+    start, closed = cfg.start, False
+    if start is not None:
+        if (start.mode, start.k) != (mode, k):
+            raise ValidationError(
+                f"start is laid out for {start.mode.value} with K={start.k}, "
+                f"the table for {mode.value} with K={k}")
+        x_hat = start.pack()
+    else:
+        try:
+            x_hat = identify(table, mode).theta.pack()
+        except MislateError:
+            x_hat = _fallback_start(table).pack()
+        else:
+            closed = _is_closed(x_hat, k, mode)
     if closed:
+        g, omega, w_half, vcov = _closed_fit(table, x_hat, cfg.weighting)
         core = w_half @ g
         objective, converged = float(core @ core), True
+    else:
+        sums = MomentSums.of(table)
+        x_hat, objective, converged = _minimize(sums, x_hat, None)
+        g, G, omega = gbar_jacobian_omega(table, sums, x_hat)
+        weight, w_half = _weights(omega, cfg.weighting)
+        if cfg.weighting == "optimal":
+            x_hat, objective, converged = _minimize(sums, x_hat, w_half)
+            g, G, omega = gbar_jacobian_omega(table, sums, x_hat)
+        vcov = sandwich_cov(G, weight, omega, n, w_half)
 
     theta_hat = ParamVector.unpack(x_hat, k, mode)
-    vcov = sandwich_cov(G, weight, omega, n, w_half)
-    se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
+    se = _se(vcov)
     ci = confidence_intervals(x_hat, vcov, cfg.ci_level)
 
     j_stat = float(n * g @ np.linalg.pinv(omega) @ g)

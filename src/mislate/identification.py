@@ -10,6 +10,9 @@ pairs make it up, which the candidate table records. tau*_z is then the
 count-weighted least-squares fit of the observed contrasts on their
 attenuation factors. Every step runs in double precision, so the result
 does not depend on the platform's long double.
+
+identify also solves a stack of tables: each check is a mask, which a
+helper raises on, or, given identify's list of checks, appends to it.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +44,7 @@ DET_TOL = 1e-12
 FIRST_STAGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BPair:
+class BPair(NamedTuple):
     """Solution (B0, B1) of one misclassification system."""
 
     b0: float
@@ -50,11 +53,11 @@ class BPair:
     @property
     def discriminant(self) -> float:
         """(B0 - B1 + 1)^2 - 4 B0, whose square root is s = 1 - m0 - m1."""
-        return (self.b0 - self.b1 + 1.0) ** 2 - 4.0 * self.b0
+        # libm's pow, which ** is on a float, also on a stack
+        return np.float_power(self.b0 - self.b1 + 1.0, 2) - 4.0 * self.b0
 
 
-@dataclass(frozen=True)
-class WTriple:
+class WTriple(NamedTuple):
     """Coefficients (w0, w1, w2) of one linear identification equation,
     built from a (v, v') cell pair at fixed z."""
 
@@ -70,6 +73,7 @@ class IdentifyResult:
     determinants: dict            # candidate support selection -> determinant
     discriminants: tuple          # discriminant per solved system
     support_points: tuple         # selected support indices (per z in case i)
+    failed: object = False        # a stack's tables that failed a check
 
 
 def _scalar(out):
@@ -77,11 +81,19 @@ def _scalar(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_monotone(m0, m1):
-    """Raise MonotonicityViolated naming the first m0 + m1 >= 1."""
+def _check(checks, bad, error, message):
+    """Raise error(message()) if bad has a set entry, or collect bad."""
+    if checks is not None:
+        checks.append(bad)
+    elif bad.any() if bad.ndim else bad:
+        raise error(message())
+
+
+def _check_monotone(m0, m1, checks=None):
+    """Check m0 + m1 < 1, naming the first m0 + m1 >= 1."""
     total = np.asarray(m0 + m1)
-    if (total >= 1.0).any():
-        raise MonotonicityViolated(f"m0+m1={total[total >= 1.0][0]} >= 1")
+    _check(checks, total >= 1.0, MonotonicityViolated,
+           lambda: f"m0+m1={total[total >= 1.0][0]} >= 1")
 
 
 def implied_p(m0, m1, p_star):
@@ -90,18 +102,18 @@ def implied_p(m0, m1, p_star):
     _check_monotone(m0, m1)
     p_star = np.asarray(p_star, dtype=float)
     bad = ~((0.0 <= p_star) & (p_star <= 1.0))
-    if bad.any():
-        raise InvalidProbability(f"p_star={p_star[bad][0]} outside [0,1]")
+    _check(None, bad, InvalidProbability,
+           lambda: f"p_star={p_star[bad][0]} outside [0,1]")
     return _scalar(m0 + (1.0 - m0 - m1) * p_star)
 
 
-def m_factor(m0, m1, p):
+def m_factor(m0, m1, p, checks=None):
     """Attenuation factor linking observed and latent outcome contrasts:
     tau = M(m0, m1, p) * tau_star. Broadcasts over arrays."""
-    _check_monotone(m0, m1)
+    _check_monotone(m0, m1, checks)
     p = np.asarray(p, dtype=float)
-    if ((p <= 0.0) | (p >= 1.0)).any():
-        raise DegenerateCell("observed treatment probability on the boundary")
+    _check(checks, (p <= 0.0) | (p >= 1.0), DegenerateCell,
+           lambda: "observed treatment probability on the boundary")
     s = 1.0 - m0 - m1
     return _scalar((1.0 - m0 * (1.0 - m1) / p - (1.0 - m0) * m1 / (1.0 - p)) / s)
 
@@ -111,11 +123,12 @@ def implied_tau(m0, m1, p, tau_star):
     return m_factor(m0, m1, p) * tau_star
 
 
-def w_triple(tau_v: float, tau_vp: float, p_v: float, p_vp: float) -> WTriple:
+def w_triple(tau_v: float, tau_vp: float, p_v: float, p_vp: float,
+             checks=None) -> WTriple:
     """Equation coefficients for the cell pair (v, v') at fixed z."""
     for p in (p_v, p_vp):
-        if not 0.0 < p < 1.0:
-            raise DegenerateCell(f"cell probability {p} on the boundary")
+        _check(checks, np.logical_not((0.0 < p) & (p < 1.0)), DegenerateCell,
+               lambda: f"cell probability {p} on the boundary")
     return WTriple(
         w0=tau_v / p_vp - tau_vp / p_v,
         w1=tau_v / (1.0 - p_vp) - tau_vp / (1.0 - p_v),
@@ -128,47 +141,48 @@ def _det(wa: WTriple, wb: WTriple) -> float:
     return wa.w0 * wb.w1 - wb.w0 * wa.w1
 
 
-def solve_b(wa: WTriple, wb: WTriple) -> BPair:
+def solve_b(wa: WTriple, wb: WTriple, checks=None) -> BPair:
     """Solve two identification equations for (B0, B1): the cell pairs
     (v1, v2) and (v1, v3) at one z in CASE_I, the pair (v1, v2) at z = 0
     and at z = 1 in CASE_II."""
     det = _det(wa, wb)
-    if abs(det) < DET_TOL:
-        raise SingularSystem(f"determinant {det} below tolerance")
+    _check(checks, np.abs(det) < DET_TOL, SingularSystem,
+           lambda: f"determinant {det} below tolerance")
     return BPair((-wa.w2 * wb.w1 + wb.w2 * wa.w1) / det,
                  (-wa.w0 * wb.w2 + wb.w0 * wa.w2) / det)
 
 
-def b_to_m(b: BPair) -> tuple:
+def b_to_m(b: BPair, checks=None) -> tuple:
     """Invert (B0, B1) to (m0, m1, s) on the monotone branch s > 0."""
     disc = b.discriminant
-    if disc < -DISC_TOL:
-        raise NegativeDiscriminant(f"discriminant {disc} < -{DISC_TOL}")
-    s = np.sqrt(max(disc, 0.0))
+    _check(checks, disc < -DISC_TOL, NegativeDiscriminant,
+           lambda: f"discriminant {disc} < -{DISC_TOL}")
+    s = np.sqrt(np.maximum(disc, 0.0))
     m0 = (b.b0 - b.b1 + 1.0 - s) / 2.0
     m1 = 1.0 - m0 - s
     for name, m in (("m0", m0), ("m1", m1)):
-        if m < -PROB_TOL or m >= 1.0:
-            raise InvalidProbability(f"recovered {name}={m} outside [0,1)")
-    return max(m0, 0.0), max(m1, 0.0), s
+        _check(checks, (m < -PROB_TOL) | (m >= 1.0), InvalidProbability,
+               lambda: f"recovered {name}={m} outside [0,1)")
+    return np.maximum(m0, 0.0), np.maximum(m1, 0.0), s
 
 
-def p_star_from_p(p, m0, m1):
+def p_star_from_p(p, m0, m1, checks=None):
     """Latent treatment probability (p - m0) / (1 - m0 - m1), clamped to
     [0, 1] within PROB_TOL. Broadcasts over arrays; a value further out
     raises InvalidProbability naming the first one in C order."""
-    _check_monotone(m0, m1)
+    _check_monotone(m0, m1, checks)
     p_star = np.asarray((p - m0) / (1.0 - m0 - m1))
     bad = (p_star < -PROB_TOL) | (p_star > 1.0 + PROB_TOL)
-    if bad.any():
-        raise InvalidProbability(f"implied p_star={p_star[bad][0]} outside [0,1]")
+    _check(checks, bad, InvalidProbability,
+           lambda: f"implied p_star={p_star[bad][0]} outside [0,1]")
     return _scalar(np.minimum(np.maximum(p_star, 0.0), 1.0))
 
 
-def late_from_reduced(mu1: float, mu0: float, dp_star: float) -> float:
+def late_from_reduced(mu1: float, mu0: float, dp_star: float,
+                      checks=None) -> float:
     """LATE as the reduced-form contrast over the true first stage."""
-    if abs(dp_star) < FIRST_STAGE_TOL:
-        raise WeakFirstStage(f"|delta p*|={abs(dp_star)} below tolerance")
+    _check(checks, np.abs(dp_star) < FIRST_STAGE_TOL, WeakFirstStage,
+           lambda: f"|delta p*|={abs(dp_star)} below tolerance")
     return (mu1 - mu0) / dp_star
 
 
@@ -201,26 +215,27 @@ def _candidates(k: int, mode: Mode) -> tuple:
                  for arms, cands in groups)
 
 
-def _equations(stats: CellStats, pairs: tuple) -> tuple:
+def _equations(stats: CellStats, pairs: tuple, checks=None) -> tuple:
     """The equations of the given (z, v, v') cell pairs."""
-    tau, p = stats.tau_zv, stats.p_zv
-    return tuple(w_triple(tau[z, v], tau[z, vp], p[z, v], p[z, vp])
+    # transposed, a cell of one table is a float and of a stack an array
+    tau, p = stats.tau_zv.T, stats.p_zv.T
+    return tuple(w_triple(tau[v, z], tau[vp, z], p[v, z], p[vp, z], checks)
                  for z, v, vp in pairs)
 
 
-def nonsingularity_diag(stats: CellStats, mode: Mode) -> dict:
+def nonsingularity_diag(stats: CellStats, mode: Mode, checks=None) -> dict:
     """Determinant of every candidate linear system.
 
     CASE_I keys are (z, (v1, v2, v3)) support-index triples; CASE_II keys are
     (v1, v2) pairs shared across z. Zero (or near-zero) values flag a failing
     nonsingularity condition for that candidate.
     """
-    return {key: _det(*_equations(stats, pairs))
+    return {key: _det(*_equations(stats, pairs, checks))
             for _, cands in _candidates(stats.k, mode)
             for key, _, pairs in cands}
 
 
-def _tau_star(stats: CellStats, z: int, m0: float, m1: float) -> float:
+def _tau_star(stats: CellStats, z: int, m0, m1, checks):
     """Count-weighted least-squares fit of tau_zv = M_zv tau*_z for one z:
     sum n M tau / sum n M^2.
 
@@ -228,11 +243,12 @@ def _tau_star(stats: CellStats, z: int, m0: float, m1: float) -> float:
     where this is tau_zv / M_zv in every cell. Unlike the mean of those
     ratios it does not amplify a cell whose attenuation factor is near 0.
     """
-    m = m_factor(m0, m1, stats.p_zv[z])
-    if (np.abs(m) < 1e-12).any():
-        raise SingularSystem("attenuation factor vanishes in a cell")
-    n = stats.n_zv[z]
-    return float((n * m * stats.tau_zv[z]).sum() / (n * m * m).sum())
+    m = m_factor(m0[..., None], m1[..., None], stats.p_zv[..., z, :], checks)
+    _check(checks, np.abs(m) < 1e-12, SingularSystem,
+           lambda: "attenuation factor vanishes in a cell")
+    n = stats.n_zv[..., z, :]
+    return ((n * m * stats.tau_zv[..., z, :]).sum(axis=-1)
+            / (n * m * m).sum(axis=-1))
 
 
 def check_support_points(support_points, k: int, mode: Mode) -> tuple:
@@ -269,56 +285,71 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
     candidate with the largest absolute determinant. A pin of another form,
     or with an index outside 0..K-1 or repeated, raises ValidationError; a
     table with an empty (z, v, t) cell raises EmptyCell.
+
+    A stack of R tables gives a stack of results: every field gains a
+    leading axis and support_points holds each table's. failed marks the
+    tables that fail a check; they raise nothing, and their values mean
+    nothing.
     """
     pins = (None if support_points is None
             else check_support_points(support_points, stats.k, mode))
-    if (stats.n_zvt == 0).any():
-        raise EmptyCell(stats.empty_cells()[0])
-    if ((stats.p_zv <= 0.0) | (stats.p_zv >= 1.0)).any():
-        raise DegenerateCell("a cell treatment probability is 0 or 1")
-    dets = nonsingularity_diag(stats, mode)
-    groups = _candidates(stats.k, mode)
-    m = np.empty((2, 3))  # (m0, m1, s) per z
-    selected, discs = [], []
-    for g, (arms, cands) in enumerate(groups):
-        if pins is None:
-            _, support, pairs = max(cands, key=lambda cand: abs(dets[cand[0]]))
-        else:
-            support = pins[g]
-            pairs = _cell_pairs(arms, support)
-        wa, wb = _equations(stats, pairs)
-        b = solve_b(wa, wb)
-        discs.append(float(b.discriminant))
-        m[list(arms)] = b_to_m(b)
-        selected.append(support)
-    m0, m1, s = m.T
+    checks = [] if stats.n_zvt.ndim > 3 else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _check(checks, stats.n_zvt == 0, EmptyCell,
+               lambda: stats.empty_cells()[0])
+        _check(checks, (stats.p_zv <= 0.0) | (stats.p_zv >= 1.0),
+               DegenerateCell, lambda: "a cell treatment probability is 0 or 1")
+        dets = nonsingularity_diag(stats, mode, checks)
+        groups = _candidates(stats.k, mode)
+        m = np.empty((3,) + stats.p_z.T.shape)  # (m0, m1, s), a stack's axis last
+        selected, discs = [], []
+        for g, (arms, cands) in enumerate(groups):
+            if pins is not None:
+                cands = [(None, pins[g], _cell_pairs(arms, pins[g]))]
+            eqs = [_equations(stats, pairs, checks) for _, _, pairs in cands]
+            supports = np.empty(len(cands), dtype=object)
+            supports[:] = [support for _, support, _ in cands]
+            pick = 0
+            if len(cands) > 1:  # each table's candidate: the largest |det|
+                pick = np.argmax([np.abs(dets[key]) for key, _, _ in cands], axis=0)
+                eqs = [np.take_along_axis(np.moveaxis(eqs, 0, -1),
+                                          pick[None, None, ..., None], -1)[..., 0]]
+            b = solve_b(*(WTriple(*w) for w in eqs[0]), checks)
+            discs.append(_scalar(np.asarray(b.discriminant)))
+            m[:, list(arms)] = np.array(b_to_m(b, checks))[:, None]
+            selected.append(supports[np.broadcast_to(pick, stats.mu_z.shape[:-1])])
+        m0, m1, s = m
 
-    # z by z: p* of the cells and of the arm, then tau*_z, so that a failure
-    # at z = 0 is reported before any at z = 1
-    p_star = np.concatenate([stats.p_zv, stats.p_z[:, None]], axis=1)
-    tau_star = np.empty(2)
-    for z in (0, 1):
-        p_star[z] = p_star_from_p(p_star[z], m0[z], m1[z])
-        tau_star[z] = _tau_star(stats, z, m0[z], m1[z])
-    delta_p_star = p_star[1, -1] - p_star[0, -1]
-    beta_star = late_from_reduced(stats.mu_z[1], stats.mu_z[0], delta_p_star)
+        # z by z: p* of the cells and of the arm, then tau*_z, so that a
+        # failure at z = 0 is reported before any at z = 1
+        p_star = np.concatenate([stats.p_zv, stats.p_z[..., None]], axis=-1)
+        tau_star = np.empty(stats.p_z.shape)
+        for z in (0, 1):
+            p_star[..., z, :] = p_star_from_p(p_star[..., z, :], m0[z][..., None],
+                                              m1[z][..., None], checks)
+            tau_star[..., z] = _tau_star(stats, z, m0[z], m1[z], checks)
+        p_star_z, mu_z = p_star.T[-1], stats.mu_z.T
+        delta_p_star = p_star_z[1] - p_star_z[0]
+        beta_star = late_from_reduced(mu_z[1], mu_z[0], delta_p_star, checks)
 
     theta = ParamVector(
-        beta_star=float(beta_star),
-        delta_p_star=float(delta_p_star),
+        beta_star=_scalar(np.asarray(beta_star)),
+        delta_p_star=_scalar(np.asarray(delta_p_star)),
         r=stats.r_hat,
-        m0=m0,
-        m1=m1,
-        p_star=p_star[:, :-1],
+        m0=m0.T,
+        m1=m1.T,
+        p_star=p_star[..., :-1],
         tau_star=tau_star,
         mode=mode,
     )
     return IdentifyResult(
         theta=theta,
-        s=s,
+        s=s.T,
         determinants=dets,
         discriminants=tuple(discs),
         support_points=selected[0] if len(groups) == 1 else tuple(selected),
+        failed=checks is not None and np.any(
+            [np.reshape(bad, (len(s.T), -1)).any(axis=1) for bad in checks], axis=0),
     )
 
 

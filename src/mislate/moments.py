@@ -16,8 +16,9 @@ set of shared terms, and gbar_and_jacobian, which each step of a GMM fit
 calls, returns the two from one pass over them. gbar_jacobian_omega, which
 a fit calls once at each estimate, adds the second-moment matrix Omega from
 the same terms: each cell's a and b, summed against the cell's count, sum
-of y and sum of y squared. The row-by-row moment function is the test
-suite's oracle (tests/conftest.py), not part of the package.
+of y and sum of y squared; on a stack of tables and vectors, for each,
+the terms carrying the stack's axis last. The row-by-row moment function is
+the test suite's oracle (tests/conftest.py), not part of the package.
 """
 from __future__ import annotations
 
@@ -77,7 +78,8 @@ class MomentLayout:
 class MomentSums:
     """Per-(z, v) sums of a CellStats table, each divided by its n: all that
     the sample moment mean and its Jacobian read of the data. Build it once
-    and pass it to gbar and moment_jacobian in place of the table."""
+    and pass it to gbar and moment_jacobian in place of the table (a
+    stack's with its axis last)."""
 
     p: np.ndarray        # (2, K) n_zv / n
     n1: np.ndarray       # (2, K) treated count / n
@@ -94,26 +96,33 @@ class MomentSums:
 
     @classmethod
     def of(cls, stats: CellStats) -> "MomentSums":
-        n = stats.n
-        n1 = stats.n_zvt[:, :, 1] / n
-        s = stats.sum_y / n
-        return cls(p=stats.n_zv / n, n1=n1, s1=s[:, :, 1], s0=s[:, :, 0],
+        n, (n_zvt, sum_y, n_zv) = stats.n, (stats.n_zvt, stats.sum_y, stats.n_zv)
+        if n_zvt.ndim > 3:  # a stack's axis goes last
+            n_zvt, sum_y, n_zv = (np.moveaxis(x, 0, -1) for x in (n_zvt, sum_y, n_zv))
+        n1 = n_zvt[:, :, 1] / n
+        s = sum_y / n
+        return cls(p=n_zv / n, n1=n1, s1=s[:, :, 1], s0=s[:, :, 0],
                    t_z=n1.sum(axis=1), y_z=s.sum(axis=(1, 2)),
                    r_hat=stats.r_hat, mode=stats.mode)
 
 
 def _check_domain(r, dp, m0, m1, p_star) -> tuple:
     """(s, q): s_z = 1 - m0_z - m1_z and the (2, K) cell probabilities
-    q = m0_z + s_z p*_zv, after checking that every moment is defined."""
+    q = m0_z + s_z p*_zv, after checking that every moment is defined; a
+    stack is checked vector by vector."""
+    s = 1.0 - m0 - m1
+    q = m0[:, None] + s[:, None] * p_star
+    if isinstance(dp, np.ndarray):
+        for i in range(dp.size):
+            _check_domain(r[i], dp[i], m0[:, i], m1[:, i], p_star[..., i])
+        return s, q
     if not 0.0 < r < 1.0:
         raise DomainError(f"r-moment: r={r} outside (0,1)")
-    s = 1.0 - m0 - m1
     for z in (0, 1):
         if s[z] <= 0.0:
             raise DomainError(f"p-moment: m0+m1 >= 1 at z={z}")
     if dp == 0.0:
         raise DomainError("beta-moment: delta_p_star is zero")
-    q = m0[:, None] + s[:, None] * p_star
     if q.min() <= 0.0 or q.max() >= 1.0:
         raise DomainError("tau-moment: cell denominator outside (0,1)")
     return s, q
@@ -194,10 +203,11 @@ def _terms(table, fields: tuple) -> _Terms:
 
 def _gbar(t: _Terms) -> np.ndarray:
     sums, q, s = t.sums, t.q, t.s
+    column = (-1,) + q.shape[2:]
     return np.concatenate([
         [t.r - sums.r_hat],
-        (sums.p * q - sums.n1).ravel(),
-        (t.ptau - t.alpha / q - t.gamma / (1.0 - q)).ravel(),
+        (sums.p * q - sums.n1).reshape(column),
+        (t.ptau - t.alpha / q - t.gamma / (1.0 - q)).reshape(column),
         [t.dp - t.u1 / s[1] + t.u0 / s[0], t.beta - t.late / t.dp],
     ])
 
@@ -205,15 +215,19 @@ def _gbar(t: _Terms) -> np.ndarray:
 def _jacobian(t: _Terms, mode: Mode) -> np.ndarray:
     """gbar's terms differentiated by hand: each nonzero entry, placed in
     the packed columns (where CASE_II's shared m0 and m1 sum their z
-    parts)."""
+    parts). A stack's Jacobians come with its axis first."""
     sums, q, s, r, dp, ps = t.sums, t.q, t.s, t.r, t.dp, t.ps
-    k = sums.k
+    k, stack = sums.k, q.shape[2:]
     p, q1, ps1, sz = sums.p, 1.0 - q, 1.0 - ps, s[:, None]
     cm0, cm1, ptau = t.cm0, t.cm1, t.ptau
     w = t.alpha / q ** 2 - t.gamma / q1 ** 2
     a, b = ptau / q, ptau / q1
     (t0, t1), (y0, y1) = sums.t_z, sums.y_z
-    u0, u1 = t.u0, t.u1
+    u0, u1, one = t.u0, t.u1, 0.0 * r + 1.0
+    # ** squares one float by libm's pow, and float_power a stack likewise
+    r2, rc2, s02, s12, dp2 = (np.float_power([r, 1.0 - r, s[0], s[1], dp], 2)
+                              if stack else (r ** 2, (1.0 - r) ** 2, s[0] ** 2,
+                                             s[1] ** 2, dp ** 2))
     values = np.concatenate([
         # p rows P q - N1 by (m0_z, m1_z, p*_zv): dq = (1-p*, -p*, s)
         p * ps1, -p * ps, p * sz,
@@ -223,34 +237,39 @@ def _jacobian(t: _Terms, mode: Mode) -> np.ndarray:
         # r row r - r_hat; first-stage row dp* - u1/s_1 + u0/s_0 by dp*, r,
         # m0_0, m1_0, m0_1, m1_1; LATE row b* - (Y1/r - Y0/(1-r)) / dp* by
         # b*, dp*, r
-        [1.0, 1.0, t1 / (r ** 2 * s[1]) + t0 / ((1.0 - r) ** 2 * s[0]),
-         -1.0 / s[0] + u0 / s[0] ** 2, u0 / s[0] ** 2,
-         1.0 / s[1] - u1 / s[1] ** 2, -u1 / s[1] ** 2,
-         1.0, t.late / dp ** 2, (y1 / r ** 2 + y0 / (1.0 - r) ** 2) / dp],
+        [one, one, t1 / (r2 * s[1]) + t0 / (rc2 * s[0]),
+         -1.0 / s[0] + u0 / s02, u0 / s02,
+         1.0 / s[1] - u1 / s12, -u1 / s12,
+         one, t.late / dp2, (y1 / r2 + y0 / rc2) / dp],
     ], axis=None)
     n_packed = packed_layout(k, mode)[0].size
-    return np.bincount(_jacobian_entries(k, mode), weights=values,
-                       minlength=(4 * k + 3) * n_packed).reshape(4 * k + 3, n_packed)
+    size, entries = (4 * k + 3) * n_packed, _jacobian_entries(k, mode)
+    if stack:  # each entry's values hold the stack's; table i goes after i - 1
+        entries = (entries[:, None] + size * np.arange(stack[0])).ravel()
+    return np.bincount(entries, weights=values, minlength=size * max(stack, default=1)
+                       ).reshape(stack + (4 * k + 3, n_packed))
 
 
 def _cell_rows(t: _Terms) -> tuple:
     """(a, b), each (4K, 4K+3): row i of (z, v, d) cell c, cells in the C
     order of CellStats.n_zvt, is a[c] + b[c] y_i. Only the tau and LATE
-    rows depend on y."""
-    k, r, s, m0 = t.sums.k, t.r, t.s, t.m0
+    rows depend on y. A stack's come with its axis first."""
+    k = t.sums.k  # each vector's values as a column, to meet the cells' rows
+    r, dp, beta, m00, m01, s0, s1 = (np.asarray(x)[..., None] for x in
+                                     (t.r, t.dp, t.beta, *t.m0, *t.s))
     z, v, d = (x.ravel() for x in np.indices((2, k, 2)))
-    cell, zv, q = np.arange(4 * k), z * k + v, t.q[z, v]
+    cell, zv, q = np.arange(4 * k), z * k + v, t.q[z, v].T
     tau_a = t.tau[:, None] * (1.0 - t.h1 / t.q - t.h0 / (1.0 - t.q))
-    a = np.zeros((4 * k, 4 * k + 3))
+    a = np.zeros(r.shape[:-1] + (4 * k, 4 * k + 3))
     b = np.zeros_like(a)
-    a[:, 0] = r - z
-    a[cell, 1 + zv] = q - d
-    a[cell, 1 + 2 * k + zv] = tau_a[z, v]
-    b[cell, 1 + 2 * k + zv] = d / q - (1 - d) / (1.0 - q)
-    a[:, -2] = t.dp - ((d * z / r - m0[1]) / s[1]
-                       - (d * (1 - z) / (1.0 - r) - m0[0]) / s[0])
-    a[:, -1] = t.beta
-    b[:, -1] = -(z / r - (1 - z) / (1.0 - r)) / t.dp
+    a[..., 0] = r - z
+    a[..., cell, 1 + zv] = q - d
+    a[..., cell, 1 + 2 * k + zv] = tau_a[z, v].T
+    b[..., cell, 1 + 2 * k + zv] = d / q - (1 - d) / (1.0 - q)
+    a[..., -2] = dp - ((d * z / r - m01) / s1
+                       - (d * (1 - z) / (1.0 - r) - m00) / s0)
+    a[..., -1] = beta
+    b[..., -1] = -(z / r - (1 - z) / (1.0 - r)) / dp
     return a, b
 
 
@@ -284,12 +303,15 @@ def gbar_jacobian_omega(stats: CellStats, sums: MomentSums,
     MomentSums.of(stats). Omega, the uncentered second moment (1/n) sum
     g_i g_i', is summed cell by cell as a'Na + a'(Sy)b + b'(Sy)a + b'(Syy)b,
     where a cell's sum of y squared is its centred sum of squares plus Sy
-    times its mean."""
+    times its mean. A stack of tables and vectors gives a stack of each."""
     t = _terms(sums, ParamVector.unpacked_fields(theta_flat, stats.k,
                                                  stats.mode))
     a, b = _cell_rows(t)
-    n_c, sy = stats.n_zvt.reshape(-1, 1), stats.sum_y.reshape(-1, 1)
-    syy = stats.ss_y.reshape(-1, 1) + sy * stats.y_mean.reshape(-1, 1)
-    cross = a.T @ (sy * b)
-    omega = (a.T @ (n_c * a) + cross + cross.T + b.T @ (syy * b)) / stats.n
-    return _gbar(t), _jacobian(t, stats.mode), omega
+    at, column = np.swapaxes(a, -1, -2), stats.n_zvt.shape[:-3] + (-1, 1)
+    n_c, sy = stats.n_zvt.reshape(column), stats.sum_y.reshape(column)
+    syy = stats.ss_y.reshape(column) + sy * stats.y_mean.reshape(column)
+    cross = at @ (sy * b)
+    omega = ((at @ (n_c * a) + cross + np.swapaxes(cross, -1, -2)
+              + np.swapaxes(b, -1, -2) @ (syy * b))
+             / np.reshape(stats.n, column[:-2] + (1, 1)))
+    return _gbar(t).T, _jacobian(t, stats.mode), omega

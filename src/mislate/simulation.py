@@ -5,10 +5,16 @@ Each replication draws from an independent Philox counter-based stream keyed
 by (seed, rep), so results are bit-reproducible and independent of how
 replications are scheduled across workers. Normal draws go through the
 inverse CDF to keep streams aligned.
+
+A study draws, tabulates and fits its replications in blocks of at most
+_BLOCK_DRAWS draws, as stacks of tables; a replication whose GMM fit needs
+the solver is fitted alone. Either way each gets the same bits, so the
+summary depends on neither the block size nor the number of workers.
 """
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,12 +24,14 @@ from ._special import ndtr, ndtri
 from .baselines import ols, wald_iv
 from .data import Dataset, Mode, ParamVector, cell_stats, param_names
 from .exceptions import MislateError, NoConvergence
-from .gmm import GmmConfig, estimate
+from .gmm import GmmConfig, _closed_forms, estimate
 
 # var(U2 | U1) under the (U1, U2) covariance [[1, 0.05], [0.05, 0.5]]
 _U2_RESID_SD = float(np.sqrt(0.5 - 0.05 ** 2))
 _T_FLIP = 0.25
 _V_FLIP = 0.3
+# draws (replications x n) per block: what a study holds in memory at once
+_BLOCK_DRAWS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -85,23 +93,24 @@ def _rng(seed: int, rep: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + rep))
 
 
-def _std_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    u = rng.random(n)
-    u[u == 0.0] = 0.5 ** 53
-    return ndtri(u)
-
-
-def generate(design: DesignSpec, n: int, seed: int, rep: int = 0):
-    """Draw one sample; returns (Dataset, LatentRecord)."""
-    rng = _rng(seed, rep)
-    z = (rng.random(n) < 0.5).astype(np.int8)
-    # one call for both blocks: random(2n) is random(n) twice, bit for bit
-    e = _std_normal(rng, 2 * n)
-    e1, e2 = e[:n], e[n:]
+def generate(design: DesignSpec, n: int, seed: int, rep=0):
+    """Draw one sample; returns (Dataset, LatentRecord). A sequence of reps
+    draws one sample per rep, each from its own stream, and stacks them:
+    every array then has shape (reps, n)."""
+    reps = [rep] if np.isscalar(rep) else list(rep)
+    zu, normal, uv, ut = (np.empty((len(reps), m * n)) for m in (1, 2, 1, 1))
+    for i, r in enumerate(reps):  # each sample's draws, in stream order
+        rng = _rng(seed, r)
+        for draws in (zu, normal, uv, ut):
+            rng.random(out=draws[i])
+    if np.isscalar(rep):
+        zu, normal, uv, ut = zu[0], normal[0], uv[0], ut[0]
+    z = (zu < 0.5).astype(np.int8)
+    normal[normal == 0.0] = 0.5 ** 53
+    e = ndtri(normal)
+    e1, e2 = e[..., :n], e[..., n:]
     u1 = e1
     u2 = 0.05 * e1 + _U2_RESID_SD * e2
-    uv = rng.random(n)
-    ut = rng.random(n)
 
     if design.repeated_measure:
         t_star = (-0.5 + z - u1 > 0).astype(np.int8)
@@ -215,6 +224,8 @@ class McSummary:
     seed: int
     n_failed: int
     rows: list
+    # exception class name -> failed replications; the counts sum to n_failed
+    failures: dict = field(default_factory=dict)
 
     def row(self, parameter: str, estimator: str) -> McRow:
         for r in self.rows:
@@ -226,32 +237,53 @@ class McSummary:
 # packed positions of the tracked CASE_II (K=2) parameters
 _TRACKED = {p: i for i, p in enumerate(param_names(2, Mode.CASE_II))
             if p in ("beta_star", "delta_p_star", "m0", "m1")}
+_ROWS = [(p, "gmm") for p in _TRACKED] + [("beta_star", "iv"), ("delta_p_star", "ols")]
 
 
-def _one_rep(args):
-    design_id, n, seed, rep, ci_level, estimators = args
-    design = DesignSpec(design_id)
-    ds, _ = generate(design, n, seed, rep)
+def _slopes(stats) -> dict:
+    iv, fs = wald_iv(stats), ols(stats, outcome="t", regressors=("z",))
+    return {("beta_star", "iv"): (iv.coef[..., 1], iv.robust_se[..., 1]),
+            ("delta_p_star", "ols"): (fs.coef[..., 1], fs.robust_se[..., 1])}
 
-    out = {"failed": False, "gmm": None, "iv": None, "ols_fs": None}
+
+def _at(fits: dict, i=()) -> dict:
+    """(estimate, SE) by (parameter, estimator) of table i of a stack."""
+    return {key: (float(b[i]), float(se[i])) for key, (b, se) in fits.items()}
+
+
+def _run_block(args) -> list:
+    """(cause, fits) per replication: the class name of a failed fit's error
+    or None, and the fits as _at gives them, from the stack where it can."""
+    design_id, n, seed, reps, ci_level, estimators = args
+    stats = cell_stats(generate(DesignSpec(design_id), n, seed, reps)[0])
     try:
-        stats = cell_stats(ds)
+        fits = _slopes(stats) if "iv" in estimators else {}
+        done = np.ones(len(reps), dtype=bool)
+        if "gmm" in estimators:
+            done, x, se = _closed_forms(stats, "identity")
+            fits.update({(p, "gmm"): (x[:, i], se[:, i]) for p, i in _TRACKED.items()})
+    except MislateError:  # a table failed a check: fit each table alone
+        done = np.zeros(len(reps), dtype=bool)
+    return [(None, _at(fits, i)) if done[i]
+            else _fit_one(stats[i], ci_level, estimators)
+            for i in range(len(reps))]
+
+
+def _fit_one(stats, ci_level, estimators) -> tuple:
+    fits = {}
+    try:
         if "iv" in estimators:
-            iv = wald_iv(stats)
-            out["iv"] = (float(iv.coef[1]), float(iv.robust_se[1]))
-            fs = ols(stats, outcome="t", regressors=("z",))
-            out["ols_fs"] = (float(fs.coef[1]), float(fs.robust_se[1]))
+            fits.update(_slopes(stats))
         if "gmm" in estimators:
             est = estimate(stats, GmmConfig(weighting="identity",
                                             ci_level=ci_level))
             if not est.converged:
                 raise NoConvergence("optimizer did not converge")
-            vals = {p: float(est.theta_flat[i]) for p, i in _TRACKED.items()}
-            ses = {p: float(est.se[i]) for p, i in _TRACKED.items()}
-            out["gmm"] = (vals, ses)
-    except MislateError:
-        out["failed"] = True
-    return out
+            fits.update({(p, "gmm"): (est.theta_flat[i], est.se[i])
+                         for p, i in _TRACKED.items()})
+    except MislateError as exc:
+        return type(exc).__name__, {}
+    return None, _at(fits)
 
 
 def run_study(design: DesignSpec, n: int, reps: int, seed: int,
@@ -263,8 +295,9 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     them fails (empty cells, identification failure, optimizer
     non-convergence) are counted and excluded from the summary moments.
     SD uses the uncentered convention so rmse^2 = bias^2 + sd^2 exactly.
-    At most min(workers, CPU count, reps) worker processes run; the
-    per-replication streams make the result independent of that number.
+    failures counts them by error. At most min(workers, CPU count, reps)
+    worker processes run, with a block each at least; the per-replication
+    streams make the result independent of that number.
     n, reps or workers below 1, a seed outside 0..2**64-1, estimators
     that are empty or name anything but "gmm" and "iv", or a ci_level
     outside (0, 1), raises ValueError before any replication runs.
@@ -284,37 +317,26 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     true_vals = {p: float(true_flat[i]) for p, i in _TRACKED.items()}
     zcrit = float(ndtri(0.5 + ci_level / 2.0))
 
-    tasks = [(design.id, n, seed, rep, ci_level, estimators)
-             for rep in range(reps)]
     pool_size = min(workers, os.cpu_count() or 1, reps)
+    blocks = max(pool_size, -(-reps // max(1, _BLOCK_DRAWS // n)))
+    tasks = [(design.id, n, seed, range(reps * b // blocks,
+                                        reps * (b + 1) // blocks),
+              ci_level, estimators) for b in range(blocks)]
     if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_one_rep, tasks, chunksize=16))
+            outs = list(pool.map(_run_block, tasks))
     else:
-        results = [_one_rep(t) for t in tasks]
-
-    ok = [r for r in results if not r["failed"]]
-    n_failed = reps - len(ok)
-    rows = []
-
-    if "gmm" in estimators and ok:
-        for p in _TRACKED:
-            vals = np.array([r["gmm"][0][p] for r in ok])
-            ses = np.array([r["gmm"][1][p] for r in ok])
-            rows.append(_summarise(p, "gmm", true_vals[p], vals, ses, zcrit))
-    if "iv" in estimators and ok:
-        vals = np.array([r["iv"][0] for r in ok])
-        ses = np.array([r["iv"][1] for r in ok])
-        rows.append(_summarise("beta_star", "iv", true_vals["beta_star"],
-                               vals, ses, zcrit))
-        fsv = np.array([r["ols_fs"][0] for r in ok])
-        fss = np.array([r["ols_fs"][1] for r in ok])
-        rows.append(_summarise("delta_p_star", "ols", true_vals["delta_p_star"],
-                               fsv, fss, zcrit))
+        outs = [_run_block(t) for t in tasks]
+    results = [r for block in outs for r in block]
+    ok = [fits for cause, fits in results if cause is None]
+    rows = [_summarise(p, est, true_vals[p], *np.array([f[p, est] for f in ok]).T,
+                       zcrit)
+            for p, est in _ROWS if ok and (p, est) in ok[0]]
     return McSummary(design=design.id, n=n, reps=reps, seed=seed,
-                     n_failed=n_failed, rows=rows)
+                     n_failed=reps - len(ok), rows=rows,
+                     failures=dict(Counter(c for c, _ in results if c)))
 
 
 def _summarise(parameter, estimator, true, vals, ses, zcrit) -> McRow:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from mislate.data import Dataset, Mode, ParamVector
+from mislate.data import CellStats, Dataset, Mode, ParamVector
 from mislate.moments import MomentLayout, _check_domain
 
 
@@ -205,6 +205,13 @@ def row_validate(ds: Dataset) -> list:
             f"v={ds.v_support[kk]!r}, t={t}"
         )
     return out
+
+
+def stack_tables(tables) -> CellStats:
+    """The stack of equal-shape CellStats tables, in order."""
+    return CellStats(*(np.stack([getattr(t, f) for t in tables])
+                       for f in ("n_zvt", "sum_y", "ss_y")),
+                     mode=tables[0].mode, v_support=tables[0].v_support)
 
 
 def count_calls(monkeypatch, fn) -> list:

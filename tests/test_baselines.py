@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_theta, row_iv_fit, simulate_from_theta
+from conftest import random_theta, row_iv_fit, simulate_from_theta, stack_tables
 from mislate.baselines import (
     naive_bias_diag,
     ols,
@@ -59,6 +59,23 @@ class TestWaldIV:
         se0 = wald_iv(cell_stats(ds)).robust_se
         se1 = wald_iv(cell_stats(ds), hc1=True).robust_se
         np.testing.assert_allclose(se1, se0 * np.sqrt(n / (n - 2)))
+
+
+@pytest.mark.parametrize("hc1", [False, True])
+def test_a_stack_is_fitted_as_each_table_alone(hc1):
+    tables = [cell_stats(generate(DesignSpec(d), 800, seed=5, rep=d)[0])
+              for d in range(1, 7)]
+    stack = stack_tables(tables)
+    for fit in (lambda s: wald_iv(s, hc1),
+                lambda s: ols(s, outcome="t", regressors=("z",), hc1=hc1),
+                lambda s: ols(s, outcome="y", regressors=("t", "v"), hc1=hc1)):
+        together = fit(stack)
+        for i, table in enumerate(tables):
+            alone = fit(table)
+            for name in ("coef", "robust_se", "vcov"):
+                assert (getattr(together, name)[i].tobytes()
+                        == getattr(alone, name).tobytes())
+            assert together.n[i] == alone.n
 
 
 class TestOls:

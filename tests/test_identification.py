@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mislate
-from conftest import random_theta, simulate_from_theta
+from conftest import random_theta, simulate_from_theta, stack_tables
 from mislate.data import CellStats, Mode, ParamVector, cell_stats
 from mislate.exceptions import (
     DegenerateCell,
@@ -404,3 +404,36 @@ def test_no_extended_precision_in_the_package():
         text = path.read_text()
         for name in ("longdouble", "float128", "float96"):
             assert name not in text, f"{path.name} names {name}"
+
+
+@pytest.mark.parametrize("mode,k", [(Mode.CASE_II, 2), (Mode.CASE_II, 3),
+                                    (Mode.CASE_I, 3), (Mode.CASE_I, 4)])
+def test_a_stack_is_solved_as_each_table_alone(mode, k):
+    # small samples, so that some tables fail and some that solve pick
+    # another candidate than their neighbours; each must give the bits it
+    # gives alone, or fail where it fails alone
+    rng = np.random.default_rng(40 + k)
+    tables = []
+    while len(tables) < 24:
+        theta = random_theta(rng, mode, k)
+        sample = simulate_from_theta(theta, 400 * k, rng)
+        table = cell_stats(dataclasses.replace(sample, mode=mode))
+        if not (table.n_zvt == 0).any() or len(tables) % 6 == 0:
+            tables.append(table)
+    stacked = identify(stack_tables(tables), mode)
+    failed = 0
+    for i, table in enumerate(tables):
+        try:
+            alone = identify(table, mode)
+        except MislateError:
+            failed += 1
+            assert stacked.failed[i]
+            continue
+        assert not stacked.failed[i]
+        assert stacked.theta.pack()[i].tobytes() == alone.theta.pack().tobytes()
+        assert stacked.s[i].tobytes() == alone.s.tobytes()
+        assert [d[i] for d in stacked.discriminants] == list(alone.discriminants)
+        picked = (stacked.support_points[i] if mode is Mode.CASE_II
+                  else tuple(g[i] for g in stacked.support_points))
+        assert picked == alone.support_points
+    assert 0 < failed < len(tables)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (cell_grid, central_differences, moment_matrix,
-                      random_theta, simulate_from_theta)
+                      random_theta, simulate_from_theta, stack_tables)
 from mislate.data import Dataset, Mode, ParamVector, cell_stats
 from mislate.exceptions import DomainError
 from mislate.identification import (forward_cell_stats, identify, implied_p,
@@ -196,6 +196,20 @@ class TestStructure:
         rows = moment_matrix(ds, theta)
         expected = sum(np.outer(row, row) for row in rows) / ds.n
         np.testing.assert_allclose(omega, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mode,k", TABLE_CASES)
+    def test_a_stack_is_evaluated_as_each_table_alone(self, rng, mode, k):
+        # the stack's axis is the only difference: every number is the bits
+        # of its table's own evaluation
+        cases = [_table_case(rng, mode, k, n=500) for _ in range(5)]
+        tables = [cell_stats(ds) for _, ds in cases]
+        x = np.stack([theta.pack() for theta, _ in cases])
+        stack = stack_tables(tables)
+        together = gbar_jacobian_omega(stack, MomentSums.of(stack), x)
+        for i, table in enumerate(tables):
+            alone = gbar_jacobian_omega(table, MomentSums.of(table), x[i])
+            for got, want in zip(together, alone):
+                assert got[i].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode,k", TABLE_CASES)
     def test_closed_form_gbar_matches_cell_intercepts_and_slopes(

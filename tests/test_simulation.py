@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 
 import numpy as np
@@ -6,8 +7,12 @@ from scipy.stats import norm
 
 from conftest import count_calls
 import mislate.simulation
+from mislate.baselines import ols, wald_iv
 from mislate.data import Mode, cell_stats
 from mislate.exceptions import MislateError
+from mislate import gmm
+from mislate.gmm import estimate
+from mislate.identification import identify
 from mislate.simulation import (
     DesignSpec,
     _trunc_moments,
@@ -259,28 +264,36 @@ class TestRunStudy:
         assert names == {("beta_star", "iv"), ("delta_p_star", "ols")}
 
     def test_unrequested_gmm_is_not_fitted(self, monkeypatch):
-        # a GMM failure must not drop the replications of an iv-only study
-        calls = []
+        # a GMM failure must not drop the replications of an iv-only study;
+        # a block fits GMM through _closed_forms, and a table alone through
+        # estimate
+        calls = {"estimate": [], "_closed_forms": []}
 
-        def failing_estimate(*args, **kwargs):
-            calls.append(args)
-            raise MislateError("estimate called")
+        def failing(name):
+            def fit(*args, **kwargs):
+                calls[name].append(args)
+                raise MislateError(f"{name} called")
+            return fit
 
         expected = run_study(DesignSpec(1), n=1000, reps=5, seed=1,
                              estimators=("iv",))
-        monkeypatch.setattr(mislate.simulation, "estimate", failing_estimate)
+        for name in calls:
+            monkeypatch.setattr(mislate.simulation, name, failing(name))
         s = run_study(DesignSpec(1), n=1000, reps=5, seed=1, estimators=("iv",))
-        assert calls == []
+        assert calls == {"estimate": [], "_closed_forms": []}
         assert s.n_failed == 0
         assert s == expected
         full = run_study(DesignSpec(1), n=1000, reps=5, seed=1)
-        assert len(calls) == 5 and full.n_failed == 5 and full.rows == []
+        assert len(calls["_closed_forms"]) == 1 and len(calls["estimate"]) == 5
+        assert full.n_failed == 5 and full.rows == []
+        assert full.failures == {"MislateError": 5}
 
     def test_each_replication_is_tabulated_once(self, monkeypatch):
+        # one tabulation per block, of every replication in it
         calls = count_calls(monkeypatch, cell_stats)
         s = run_study(DesignSpec(1), n=1000, reps=3, seed=1)
         assert s.n_failed == 0 and len(s.rows) == 6
-        assert len(calls) == 3
+        assert len(calls) == 1 and calls[0][0].y.shape == (3, 1000)
 
     def test_moderate_study_tracks_population_values(self):
         s = run_study(DesignSpec(1), n=1000, reps=60, seed=11)
@@ -318,7 +331,7 @@ class TestRunStudy:
         def no_rep(task):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(mislate.simulation, "_one_rep", no_rep)
+        monkeypatch.setattr(mislate.simulation, "_run_block", no_rep)
         args = dict(n=500, reps=3, seed=0, estimators=("iv",)) | over
         with pytest.raises(ValueError) as err:
             run_study(DesignSpec(1), **args)
@@ -355,3 +368,91 @@ class TestRunStudy:
         monkeypatch.setattr(mislate.simulation.os, "cpu_count", lambda: None)
         run_study(design, n=1000, reps=6, seed=2, workers=8)
         assert sizes == [4, 3, 2]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("design", range(1, 7))
+    def test_a_block_is_each_replication_alone(self, design):
+        # the block's draws and tables are the bits of each replication's
+        # own; each closed form the block fits is the bits of estimate's,
+        # and the block leaves every other replication to estimate
+        reps = range(3, 23)
+        ds, latent = generate(DesignSpec(design), 1000, 7, reps)
+        stats = cell_stats(ds)
+        done, x, se = gmm._closed_forms(stats, "identity")
+        fits = mislate.simulation._slopes(stats) | {
+            (p, "gmm"): (x[:, j], se[:, j])
+            for p, j in mislate.simulation._TRACKED.items()}
+        for i, r in enumerate(reps):
+            ds_r, latent_r = generate(DesignSpec(design), 1000, 7, r)
+            for got, want in ((ds, ds_r), (latent, latent_r)):
+                for name, value in vars(want).items():
+                    if isinstance(value, np.ndarray):
+                        assert getattr(got, name)[i].tobytes() == value.tobytes()
+            table = cell_stats(ds_r)
+            for name in ("n_zvt", "sum_y", "ss_y"):
+                assert getattr(stats, name)[i].tobytes() == getattr(table, name).tobytes()
+            try:
+                closed_form = identify(table, table.mode).theta.pack()
+            except MislateError:
+                closed_form = None
+            assert done[i] == (closed_form is not None
+                               and gmm._is_closed(closed_form, 2, table.mode))
+            if done[i]:
+                alone = mislate.simulation._fit_one(table, 0.95, ("gmm", "iv"))
+                assert repr((None, mislate.simulation._at(fits, i))) == repr(alone)
+        assert done.sum() >= 10
+
+    def test_the_summary_depends_on_neither_block_size_nor_workers(
+            self, monkeypatch):
+        class FakePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(mislate.simulation.os, "cpu_count", lambda: 2)
+        args = dict(n=500, reps=11, seed=4)
+        expected = run_study(DesignSpec(4), **args)
+        assert expected.n_failed < 11 and len(expected.rows) == 6
+        blocks = count_calls(monkeypatch, generate)
+        for cap in (1, 3 * 500, mislate.simulation._BLOCK_DRAWS):
+            monkeypatch.setattr(mislate.simulation, "_BLOCK_DRAWS", cap)
+            for workers in (1, 2):
+                blocks.clear()
+                assert run_study(DesignSpec(4), workers=workers, **args) == expected
+                sizes = [len(call[3]) for call in blocks]
+                assert sum(sizes) == 11 and len(sizes) >= workers
+                assert max(sizes) <= max(1, cap // 500)
+
+    def test_a_sample_larger_than_a_block_runs_alone(self, monkeypatch):
+        monkeypatch.setattr(mislate.simulation, "_BLOCK_DRAWS", 999)
+        blocks = count_calls(monkeypatch, generate)
+        run_study(DesignSpec(1), n=1000, reps=3, seed=0, estimators=("iv",))
+        assert [list(call[3]) for call in blocks] == [[0], [1], [2]]
+
+    def test_failures_are_counted_by_cause(self):
+        # at n = 40 one replication has no first-stage contrast, which fails
+        # its block's baselines, and one fit does not converge
+        s = run_study(DesignSpec(2), n=40, reps=12, seed=0)
+        causes = []
+        for rep in range(12):
+            table = cell_stats(generate(DesignSpec(2), 40, 0, rep)[0])
+            try:
+                wald_iv(table)
+                ols(table, outcome="t", regressors=("z",))
+                if not estimate(table).converged:
+                    causes.append("NoConvergence")
+            except MislateError as exc:
+                causes.append(type(exc).__name__)
+        assert s.failures == {"WeakFirstStage": 1, "NoConvergence": 1}
+        assert s.failures == dict(collections.Counter(causes))
+        assert sum(s.failures.values()) == s.n_failed
