@@ -136,9 +136,10 @@ class ParamVector:
             raise ValidationError(f"p_star must have shape (2, K), got {p.shape}")
         object.__setattr__(self, "p_star", p)
         p.setflags(write=False)
-        m = np.stack([self.m0, self.m1])  # NaN in a failed stacked fit passes
-        if self.mode is Mode.CASE_II and np.any(
-                np.abs(m[..., 0] - m[..., 1]) > 0.0):
+        if self.mode is Mode.CASE_II and not (
+            (self.m0[..., 0] == self.m0[..., 1]).all()
+            and (self.m1[..., 0] == self.m1[..., 1]).all()
+        ):
             raise ValidationError("CASE_II requires z-invariant m0 and m1")
 
     @property
@@ -170,9 +171,9 @@ class ParamVector:
         CASE_I:  (b*, dp*, r, m00, m10, p*_{0,.}, tau0*, m01, m11, p*_{1,.}, tau1*)
         CASE_II: (b*, dp*, r, m0,  p*_{0,.}, tau0*, m1,  p*_{1,.}, tau1*)
         """
-        blocks = np.stack([self.m0, self.m1, *np.moveaxis(self.p_star, -1, 0),
-                           self.tau_star], axis=-1)
-        natural = np.concatenate([np.array([self.beta_star, self.delta_p_star, self.r]).T,
+        blocks = np.concatenate([self.m0[..., None], self.m1[..., None],
+                                 self.p_star, self.tau_star[..., None]], axis=-1)
+        natural = np.concatenate([np.stack([self.beta_star, self.delta_p_star, self.r], -1),
                                   blocks.reshape(blocks.shape[:-2] + (-1,))], axis=-1)
         return natural[..., packed_layout(self.k, self.mode)[0]]
 

@@ -73,7 +73,7 @@ class IdentifyResult:
     determinants: dict            # candidate support selection -> determinant
     discriminants: tuple          # discriminant per solved system
     support_points: tuple         # selected support indices (per z in case i)
-    failed: object = False        # a stack's tables that failed a check
+    failed: np.ndarray            # a stack's tables that failed a check
 
 
 def _scalar(out):
@@ -287,9 +287,9 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
     table with an empty (z, v, t) cell raises EmptyCell.
 
     A stack of R tables gives a stack of results: every field gains a
-    leading axis and support_points holds each table's. failed marks the
-    tables that fail a check; they raise nothing, and their values mean
-    nothing.
+    leading axis and support_points holds each table's pick (the pin, if
+    pinned). failed marks the tables that fail a check; they raise
+    nothing, and their values mean nothing.
     """
     pins = (None if support_points is None
             else check_support_points(support_points, stats.k, mode))
@@ -306,18 +306,21 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
         for g, (arms, cands) in enumerate(groups):
             if pins is not None:
                 cands = [(None, pins[g], _cell_pairs(arms, pins[g]))]
-            eqs = [_equations(stats, pairs, checks) for _, _, pairs in cands]
             supports = np.empty(len(cands), dtype=object)
             supports[:] = [support for _, support, _ in cands]
-            pick = 0
-            if len(cands) > 1:  # each table's candidate: the largest |det|
-                pick = np.argmax([np.abs(dets[key]) for key, _, _ in cands], axis=0)
-                eqs = [np.take_along_axis(np.moveaxis(eqs, 0, -1),
-                                          pick[None, None, ..., None], -1)[..., 0]]
-            b = solve_b(*(WTriple(*w) for w in eqs[0]), checks)
+            # each table's candidate, the largest |det|, whose cells are
+            # checked above: of a stack, each table's equations are gathered
+            pick = np.argmax([np.abs(dets.get(key, 0.0)) for key, _, _ in cands], axis=0)
+            if np.ndim(pick):
+                eqs = np.take_along_axis(np.array([_equations(stats, pairs, [])
+                                                   for *_, pairs in cands]),
+                                         pick[None, None, None], 0)[0]
+            else:
+                eqs = _equations(stats, cands[pick][2], [])
+            b = solve_b(*(WTriple(*w) for w in eqs), checks)
             discs.append(_scalar(np.asarray(b.discriminant)))
             m[:, list(arms)] = np.array(b_to_m(b, checks))[:, None]
-            selected.append(supports[np.broadcast_to(pick, stats.mu_z.shape[:-1])])
+            selected.append(supports[pick])
         m0, m1, s = m
 
         # z by z: p* of the cells and of the arm, then tau*_z, so that a
@@ -332,12 +335,15 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
         delta_p_star = p_star_z[1] - p_star_z[0]
         beta_star = late_from_reduced(mu_z[1], mu_z[0], delta_p_star, checks)
 
+    failed = np.zeros(stats.mu_z.shape[:-1], dtype=bool)
+    for bad in checks or ():
+        failed |= np.reshape(bad, failed.shape + (-1,)).any(axis=-1)
     theta = ParamVector(
         beta_star=_scalar(np.asarray(beta_star)),
         delta_p_star=_scalar(np.asarray(delta_p_star)),
         r=stats.r_hat,
-        m0=m0.T,
-        m1=m1.T,
+        m0=np.where(failed, 0.0, m0).T,  # a valid, z-invariant value where
+        m1=np.where(failed, 0.0, m1).T,  # a table failed
         p_star=p_star[..., :-1],
         tau_star=tau_star,
         mode=mode,
@@ -348,8 +354,7 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
         determinants=dets,
         discriminants=tuple(discs),
         support_points=selected[0] if len(groups) == 1 else tuple(selected),
-        failed=checks is not None and np.any(
-            [np.reshape(bad, (len(s.T), -1)).any(axis=1) for bad in checks], axis=0),
+        failed=failed,
     )
 
 

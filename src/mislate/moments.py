@@ -224,10 +224,8 @@ def _jacobian(t: _Terms, mode: Mode) -> np.ndarray:
     a, b = ptau / q, ptau / q1
     (t0, t1), (y0, y1) = sums.t_z, sums.y_z
     u0, u1, one = t.u0, t.u1, 0.0 * r + 1.0
-    # ** squares one float by libm's pow, and float_power a stack likewise
-    r2, rc2, s02, s12, dp2 = (np.float_power([r, 1.0 - r, s[0], s[1], dp], 2)
-                              if stack else (r ** 2, (1.0 - r) ** 2, s[0] ** 2,
-                                             s[1] ** 2, dp ** 2))
+    # libm's pow, which ** is on a float, also on a stack
+    r2, rc2, s02, s12, dp2 = np.float_power([r, 1.0 - r, s[0], s[1], dp], 2)
     values = np.concatenate([
         # p rows P q - N1 by (m0_z, m1_z, p*_zv): dq = (1-p*, -p*, s)
         p * ps1, -p * ps, p * sz,

@@ -97,14 +97,11 @@ def generate(design: DesignSpec, n: int, seed: int, rep=0):
     """Draw one sample; returns (Dataset, LatentRecord). A sequence of reps
     draws one sample per rep, each from its own stream, and stacks them:
     every array then has shape (reps, n)."""
-    reps = [rep] if np.isscalar(rep) else list(rep)
-    zu, normal, uv, ut = (np.empty((len(reps), m * n)) for m in (1, 2, 1, 1))
-    for i, r in enumerate(reps):  # each sample's draws, in stream order
-        rng = _rng(seed, r)
+    zu, normal, uv, ut = (np.empty(np.shape(rep) + (m * n,)) for m in (1, 2, 1, 1))
+    for i, r in enumerate(np.ravel(rep).tolist()):  # each sample's draws,
+        rng = _rng(seed, r)                          # in stream order
         for draws in (zu, normal, uv, ut):
-            rng.random(out=draws[i])
-    if np.isscalar(rep):
-        zu, normal, uv, ut = zu[0], normal[0], uv[0], ut[0]
+            rng.random(out=draws.reshape(-1, draws.shape[-1])[i])
     z = (zu < 0.5).astype(np.int8)
     normal[normal == 0.0] = 0.5 ** 53
     e = ndtri(normal)
@@ -240,50 +237,48 @@ _TRACKED = {p: i for i, p in enumerate(param_names(2, Mode.CASE_II))
 _ROWS = [(p, "gmm") for p in _TRACKED] + [("beta_star", "iv"), ("delta_p_star", "ols")]
 
 
-def _slopes(stats) -> dict:
-    iv, fs = wald_iv(stats), ols(stats, outcome="t", regressors=("z",))
-    return {("beta_star", "iv"): (iv.coef[..., 1], iv.robust_se[..., 1]),
-            ("delta_p_star", "ols"): (fs.coef[..., 1], fs.robust_se[..., 1])}
-
-
-def _at(fits: dict, i=()) -> dict:
-    """(estimate, SE) by (parameter, estimator) of table i of a stack."""
-    return {key: (float(b[i]), float(se[i])) for key, (b, se) in fits.items()}
+def _fit(stats, ci_level, estimators) -> list:
+    """(cause, fits) per table of a stack: the class name of the error that
+    failed its fit, or None and (estimate, SE) by (parameter, estimator). A
+    closed form that is the estimate is fitted with the stack, any other
+    table alone; a check that trips on the stack raises."""
+    fits, causes = {}, [None] * len(stats.n)
+    if "iv" in estimators:
+        iv, fs = wald_iv(stats), ols(stats, outcome="t", regressors=("z",))
+        fits = {("beta_star", "iv"): (iv.coef[:, 1], iv.robust_se[:, 1]),
+                ("delta_p_star", "ols"): (fs.coef[:, 1], fs.robust_se[:, 1])}
+    if "gmm" in estimators:
+        closed, x, se = _closed_forms(stats, "identity")
+        for i in np.flatnonzero(~closed):
+            try:
+                est = estimate(stats[i], GmmConfig(weighting="identity",
+                                                   ci_level=ci_level))
+                if not est.converged:
+                    raise NoConvergence("optimizer did not converge")
+                x[i], se[i] = est.theta_flat, est.se
+            except MislateError as exc:
+                causes[i] = type(exc).__name__
+        fits.update({(p, "gmm"): (x[:, j], se[:, j]) for p, j in _TRACKED.items()})
+    return [(cause, {} if cause else {key: (float(b[i]), float(sd[i]))
+                                      for key, (b, sd) in fits.items()})
+            for i, cause in enumerate(causes)]
 
 
 def _run_block(args) -> list:
-    """(cause, fits) per replication: the class name of a failed fit's error
-    or None, and the fits as _at gives them, from the stack where it can."""
+    """_fit of a block of replications, drawn and tabulated as one stack; if
+    a check trips on the stack, of each replication as a stack of one."""
     design_id, n, seed, reps, ci_level, estimators = args
     stats = cell_stats(generate(DesignSpec(design_id), n, seed, reps)[0])
     try:
-        fits = _slopes(stats) if "iv" in estimators else {}
-        done = np.ones(len(reps), dtype=bool)
-        if "gmm" in estimators:
-            done, x, se = _closed_forms(stats, "identity")
-            fits.update({(p, "gmm"): (x[:, i], se[:, i]) for p, i in _TRACKED.items()})
-    except MislateError:  # a table failed a check: fit each table alone
-        done = np.zeros(len(reps), dtype=bool)
-    return [(None, _at(fits, i)) if done[i]
-            else _fit_one(stats[i], ci_level, estimators)
-            for i in range(len(reps))]
-
-
-def _fit_one(stats, ci_level, estimators) -> tuple:
-    fits = {}
-    try:
-        if "iv" in estimators:
-            fits.update(_slopes(stats))
-        if "gmm" in estimators:
-            est = estimate(stats, GmmConfig(weighting="identity",
-                                            ci_level=ci_level))
-            if not est.converged:
-                raise NoConvergence("optimizer did not converge")
-            fits.update({(p, "gmm"): (est.theta_flat[i], est.se[i])
-                         for p, i in _TRACKED.items()})
-    except MislateError as exc:
-        return type(exc).__name__, {}
-    return None, _at(fits)
+        return _fit(stats, ci_level, estimators)
+    except MislateError:
+        out = []
+        for i in range(len(reps)):
+            try:
+                out += _fit(stats[i:i + 1], ci_level, estimators)
+            except MislateError as exc:
+                out.append((type(exc).__name__, {}))
+        return out
 
 
 def run_study(design: DesignSpec, n: int, reps: int, seed: int,

@@ -227,6 +227,23 @@ CASE_I_K3_NAMES = [
     "tau_star[z=1]"]
 
 
+@pytest.mark.parametrize("m0,m1", [([0.1, np.nan], [0.2, 0.2]),
+                                   ([np.nan, np.nan], [0.2, 0.2]),
+                                   ([0.1, 0.1], [0.2, 0.3])])
+def test_case_ii_refuses_z_varying_or_nan_misclassification(m0, m1):
+    # NaN equals nothing, itself included, so it is never z-invariant; a
+    # stack is refused if any of its vectors is
+    fields = dict(beta_star=1.0, delta_p_star=0.3, r=0.5,
+                  p_star=np.full((2, 2), 0.5), tau_star=[1.0, 1.0],
+                  mode=Mode.CASE_II)
+    with pytest.raises(ValidationError):
+        ParamVector(m0=m0, m1=m1, **fields)
+    with pytest.raises(ValidationError):
+        ParamVector(m0=[[0.1, 0.1], m0], m1=[[0.2, 0.2], m1],
+                    **{**fields, "p_star": np.full((2, 2, 2), 0.5),
+                       "tau_star": np.ones((2, 2))})
+
+
 def test_param_names_pin_the_packed_order():
     assert param_names(2, Mode.CASE_II) == CASE_II_K2_NAMES
     assert param_names(3, Mode.CASE_I) == CASE_I_K3_NAMES

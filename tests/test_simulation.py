@@ -265,20 +265,23 @@ class TestRunStudy:
 
     def test_unrequested_gmm_is_not_fitted(self, monkeypatch):
         # a GMM failure must not drop the replications of an iv-only study;
-        # a block fits GMM through _closed_forms, and a table alone through
-        # estimate
+        # a block fits GMM through _closed_forms, and a table that is not a
+        # closed form alone through estimate
         calls = {"estimate": [], "_closed_forms": []}
 
-        def failing(name):
-            def fit(*args, **kwargs):
-                calls[name].append(args)
-                raise MislateError(f"{name} called")
-            return fit
+        def not_closed(stats, weighting):
+            calls["_closed_forms"].append(stats)
+            nan = np.full((len(stats.n), 11), np.nan)  # packed CASE_II, K = 2
+            return np.zeros(len(stats.n), dtype=bool), nan, nan.copy()
+
+        def failing(*args, **kwargs):
+            calls["estimate"].append(args)
+            raise MislateError("estimate called")
 
         expected = run_study(DesignSpec(1), n=1000, reps=5, seed=1,
                              estimators=("iv",))
-        for name in calls:
-            monkeypatch.setattr(mislate.simulation, name, failing(name))
+        monkeypatch.setattr(mislate.simulation, "_closed_forms", not_closed)
+        monkeypatch.setattr(mislate.simulation, "estimate", failing)
         s = run_study(DesignSpec(1), n=1000, reps=5, seed=1, estimators=("iv",))
         assert calls == {"estimate": [], "_closed_forms": []}
         assert s.n_failed == 0
@@ -380,9 +383,7 @@ class TestBlocks:
         ds, latent = generate(DesignSpec(design), 1000, 7, reps)
         stats = cell_stats(ds)
         done, x, se = gmm._closed_forms(stats, "identity")
-        fits = mislate.simulation._slopes(stats) | {
-            (p, "gmm"): (x[:, j], se[:, j])
-            for p, j in mislate.simulation._TRACKED.items()}
+        slopes = wald_iv(stats), ols(stats, outcome="t", regressors=("z",))
         for i, r in enumerate(reps):
             ds_r, latent_r = generate(DesignSpec(design), 1000, 7, r)
             for got, want in ((ds, ds_r), (latent, latent_r)):
@@ -392,6 +393,10 @@ class TestBlocks:
             table = cell_stats(ds_r)
             for name in ("n_zvt", "sum_y", "ss_y"):
                 assert getattr(stats, name)[i].tobytes() == getattr(table, name).tobytes()
+            alone = wald_iv(table), ols(table, outcome="t", regressors=("z",))
+            for got, want in zip(slopes, alone):
+                for name in ("coef", "robust_se", "vcov"):
+                    assert getattr(got, name)[i].tobytes() == getattr(want, name).tobytes()
             try:
                 closed_form = identify(table, table.mode).theta.pack()
             except MislateError:
@@ -399,8 +404,9 @@ class TestBlocks:
             assert done[i] == (closed_form is not None
                                and gmm._is_closed(closed_form, 2, table.mode))
             if done[i]:
-                alone = mislate.simulation._fit_one(table, 0.95, ("gmm", "iv"))
-                assert repr((None, mislate.simulation._at(fits, i))) == repr(alone)
+                est = estimate(table, gmm.GmmConfig(weighting="identity"))
+                assert x[i].tobytes() == est.theta_flat.tobytes()
+                assert se[i].tobytes() == est.se.tobytes()
         assert done.sum() >= 10
 
     def test_the_summary_depends_on_neither_block_size_nor_workers(
