@@ -299,7 +299,8 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
                lambda: stats.empty_cells()[0])
         _check(checks, (stats.p_zv <= 0.0) | (stats.p_zv >= 1.0),
                DegenerateCell, lambda: "a cell treatment probability is 0 or 1")
-        dets = nonsingularity_diag(stats, mode, checks)
+        # the equations' checks of their cells repeat the two above
+        dets = nonsingularity_diag(stats, mode, [])
         groups = _candidates(stats.k, mode)
         m = np.empty((3,) + stats.p_z.T.shape)  # (m0, m1, s), a stack's axis last
         selected, discs = [], []
@@ -308,8 +309,7 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
                 cands = [(None, pins[g], _cell_pairs(arms, pins[g]))]
             supports = np.empty(len(cands), dtype=object)
             supports[:] = [support for _, support, _ in cands]
-            # each table's candidate, the largest |det|, whose cells are
-            # checked above: of a stack, each table's equations are gathered
+            # the candidate with the largest |det|, of a stack each table's
             pick = np.argmax([np.abs(dets.get(key, 0.0)) for key, _, _ in cands], axis=0)
             if np.ndim(pick):
                 eqs = np.take_along_axis(np.array([_equations(stats, pairs, [])
