@@ -338,12 +338,13 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
     failed = np.zeros(stats.mu_z.shape[:-1], dtype=bool)
     for bad in checks or ():
         failed |= np.reshape(bad, failed.shape + (-1,)).any(axis=-1)
+    # a failed table's m0 and m1 may be NaN; 0 keeps its vector valid
     theta = ParamVector(
         beta_star=_scalar(np.asarray(beta_star)),
         delta_p_star=_scalar(np.asarray(delta_p_star)),
         r=stats.r_hat,
-        m0=np.where(failed, 0.0, m0).T,  # a valid, z-invariant value where
-        m1=np.where(failed, 0.0, m1).T,  # a table failed
+        m0=np.where(failed, 0.0, m0).T,
+        m1=np.where(failed, 0.0, m1).T,
         p_star=p_star[..., :-1],
         tau_star=tau_star,
         mode=mode,
