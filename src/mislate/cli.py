@@ -71,8 +71,10 @@ def _load(args) -> tuple:
         y_col=args.outcome, t_col=args.treatment, z_col=args.instrument,
         v_col=args.exogenous, delimiter=args.delimiter,
     )
+    if args.v_support == "":
+        raise ValidationError("--v-support names no label")
     support = ([label.strip() for label in args.v_support.split(",")]
-               if args.v_support else None)
+               if args.v_support is not None else None)
     mode = Mode(args.mode)
     ds = mio.load_csv(args.data, schema, mode, v_support=support)
     return ds, mode

@@ -53,10 +53,6 @@ class StartFailure(MislateError):
     """No feasible starting value could be constructed."""
 
 
-class NotOveridentified(MislateError):
-    """A J-test p-value was requested in a just-identified model."""
-
-
 class ParseError(MislateError):
     """A CSV cell could not be parsed; carries the 1-based line number."""
 

@@ -27,13 +27,7 @@ import numpy as np
 
 from ._special import chdtrc, ndtri
 from .data import CellStats, Mode, ParamVector, n_params, param_names, validate
-from .exceptions import (
-    MislateError,
-    NotOveridentified,
-    RankDeficient,
-    StartFailure,
-    ValidationError,
-)
+from .exceptions import MislateError, RankDeficient, StartFailure, ValidationError
 from .identification import identify
 from .lsq import trf
 from .moments import (MomentLayout, MomentSums, gbar_and_jacobian,
@@ -72,7 +66,6 @@ class Estimate:
     objective: float
     converged: bool
     n: int
-    layout: MomentLayout
     weighting: str
     param_names: list = field(default_factory=list)
 
@@ -240,16 +233,17 @@ def _closed_fit(table: CellStats, x: np.ndarray, weighting: str) -> tuple:
     return g, omega, w_half, sandwich_cov(G, weight, omega, table.n, w_half)
 
 
-def _closed_forms(stats: CellStats, weighting: str) -> tuple:
+def _closed_forms(stats: CellStats) -> tuple:
     """(closed, x, se) of a stack: where the closed form x is the estimate,
-    and its SEs there (NaN elsewhere). A check that trips there raises."""
+    and its identity-weighted SEs there (NaN elsewhere). A check that trips
+    there raises."""
     ident = identify(stats, stats.mode)
     x = ident.theta.pack()
     closed = np.array([not failed and _is_closed(xi, stats.k, stats.mode)
                        for failed, xi in zip(ident.failed, x)])
     se = np.full_like(x, np.nan)
     if closed.any():
-        se[closed] = _se(_closed_fit(stats[closed], x[closed], weighting)[-1])
+        se[closed] = _se(_closed_fit(stats[closed], x[closed], "identity")[-1])
     return closed, x, se
 
 
@@ -279,7 +273,6 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
     if problems:
         raise ValidationError("; ".join(problems))
     k, mode, n = table.k, table.mode, table.n
-    layout = MomentLayout(k, mode)
 
     start, closed = cfg.start, False
     if start is not None:
@@ -314,7 +307,7 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
     ci = confidence_intervals(x_hat, vcov, cfg.ci_level)
 
     j_stat = float(n * g @ np.linalg.pinv(omega) @ g)
-    j_dof = layout.n_overid
+    j_dof = MomentLayout(k, mode).n_overid
     j_pvalue = (
         float(chdtrc(j_dof, j_stat))
         if (cfg.weighting == "optimal" and j_dof > 0)
@@ -333,21 +326,16 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
         objective=objective,
         converged=converged,
         n=n,
-        layout=layout,
         weighting=cfg.weighting,
         param_names=param_names(k, mode),
     )
 
 
-def j_test(est: Estimate, require_pvalue: bool = False) -> tuple:
+def j_test(est: Estimate) -> tuple:
     """Overidentification test (stat, dof, pvalue); pvalue is None at dof 0.
-
-    With require_pvalue, a just-identified model raises NotOveridentified
-    instead of returning the undefined marker.
-    """
+    An overidentified fit without two-step optimal weighting raises
+    ValidationError."""
     if est.j_dof == 0:
-        if require_pvalue:
-            raise NotOveridentified("model is just-identified (dof = 0)")
         return est.j_stat, 0, None
     if est.weighting != "optimal":
         raise ValidationError(

@@ -359,24 +359,19 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
     )
 
 
-def forward_cell_stats(theta: ParamVector, v_weights=None) -> CellStats:
+def forward_cell_stats(theta: ParamVector) -> CellStats:
     """Exact population CellStats implied by a parameter vector.
 
-    v_weights gives Pr(V=v_k | Z=z) (shape (2, K) or (K,)); uniform by
-    default. The outcome level is normalised so mu_0 = 0 and
-    mu_1 = beta_star * (p_1* - p_0*). Counts are set to the cell
-    probabilities so count-weighted aggregation matches the population.
+    V is uniform given Z, Pr(V=v_k | Z=z) = 1/K. The outcome level is
+    normalised so mu_0 = 0 and mu_1 = beta_star * (p_1* - p_0*). Counts are
+    set to the cell probabilities so count-weighted aggregation matches the
+    population.
     Y is taken constant within each (z, v, t) cell, with the t = 0 level
     shared across v, so sum_y follows from mu_z and tau_zv and every
     within-cell sum of squares is 0.
     """
     k = theta.k
-    if v_weights is None:
-        w = np.full((2, k), 1.0 / k)
-    else:
-        w = np.broadcast_to(np.asarray(v_weights, dtype=float), (2, k)).copy()
-        w /= w.sum(axis=1, keepdims=True)
-
+    w = np.full((2, k), 1.0 / k)
     m0, m1 = theta.m0[:, None], theta.m1[:, None]
     p_zv = implied_p(m0, m1, theta.p_star)
     tau_zv = implied_tau(m0, m1, p_zv, theta.tau_star[:, None])

@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +23,6 @@ class CsvSchema:
     z_col: str
     v_col: str
     delimiter: str = ","
-    header: bool = True
 
 
 def _parse_binary(raw: str, col: str, line: int) -> int:
@@ -150,8 +148,7 @@ def _split_lines(lines: list, delimiter: str, width: int, cols: list):
     block = "".join(lines).removesuffix("\n") + "\n"  # the last may lack it
     if "\r" in block:
         block = block.replace("\r\n", "\n")
-    if (not delimiter.isascii() or width <= max(cols) or '"' in block
-            or "\r" in block or "\0" in block):
+    if not delimiter.isascii() or '"' in block or "\r" in block or "\0" in block:
         return None
     raw = np.frombuffer(block.encode(), np.uint8)
     ends = np.flatnonzero((raw == ord(delimiter)) | (raw == 10))
@@ -163,14 +160,14 @@ def _split_lines(lines: list, delimiter: str, width: int, cols: list):
     return [fields[j::width] for j in cols]
 
 
-def _chunks(fh, schema: CsvSchema, idx: dict, width: Optional[int], consumed: int):
+def _chunks(fh, schema: CsvSchema, idx: dict, width: int, consumed: int):
     """What _parse_rows returns for each chunk of the rows left in fh, after
-    consumed lines. Plain chunks of CHUNK_ROWS lines are split; from the
-    first chunk that is not, csv.reader reads the rest of the file."""
+    consumed lines, in a file whose header has width fields. Plain chunks
+    of CHUNK_ROWS lines are split; from the first chunk that is not,
+    csv.reader reads the rest of the file."""
     delimiter = schema.delimiter
     cols = [idx[c] for c in (schema.y_col, schema.t_col, schema.z_col, schema.v_col)]
     while lines := list(islice(fh, CHUNK_ROWS)):
-        width = width or lines[0].count(delimiter) + 1
         fields = _plain_columns(lines, delimiter, width, cols)
         if fields is None:
             break
@@ -191,7 +188,8 @@ def _chunks(fh, schema: CsvSchema, idx: dict, width: Optional[int], consumed: in
 
 
 def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
-    """Read a (Y, T, Z, V) dataset.
+    """Read a (Y, T, Z, V) dataset from a CSV whose first line is a header
+    naming the columns.
 
     V labels are kept verbatim; the support order is first appearance unless
     v_support pins it. Raises ParseError with the offending line number,
@@ -200,12 +198,11 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
 
     The header goes through csv.reader. The rows are read CHUNK_ROWS lines
     at a time, so parsing holds one chunk. A plain chunk (no quote or NUL,
-    no CR except in CRLF line ends, the header's field count on every line,
-    or the first line's in a headerless file) is split on the delimiter, so
-    CRLF lines are plain; a line whose fields are all whitespace is a blank
-    row, which is dropped from the split. The first chunk that is not
-    plain, and the rest of the file after it, go through csv.reader, so a
-    quoted field never straddles the two. On plain lines the two give the
+    no CR except in CRLF line ends, the header's field count on every line)
+    is split on the delimiter, so CRLF lines are plain; a line whose fields
+    are all whitespace is a blank row, which is dropped from the split. The
+    first chunk that is not plain, and the rest of the file after it, go
+    through csv.reader, so a quoted field never straddles the two. On plain lines the two give the
     same tokens, so the result does not depend on which one ran. Either way
     a chunk is converted a column at a time; one that fails a columnar check
     is read again by the row rules, which report the first bad row by the
@@ -224,22 +221,17 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
     columns = []
     missing = None
     with open(path, newline="") as fh:
-        if schema.header:
-            reader = csv.reader(fh, delimiter=schema.delimiter)
-            first, _ = _take(reader, 1, 0)
-            if not first:
-                raise SchemaError("file is empty")
-            header = [h.strip() for h in first[0]]
-            try:
-                idx = {c: header.index(c) for c in
-                       (schema.y_col, schema.t_col, schema.z_col, schema.v_col)}
-            except ValueError as exc:
-                raise SchemaError(f"missing column: {exc}") from None
-            width, consumed = len(header), reader.line_num
-        else:
-            idx = {schema.y_col: 0, schema.t_col: 1, schema.z_col: 2, schema.v_col: 3}
-            width, consumed = None, 0
-        for y, t, z, labels in _chunks(fh, schema, idx, width, consumed):
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        first, _ = _take(reader, 1, 0)
+        if not first:
+            raise SchemaError("file is empty")
+        header = [h.strip() for h in first[0]]
+        try:
+            idx = {c: header.index(c) for c in
+                   (schema.y_col, schema.t_col, schema.z_col, schema.v_col)}
+        except ValueError as exc:
+            raise SchemaError(f"missing column: {exc}") from None
+        for y, t, z, labels in _chunks(fh, schema, idx, len(header), reader.line_num):
             v, chunk_missing = _code_labels(labels, index, grow)
             if missing is None:
                 missing = chunk_missing

@@ -24,7 +24,7 @@ from ._special import ndtr, ndtri
 from .baselines import ols, wald_iv
 from .data import Dataset, Mode, ParamVector, cell_stats, param_names
 from .exceptions import MislateError, NoConvergence
-from .gmm import GmmConfig, _closed_forms, estimate
+from .gmm import GmmConfig, _closed_forms, _zcrit, estimate
 
 # var(U2 | U1) under the (U1, U2) covariance [[1, 0.05], [0.05, 0.5]]
 _U2_RESID_SD = float(np.sqrt(0.5 - 0.05 ** 2))
@@ -237,28 +237,26 @@ _TRACKED = {p: i for i, p in enumerate(param_names(2, Mode.CASE_II))
 _ROWS = [(p, "gmm") for p in _TRACKED] + [("beta_star", "iv"), ("delta_p_star", "ols")]
 
 
-def _fit(stats, ci_level, estimators) -> list:
+def _fit(stats, ci_level) -> list:
     """(cause, fits) per table of a stack: the class name of the error that
     failed its fit, or None and (estimate, SE) by (parameter, estimator). A
     closed form that is the estimate is fitted with the stack, any other
     table alone; a check that trips on the stack raises."""
-    fits, causes = {}, [None] * len(stats.n)
-    if "iv" in estimators:
-        iv, fs = wald_iv(stats), ols(stats, outcome="t", regressors=("z",))
-        fits = {("beta_star", "iv"): (iv.coef[:, 1], iv.robust_se[:, 1]),
-                ("delta_p_star", "ols"): (fs.coef[:, 1], fs.robust_se[:, 1])}
-    if "gmm" in estimators:
-        closed, x, se = _closed_forms(stats, "identity")
-        for i in np.flatnonzero(~closed):
-            try:
-                est = estimate(stats[i], GmmConfig(weighting="identity",
-                                                   ci_level=ci_level))
-                if not est.converged:
-                    raise NoConvergence("optimizer did not converge")
-                x[i], se[i] = est.theta_flat, est.se
-            except MislateError as exc:
-                causes[i] = type(exc).__name__
-        fits.update({(p, "gmm"): (x[:, j], se[:, j]) for p, j in _TRACKED.items()})
+    causes = [None] * len(stats.n)
+    iv, fs = wald_iv(stats), ols(stats, outcome="t", regressors=("z",))
+    closed, x, se = _closed_forms(stats)
+    for i in np.flatnonzero(~closed):
+        try:
+            est = estimate(stats[i], GmmConfig(weighting="identity",
+                                               ci_level=ci_level))
+            if not est.converged:
+                raise NoConvergence("optimizer did not converge")
+            x[i], se[i] = est.theta_flat, est.se
+        except MislateError as exc:
+            causes[i] = type(exc).__name__
+    fits = {(p, "gmm"): (x[:, j], se[:, j]) for p, j in _TRACKED.items()}
+    fits[("beta_star", "iv")] = iv.coef[:, 1], iv.robust_se[:, 1]
+    fits[("delta_p_star", "ols")] = fs.coef[:, 1], fs.robust_se[:, 1]
     return [(cause, {} if cause else {key: (float(b[i]), float(sd[i]))
                                       for key, (b, sd) in fits.items()})
             for i, cause in enumerate(causes)]
@@ -267,56 +265,51 @@ def _fit(stats, ci_level, estimators) -> list:
 def _run_block(args) -> list:
     """_fit of a block of replications, drawn and tabulated as one stack; if
     a check trips on the stack, of each replication as a stack of one."""
-    design_id, n, seed, reps, ci_level, estimators = args
+    design_id, n, seed, reps, ci_level = args
     stats = cell_stats(generate(DesignSpec(design_id), n, seed, reps)[0])
     try:
-        return _fit(stats, ci_level, estimators)
+        return _fit(stats, ci_level)
     except MislateError:
         out = []
         for i in range(len(reps)):
             try:
-                out += _fit(stats[i:i + 1], ci_level, estimators)
+                out += _fit(stats[i:i + 1], ci_level)
             except MislateError as exc:
                 out.append((type(exc).__name__, {}))
         return out
 
 
 def run_study(design: DesignSpec, n: int, reps: int, seed: int,
-              estimators=("gmm", "iv"), ci_level: float = 0.95,
-              workers: int = 1) -> McSummary:
-    """Replicate (generate -> estimate) and summarise bias/SD/RMSE/CP.
+              ci_level: float = 0.95, workers: int = 1) -> McSummary:
+    """Replicate (generate -> estimate) and summarise bias/SD/RMSE/CP of
+    the identity-weighted GMM fit and the naive IV and first-stage OLS.
 
-    Only the requested estimators are fitted. Replications in which one of
-    them fails (empty cells, identification failure, optimizer
-    non-convergence) are counted and excluded from the summary moments.
+    Replications in which one of them fails (empty cells, identification
+    failure, optimizer non-convergence) are counted and excluded from the
+    summary moments.
     SD uses the uncentered convention so rmse^2 = bias^2 + sd^2 exactly.
     failures counts them by error. At most min(workers, CPU count, reps)
     worker processes run, with a block each at least; the per-replication
     streams make the result independent of that number.
-    n, reps or workers below 1, a seed outside 0..2**64-1, estimators
-    that are empty or name anything but "gmm" and "iv", or a ci_level
+    n, reps or workers below 1, a seed outside 0..2**64-1, or a ci_level
     outside (0, 1), raises ValueError before any replication runs.
     """
     for name, value in (("n", n), ("reps", reps), ("workers", workers)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     _check_stream_key("seed", int(seed))
-    estimators = tuple(estimators)
-    if not estimators or not set(estimators) <= {"gmm", "iv"}:
-        raise ValueError(f"estimators must be a non-empty selection of "
-                         f"'gmm' and 'iv', got {estimators!r}")
     if not 0.0 < ci_level < 1.0:
         raise ValueError(f"ci_level must be in (0,1), got {ci_level}")
     truth = true_params(design)
     true_flat = truth.pack()
     true_vals = {p: float(true_flat[i]) for p, i in _TRACKED.items()}
-    zcrit = float(ndtri(0.5 + ci_level / 2.0))
+    zcrit = _zcrit(ci_level)
 
     pool_size = min(workers, os.cpu_count() or 1, reps)
     blocks = max(pool_size, -(-reps // max(1, _BLOCK_DRAWS // n)))
     tasks = [(design.id, n, seed, range(reps * b // blocks,
                                         reps * (b + 1) // blocks),
-              ci_level, estimators) for b in range(blocks)]
+              ci_level) for b in range(blocks)]
     if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -328,7 +321,7 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     ok = [fits for cause, fits in results if cause is None]
     rows = [_summarise(p, est, true_vals[p], *np.array([f[p, est] for f in ok]).T,
                        zcrit)
-            for p, est in _ROWS if ok and (p, est) in ok[0]]
+            for p, est in _ROWS] if ok else []
     return McSummary(design=design.id, n=n, reps=reps, seed=seed,
                      n_failed=reps - len(ok), rows=rows,
                      failures=dict(Counter(c for c, _ in results if c)))

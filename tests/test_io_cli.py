@@ -139,6 +139,11 @@ class TestLoadCsv:
         path.write_text("y,t,z\n1.0,0,0\n")
         with pytest.raises(SchemaError):
             load_csv(path, STD_SCHEMA, Mode.CASE_II)
+        # a file without a header: its first row is read as one
+        bare = tmp_path / "bare.csv"
+        bare.write_text("1.0,0,0,0\n2.0,1,1,1\n")
+        with pytest.raises(SchemaError, match="missing column"):
+            load_csv(bare, STD_SCHEMA, Mode.CASE_II)
 
     def test_empty_and_no_rows(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -150,28 +155,27 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(headonly, STD_SCHEMA, Mode.CASE_II)
 
-    def test_headerless_and_delimiter(self, tmp_path):
+    def test_tab_delimiter(self, tmp_path):
         path = tmp_path / "plain.tsv"
-        path.write_text("1.0\t0\t0\t0\n2.0\t1\t1\t1\n")
+        path.write_text("y\tt\tz\tv\n1.0\t0\t0\t0\n2.0\t1\t1\t1\n")
         schema = CsvSchema(y_col="y", t_col="t", z_col="z", v_col="v",
-                           delimiter="\t", header=False)
+                           delimiter="\t")
         ds = load_csv(path, schema, Mode.CASE_II)
         assert ds.n == 2
         with pytest.raises(ParseError) as err:
             bad = tmp_path / "short.tsv"
-            bad.write_text("1.0\t0\t0\t0\n2.0\t1\n")
+            bad.write_text("y\tt\tz\tv\n1.0\t0\t0\t0\n2.0\t1\n")
             load_csv(bad, schema, Mode.CASE_II)
-        assert err.value.line == 2
+        assert err.value.line == 3
 
-    @pytest.mark.parametrize("header", [True, False], ids=["header", "bare"])
     @pytest.mark.parametrize("delimiter", ["", ";;", "ab", '"', "\r", "\n"],
                              ids=["empty", "two", "ab", "quote", "cr", "lf"])
     def test_rejects_delimiter_that_is_not_one_plain_character(
-            self, tmp_path, delimiter, header):
+            self, tmp_path, delimiter):
         path = tmp_path / "rows.csv"
         path.write_text("y,t,z,v\n1.0,0,0,0\n")
         schema = CsvSchema(y_col="y", t_col="t", z_col="z", v_col="v",
-                           delimiter=delimiter, header=header)
+                           delimiter=delimiter)
         with pytest.raises(SchemaError) as err:
             load_csv(path, schema, Mode.CASE_II)
         assert str(err.value) == (
@@ -202,12 +206,9 @@ def _row_loop(path, schema, v_support=None):
             lines.append(start + 1)
             start = reader.line_num
     cols = (schema.y_col, schema.t_col, schema.z_col, schema.v_col)
-    if schema.header:
-        header = [h.strip() for h in rows.pop(0)]
-        lines.pop(0)
-        idx = {c: header.index(c) for c in cols}
-    else:
-        idx = dict(zip(cols, range(4)))
+    header = [h.strip() for h in rows.pop(0)]
+    lines.pop(0)
+    idx = {c: header.index(c) for c in cols}
     y, t, z, labels = mio._parse_rows(rows, lines, schema, idx)
     support = (tuple(dict.fromkeys(labels)) if v_support is None
                else tuple(v_support))
@@ -225,8 +226,8 @@ def _records(n, seed=0):
 
 def _text(kind, records):
     """A CSV of the records in one of the layouts the reader accepts."""
-    if kind == "headerless-tab":
-        return "".join("\t".join(r) + "\n" for r in records)
+    if kind == "tab":
+        return "".join("\t".join(r) + "\n" for r in [("y", "t", "z", "v")] + records)
     if kind == "extra-columns":
         return "id,v,extra,z,y,t,more\n" + "".join(
             f"{i},{v},x{i},{z},{y},{t},\n"
@@ -254,7 +255,7 @@ def _text(kind, records):
 
 
 KINDS = ("plain", "blank-line", "blank-lines", "whitespace-rows", "crlf",
-         "quoted", "padded-binaries", "extra-columns", "headerless-tab",
+         "quoted", "padded-binaries", "extra-columns", "tab",
          "quoted-late", "ragged-late", "no-final-newline", "unicode-labels")
 # every chunk converts a column at a time, except where a blank row keeps
 # its delimiters (the split keeps it, and its empty y fails the conversion)
@@ -262,14 +263,14 @@ COLUMNAR_KINDS = set(KINDS) - {"whitespace-rows"}
 # layouts whose rows are all split on the delimiter, blank rows dropped:
 # csv.reader reads the header alone
 SPLIT_KINDS = {"plain", "blank-line", "blank-lines", "crlf", "extra-columns",
-               "headerless-tab", "padded-binaries", "no-final-newline",
+               "tab", "padded-binaries", "no-final-newline",
                "unicode-labels"}
 
 
 def _schema(kind):
-    if kind == "headerless-tab":
+    if kind == "tab":
         return CsvSchema(y_col="y", t_col="t", z_col="z", v_col="v",
-                         delimiter="\t", header=False)
+                         delimiter="\t")
     return STD_SCHEMA
 
 
@@ -340,10 +341,9 @@ class TestChunkedReader:
         monkeypatch.setattr(mio.csv, "reader", Spy)
         ds = load_csv(path, _schema(kind), Mode.CASE_II)
         assert ds.n == n
-        header = 0 if kind == "headerless-tab" else 1
         # quoted-late: chunk 1 is split, the quoted rows after it are not
         late = max(n - CHUNK, 0) if kind == "quoted-late" else 0
-        assert len(seen) == header + late
+        assert len(seen) == 1 + late
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_pinned_support_matches_row_loop(self, tmp_path, small_chunks, n):
@@ -384,13 +384,6 @@ class TestChunkedReader:
         path = tmp_path / "bad.csv"
         path.write_text('y,t,z,v\n1.0,0,0,"a\nb"\nx,0,0,0\n', newline="")
         assert _parse_failure(path) == ("column 'y' not numeric at line 4", 4)
-
-    def test_headerless_rows_all_short(self, tmp_path, small_chunks):
-        # every line has the first line's width, but V's column is missing
-        path = tmp_path / "short.tsv"
-        path.write_text("1.0\t0\t1\n" * (CHUNK + 1))
-        assert _parse_failure(path, _schema("headerless-tab")) == (
-            "short row at line 1", 1)
 
     def test_short_and_long_row_in_one_chunk(self, tmp_path, small_chunks):
         # the chunk holds 4 x 4 fields, but shifted by a row's width
@@ -468,19 +461,17 @@ _BIN_ANY = st.one_of(_BIN_OK, st.sampled_from(["2", "01", "", "1.0"]))
 
 @st.composite
 def _csv_files(draw):
-    """(text, header): a CSV over y, t, z, v and extra columns, in any
-    order under a header. About one record in five may be quoted (over
+    """A CSV over y, t, z, v and extra columns, in any order under a
+    header. About one record in five may be quoted (over
     several lines) and end in CRLF; the others are plain. A record may also
     be blank, whitespace, short or long. The last line may lack its
     newline."""
-    header = draw(st.booleans())
-    names = ["y", "t", "z", "v"] + [f"x{i}" for i in range(draw(st.integers(0, 2)))]
-    if header:
-        names = draw(st.permutations(names))
+    names = draw(st.permutations(
+        ["y", "t", "z", "v"] + [f"x{i}" for i in range(draw(st.integers(0, 2)))]))
     bad = draw(st.booleans())
     values = {"y": _Y_ANY if bad else _Y_OK, "t": _BIN_ANY if bad else _BIN_OK,
               "z": _BIN_ANY if bad else _BIN_OK}
-    text = ",".join(names) + "\n" if header else ""
+    text = ",".join(names) + "\n"
     for _ in range(draw(st.integers(0, 12))):
         special = not draw(st.integers(0, 4))
         fields = []
@@ -501,32 +492,29 @@ def _csv_files(draw):
             fields.append("extra")
         text += ",".join(fields) + ("\r\n" if special and draw(st.booleans())
                                     else "\n")
-    if text and draw(st.booleans()):
+    if draw(st.booleans()):
         text = text.removesuffix("\n")
-    return text, header
+    return text
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_csv_files(), st.integers(1, 5))
-def test_reader_matches_row_loop_on_any_layout(tmp_path, drawn, chunk):
-    text, header = drawn
+def test_reader_matches_row_loop_on_any_layout(tmp_path, text, chunk):
     path = tmp_path / "data.csv"
     path.write_text(text, newline="")
-    schema = CsvSchema(y_col="y", t_col="t", z_col="z", v_col="v",
-                       header=header)
     try:
-        want = _row_loop(path, schema)
+        want = _row_loop(path, STD_SCHEMA)
     except ParseError as err:
         want = (str(err), err.line)
     with mock.patch.object(mio, "CHUNK_ROWS", chunk):
         if len(want) == 2:
-            assert _parse_failure(path, schema) == want
+            assert _parse_failure(path) == want
         elif len(want[0]) == 0:
             with pytest.raises(SchemaError, match="no data rows"):
-                load_csv(path, schema, Mode.CASE_II)
+                load_csv(path, STD_SCHEMA, Mode.CASE_II)
         else:
-            ds = load_csv(path, schema, Mode.CASE_II)
+            ds = load_csv(path, STD_SCHEMA, Mode.CASE_II)
             for got, ref in zip((ds.y, ds.t, ds.z, ds.v), want[:4]):
                 assert np.array_equal(got, ref)
             assert ds.v_support == want[4]
@@ -693,6 +681,15 @@ class TestCli:
         assert code == EXIT_IO
         assert captured.out == ""
         assert captured.err == "error: v_support repeats the label '0'\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "identify"])
+    def test_empty_v_support_is_io_error(self, sample_csv, capsys, command):
+        path, _ = sample_csv
+        code = main([command, "--v-support", ""] + _data_args(path))
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == "error: --v-support names no label\n"
 
     def test_v_support_labels_are_stripped(self, sample_csv, capsys):
         # the reader strips every V label, so the flag's labels are too

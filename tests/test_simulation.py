@@ -258,18 +258,12 @@ class TestRunStudy:
         assert row.rmse == pytest.approx(abs(row.bias), abs=1e-12)
         assert row.cp in (0.0, 1.0)
 
-    def test_estimator_selection(self):
-        s = run_study(DesignSpec(1), n=1000, reps=5, seed=1, estimators=("iv",))
-        names = {(r.parameter, r.estimator) for r in s.rows}
-        assert names == {("beta_star", "iv"), ("delta_p_star", "ols")}
-
-    def test_unrequested_gmm_is_not_fitted(self, monkeypatch):
-        # a GMM failure must not drop the replications of an iv-only study;
+    def test_gmm_failure_is_counted_by_cause(self, monkeypatch):
         # a block fits GMM through _closed_forms, and a table that is not a
         # closed form alone through estimate
         calls = {"estimate": [], "_closed_forms": []}
 
-        def not_closed(stats, weighting):
+        def not_closed(stats):
             calls["_closed_forms"].append(stats)
             nan = np.full((len(stats.n), 11), np.nan)  # packed CASE_II, K = 2
             return np.zeros(len(stats.n), dtype=bool), nan, nan.copy()
@@ -278,18 +272,12 @@ class TestRunStudy:
             calls["estimate"].append(args)
             raise MislateError("estimate called")
 
-        expected = run_study(DesignSpec(1), n=1000, reps=5, seed=1,
-                             estimators=("iv",))
         monkeypatch.setattr(mislate.simulation, "_closed_forms", not_closed)
         monkeypatch.setattr(mislate.simulation, "estimate", failing)
-        s = run_study(DesignSpec(1), n=1000, reps=5, seed=1, estimators=("iv",))
-        assert calls == {"estimate": [], "_closed_forms": []}
-        assert s.n_failed == 0
-        assert s == expected
-        full = run_study(DesignSpec(1), n=1000, reps=5, seed=1)
+        s = run_study(DesignSpec(1), n=1000, reps=5, seed=1)
         assert len(calls["_closed_forms"]) == 1 and len(calls["estimate"]) == 5
-        assert full.n_failed == 5 and full.rows == []
-        assert full.failures == {"MislateError": 5}
+        assert s.n_failed == 5 and s.rows == []
+        assert s.failures == {"MislateError": 5}
 
     def test_each_replication_is_tabulated_once(self, monkeypatch):
         # one tabulation per block, of every replication in it
@@ -322,20 +310,15 @@ class TestRunStudy:
         (dict(seed=-1), "seed must be in 0..2**64-1, got -1"),
         (dict(seed=2 ** 64),
          "seed must be in 0..2**64-1, got 18446744073709551616"),
-        (dict(estimators=("gmn",)), "estimators must be a non-empty "
-         "selection of 'gmm' and 'iv', got ('gmn',)"),
-        (dict(estimators=()), "estimators must be a non-empty "
-         "selection of 'gmm' and 'iv', got ()"),
     ], ids=["n-0", "reps-0", "reps-negative", "level-1.5", "level-0",
-            "seed-negative", "seed-2**64", "estimator-unknown",
-            "estimators-empty"])
+            "seed-negative", "seed-2**64"])
     def test_rejects_bad_size_or_level_up_front(self, monkeypatch, over,
                                                 message):
         def no_rep(task):
             raise AssertionError("a replication ran")
 
         monkeypatch.setattr(mislate.simulation, "_run_block", no_rep)
-        args = dict(n=500, reps=3, seed=0, estimators=("iv",)) | over
+        args = dict(n=500, reps=3, seed=0) | over
         with pytest.raises(ValueError) as err:
             run_study(DesignSpec(1), **args)
         assert str(err.value) == message
@@ -382,7 +365,7 @@ class TestBlocks:
         reps = range(3, 23)
         ds, latent = generate(DesignSpec(design), 1000, 7, reps)
         stats = cell_stats(ds)
-        done, x, se = gmm._closed_forms(stats, "identity")
+        done, x, se = gmm._closed_forms(stats)
         slopes = wald_iv(stats), ols(stats, outcome="t", regressors=("z",))
         for i, r in enumerate(reps):
             ds_r, latent_r = generate(DesignSpec(design), 1000, 7, r)
@@ -442,7 +425,7 @@ class TestBlocks:
     def test_a_sample_larger_than_a_block_runs_alone(self, monkeypatch):
         monkeypatch.setattr(mislate.simulation, "_BLOCK_DRAWS", 999)
         blocks = count_calls(monkeypatch, generate)
-        run_study(DesignSpec(1), n=1000, reps=3, seed=0, estimators=("iv",))
+        run_study(DesignSpec(1), n=1000, reps=3, seed=0)
         assert [list(call[3]) for call in blocks] == [[0], [1], [2]]
 
     def test_failures_are_counted_by_cause(self):
