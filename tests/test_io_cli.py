@@ -227,7 +227,7 @@ def _records(n, seed=0):
 def _text(kind, records):
     """A CSV of the records in one of the layouts the reader accepts."""
     if kind == "tab":
-        return "".join("\t".join(r) + "\n" for r in [("y", "t", "z", "v")] + records)
+        return "".join("\t".join(r) + "\n" for r in [("y", "t", "z", "v"), *records])
     if kind == "extra-columns":
         return "id,v,extra,z,y,t,more\n" + "".join(
             f"{i},{v},x{i},{z},{y},{t},\n"
@@ -462,10 +462,9 @@ _BIN_ANY = st.one_of(_BIN_OK, st.sampled_from(["2", "01", "", "1.0"]))
 @st.composite
 def _csv_files(draw):
     """A CSV over y, t, z, v and extra columns, in any order under a
-    header. About one record in five may be quoted (over
-    several lines) and end in CRLF; the others are plain. A record may also
-    be blank, whitespace, short or long. The last line may lack its
-    newline."""
+    header. About one record in five may be quoted (over several lines)
+    and end in CRLF; the others are plain. A record may also be blank,
+    whitespace, short or long. The last line may lack its newline."""
     names = draw(st.permutations(
         ["y", "t", "z", "v"] + [f"x{i}" for i in range(draw(st.integers(0, 2)))]))
     bad = draw(st.booleans())
