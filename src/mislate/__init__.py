@@ -4,7 +4,7 @@ Closed-form identification via an exogenous variable, GMM inference with
 sandwich covariance, naive IV/OLS baselines, and a Monte Carlo harness.
 """
 from .data import CellStats, Dataset, Mode, ParamVector, cell_stats, validate
-from .gmm import Estimate, GmmConfig, confidence_intervals, estimate, j_test, sandwich_cov
+from .gmm import Estimate, GmmConfig, confidence_intervals, estimate, sandwich_cov
 from .identification import IdentifyResult, forward_cell_stats, identify
 from .simulation import DesignSpec, McSummary, generate, run_study, true_params
 
@@ -24,7 +24,6 @@ __all__ = [
     "forward_cell_stats",
     "generate",
     "identify",
-    "j_test",
     "run_study",
     "sandwich_cov",
     "true_params",

@@ -45,8 +45,8 @@ def _iv_fit(n_c, ybar, ss, X, Z, names, hc1=False) -> RegressionResult:
     if hc1:
         v = v * n[..., None, None] / (n[..., None, None] - kx)
     se = np.sqrt(np.clip(np.diagonal(v, axis1=-2, axis2=-1), 0.0, None))
-    n = int(n) if n.ndim == 0 else n.astype(np.int64)
-    return RegressionResult(coef=b, robust_se=se, vcov=v, n=n, names=names)
+    return RegressionResult(coef=b, robust_se=se, vcov=v,
+                            n=n.astype(np.int64).tolist(), names=names)
 
 
 def _v_numeric(stats: CellStats) -> np.ndarray:

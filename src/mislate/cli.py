@@ -170,7 +170,7 @@ def cmd_estimate(args) -> int:
     try:
         stats = _tabulate(ds, report)
         est = gmm_estimate(stats, cfg)
-    except (ValidationError, MislateError) as exc:
+    except MislateError as exc:
         report["error"] = str(exc)
         _emit(report, args.as_json)
         return EXIT_DIAG
@@ -223,7 +223,7 @@ def cmd_identify(args) -> int:
     try:
         stats = _tabulate(ds, report)
         result = identify(stats, mode, support_points=support_points)
-    except (ValidationError, MislateError) as exc:
+    except MislateError as exc:
         report["error"] = str(exc)
         _emit(report, args.as_json)
         return EXIT_DIAG
@@ -254,6 +254,10 @@ def cmd_simulate(args) -> int:
                             ci_level=args.level, workers=args.threads)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: the study does not fit in memory ({exc or 'no detail'})",
+              file=sys.stderr)
         return EXIT_IO
     truth = true_params(design)
     report["simulate"] = {

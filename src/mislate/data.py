@@ -3,17 +3,24 @@
 Observations are rows of (y, t, z, v) where t and z are binary and v is an
 integer code into an explicit support list. All types are immutable after
 construction; every function here is pure. Each type may also hold a
-stack of R samples, vectors or tables along a leading axis.
+stack of R samples, vectors or tables along a leading axis. Inner code
+takes a stack; stats[None] makes a stack of one, and stats[i] takes a
+table out, at the edges.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import ValidationError
+
+
+# the largest mean or standard deviation of y in a cell: the second moments
+# of the GMM fit square y and scale it by up to about 1e8, well inside a double
+Y_MAX = 1e100
 
 
 class Mode(Enum):
@@ -151,20 +158,6 @@ class ParamVector:
         """s_z = 1 - m0z - m1z per z."""
         return 1.0 - self.m0 - self.m1
 
-    def violations(self) -> list:
-        """Constraint violations (empty list when the vector is admissible)."""
-        out = []
-        if not 0.0 < self.r < 1.0:
-            out.append(f"r={self.r} outside (0,1)")
-        for z in (0, 1):
-            if not (0.0 <= self.m0[z] <= 1.0 and 0.0 <= self.m1[z] <= 1.0):
-                out.append(f"misclassification probabilities for z={z} outside [0,1]")
-            if self.m0[z] + self.m1[z] >= 1.0:
-                out.append(f"monotonicity violated for z={z}: m0+m1 >= 1")
-        if np.any(self.p_star < 0.0) or np.any(self.p_star > 1.0):
-            out.append("p_star entries outside [0,1]")
-        return out
-
     def pack(self) -> np.ndarray:
         """Flatten to the free-coordinate layout (names: param_names).
 
@@ -208,9 +201,9 @@ class CellStats:
     the sum of their n_zvt and sum_y, with ss_y combined as in a parallel
     variance. The summaries are derived at construction. tau_zv entries are
     NaN where a treatment arm is empty; n_zvt shows why. n is the total
-    count as an integer: the row count of a sample, 1 for a population
-    table of cell probabilities. A stack's summaries, n too, keep its
-    leading axis, and stats[i] indexes it.
+    count as an int: the row count of a sample, 1 for a population table
+    of cell probabilities. A stack's summaries keep its leading axis, its n
+    is the list of its tables' counts, and stats[i] indexes it.
     """
 
     n_zvt: np.ndarray         # (2, K, 2) counts by treatment arm
@@ -232,23 +225,27 @@ class CellStats:
         n_zv = counts.sum(axis=-1)
         n_z = n_zv.sum(axis=-1)
         n = np.rint(n_z.sum(axis=-1)).astype(np.int64)
-        n = int(n) if n.ndim == 0 else n
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # a sum of y that overflows is infinite, which validate refuses
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             ybar = ysums / counts
-            r_hat = n_z[..., 1] / n
             derived = dict(
-                n=n, k=counts.shape[-2], n_zv=n_zv,
+                n=n.tolist(), k=counts.shape[-2], n_zv=n_zv,
                 p_zv=counts[..., 1] / n_zv,
                 tau_zv=ybar[..., 1] - ybar[..., 0],
                 p_z=counts[..., 1].sum(axis=-1) / n_z,
                 mu_z=ysums.sum(axis=(-2, -1)) / n_z,
-                r_hat=float(r_hat) if r_hat.ndim == 0 else r_hat)
+                r_hat=n_z[..., 1] / n)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     def __getitem__(self, index) -> "CellStats":
-        return replace(self, n_zvt=self.n_zvt[index], sum_y=self.sum_y[index],
-                       ss_y=self.ss_y[index])
+        # each summary is elementwise in the tables, so it indexes as they do
+        out = object.__new__(CellStats)
+        vars(out).update(vars(self), n=np.asarray(self.n)[index].tolist(),
+                         **{name: getattr(self, name)[index] for name in (
+                             "n_zvt", "sum_y", "ss_y", "n_zv", "p_zv", "tau_zv",
+                             "p_z", "mu_z", "r_hat")})
+        return out
 
     @property
     def y_mean(self) -> np.ndarray:
@@ -258,10 +255,11 @@ class CellStats:
 
     def empty_cells(self) -> list:
         """One "no observations with z=.., v=.., t=.." per empty (z, v, t)
-        cell, in z, v, t order; v is the cell's label."""
+        cell, in z, v, t order (of a stack, table by table); v is the cell's
+        label."""
         # argwhere walks the cells in z, v, t order
         return [f"no observations with z={z}, v={self.v_support[kk]!r}, t={t}"
-                for z, kk, t in np.argwhere(self.n_zvt == 0)]
+                for *_, z, kk, t in np.argwhere(self.n_zvt == 0)]
 
 
 def validate(stats: CellStats) -> list:
@@ -278,6 +276,9 @@ def validate(stats: CellStats) -> list:
         out.append("CaseII requires K >= 2 support points for V")
     if not (np.all(np.isfinite(stats.sum_y)) and np.all(np.isfinite(stats.ss_y))):
         out.append("y contains non-finite values")
+    elif np.any((np.abs(stats.sum_y) > Y_MAX * stats.n_zvt)
+                | (stats.ss_y > Y_MAX ** 2 * stats.n_zvt)):
+        out.append(f"y is too large: a cell's mean or spread exceeds {Y_MAX:g}")
     if np.any(stats.n_zv.sum(axis=1) == 0):
         out.append("instrument degenerate: z takes a single value")
     out += [f"empty cell: {msg}" for msg in stats.empty_cells()]
@@ -308,7 +309,8 @@ def cell_stats(ds: Dataset) -> CellStats:
     counts = np.bincount(cell, minlength=size).reshape(shape).astype(float)
     ysums = np.bincount(cell, weights=ds.y.ravel(), minlength=size).reshape(shape)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # a y whose square overflows gives an infinite ss_y, which validate refuses
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         ybar = ysums / counts
         # every row sits in a nonempty cell, so no NaN mean is read
         ss = np.bincount(cell, weights=(ds.y.ravel() - ybar.ravel()[cell]) ** 2,

@@ -1,4 +1,4 @@
-"""GMM estimation: point estimates, sandwich covariance, CIs, and J-test.
+"""GMM estimation: point estimates, sandwich covariance, CIs, and the J statistic.
 
 The objective Q(theta) = gbar(theta)' W gbar(theta) is minimised as a box
 constrained nonlinear least-squares problem in the residuals W^{1/2} gbar,
@@ -15,7 +15,9 @@ Jacobian. A just-identified closed form inside the box zeroes every moment,
 so it is the estimate with no solver call. At the estimate one evaluation
 gives gbar, the moment Jacobian and Omega for the sandwich and J.
 _closed_forms makes the closed-form fits of a stack of tables with one
-call of each step, as estimate makes one table's.
+call of each step. estimate is the one-table edge: identify solves its
+table as a stack of one, and the moment and sandwich functions, which
+broadcast over a stack axis, run on the table itself.
 """
 from __future__ import annotations
 
@@ -329,16 +331,3 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
         weighting=cfg.weighting,
         param_names=param_names(k, mode),
     )
-
-
-def j_test(est: Estimate) -> tuple:
-    """Overidentification test (stat, dof, pvalue); pvalue is None at dof 0.
-    An overidentified fit without two-step optimal weighting raises
-    ValidationError."""
-    if est.j_dof == 0:
-        return est.j_stat, 0, None
-    if est.weighting != "optimal":
-        raise ValidationError(
-            "J-test requires two-step optimal weighting in an overidentified model"
-        )
-    return est.j_stat, est.j_dof, est.j_pvalue

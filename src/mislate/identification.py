@@ -11,13 +11,15 @@ count-weighted least-squares fit of the observed contrasts on their
 attenuation factors. Every step runs in double precision, so the result
 does not depend on the platform's long double.
 
-identify also solves a stack of tables: each check is a mask, which a
-helper raises on, or, given identify's list of checks, appends to it.
+Inner code takes a stack of tables, and every check yields a mask, which
+goes into a list of checks with its error class and message. The edges
+raise the first check that failed: identify on one table, which it solves
+as a stack of one, and the public helpers called without a checks list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from operator import index
 from typing import NamedTuple
@@ -76,46 +78,65 @@ class IdentifyResult:
     failed: np.ndarray            # a stack's tables that failed a check
 
 
-def _scalar(out):
-    """A float for 0-d results, the array otherwise."""
-    return float(out) if out.ndim == 0 else out
+def _raise_first(checks: list):
+    """The one-table edge: raise the error of the first check that failed."""
+    for bad, error, message in checks:
+        if np.any(bad):
+            raise error(message())
 
 
-def _check(checks, bad, error, message):
-    """Raise error(message()) if bad has a set entry, or collect bad."""
-    if checks is not None:
-        checks.append(bad)
-    elif bad.any() if bad.ndim else bad:
-        raise error(message())
+def _first(x, bad):
+    """The entry of x at the first set entry of bad, in C order."""
+    return np.asarray(x)[bad][0]
 
 
-def _check_monotone(m0, m1, checks=None):
+def _edge(helper):
+    """A helper that appends each check, as (mask, error class, message
+    builder), to the checks list it is given; called without one, the
+    one-table edge, it raises the first that failed."""
+    @wraps(helper)
+    def edge(*args, checks=None):
+        if checks is not None:
+            return helper(*args, checks)
+        checks = []
+        # a failed check's values may divide by zero; they are not returned
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = helper(*args, checks)
+        _raise_first(checks)
+        return out
+    return edge
+
+
+def _check_monotone(m0, m1, checks):
     """Check m0 + m1 < 1, naming the first m0 + m1 >= 1."""
-    total = np.asarray(m0 + m1)
-    _check(checks, total >= 1.0, MonotonicityViolated,
-           lambda: f"m0+m1={total[total >= 1.0][0]} >= 1")
+    total = m0 + m1
+    bad = total >= 1.0
+    checks.append((bad, MonotonicityViolated,
+                   lambda: f"m0+m1={_first(total, bad)} >= 1"))
 
 
-def implied_p(m0, m1, p_star):
+@_edge
+def implied_p(m0, m1, p_star, checks):
     """Observable treatment probability implied by the latent one:
     p = m0 + (1 - m0 - m1) * p_star. Broadcasts over arrays."""
-    _check_monotone(m0, m1)
+    _check_monotone(m0, m1, checks)
     p_star = np.asarray(p_star, dtype=float)
     bad = ~((0.0 <= p_star) & (p_star <= 1.0))
-    _check(None, bad, InvalidProbability,
-           lambda: f"p_star={p_star[bad][0]} outside [0,1]")
-    return _scalar(m0 + (1.0 - m0 - m1) * p_star)
+    checks.append((bad, InvalidProbability,
+                   lambda: f"p_star={_first(p_star, bad)} outside [0,1]"))
+    return m0 + (1.0 - m0 - m1) * p_star
 
 
-def m_factor(m0, m1, p, checks=None):
+@_edge
+def m_factor(m0, m1, p, checks):
     """Attenuation factor linking observed and latent outcome contrasts:
     tau = M(m0, m1, p) * tau_star. Broadcasts over arrays."""
     _check_monotone(m0, m1, checks)
     p = np.asarray(p, dtype=float)
-    _check(checks, (p <= 0.0) | (p >= 1.0), DegenerateCell,
-           lambda: "observed treatment probability on the boundary")
+    checks.append(((p <= 0.0) | (p >= 1.0), DegenerateCell,
+                   lambda: "observed treatment probability on the boundary"))
     s = 1.0 - m0 - m1
-    return _scalar((1.0 - m0 * (1.0 - m1) / p - (1.0 - m0) * m1 / (1.0 - p)) / s)
+    return (1.0 - m0 * (1.0 - m1) / p - (1.0 - m0) * m1 / (1.0 - p)) / s
 
 
 def implied_tau(m0, m1, p, tau_star):
@@ -123,132 +144,152 @@ def implied_tau(m0, m1, p, tau_star):
     return m_factor(m0, m1, p) * tau_star
 
 
-def w_triple(tau_v: float, tau_vp: float, p_v: float, p_vp: float,
-             checks=None) -> WTriple:
+@_edge
+def w_triple(tau_v, tau_vp, p_v, p_vp, checks) -> WTriple:
     """Equation coefficients for the cell pair (v, v') at fixed z."""
-    for p in (p_v, p_vp):
-        _check(checks, np.logical_not((0.0 < p) & (p < 1.0)), DegenerateCell,
-               lambda: f"cell probability {p} on the boundary")
+    p = np.stack([p_v, p_vp], axis=-1)
+    bad = ~((0.0 < p) & (p < 1.0))
+    checks.append((bad, DegenerateCell,
+                   lambda: f"cell probability {_first(p, bad)} on the boundary"))
     return WTriple(
-        w0=tau_v / p_vp - tau_vp / p_v,
-        w1=tau_v / (1.0 - p_vp) - tau_vp / (1.0 - p_v),
-        w2=tau_vp - tau_v,
+        w0=np.divide(tau_v, p_vp) - np.divide(tau_vp, p_v),
+        w1=np.divide(tau_v, 1.0 - p_vp) - np.divide(tau_vp, 1.0 - p_v),
+        w2=np.subtract(tau_vp, tau_v),
     )
 
 
 def _det(wa: WTriple, wb: WTriple) -> float:
     """Determinant of the system of equations wa, wb in (B0, B1)."""
-    return wa.w0 * wb.w1 - wb.w0 * wa.w1
+    return np.subtract(wa.w0 * wb.w1, wb.w0 * wa.w1)
 
 
-def solve_b(wa: WTriple, wb: WTriple, checks=None) -> BPair:
+@_edge
+def solve_b(wa: WTriple, wb: WTriple, checks) -> BPair:
     """Solve two identification equations for (B0, B1): the cell pairs
     (v1, v2) and (v1, v3) at one z in CASE_I, the pair (v1, v2) at z = 0
     and at z = 1 in CASE_II."""
     det = _det(wa, wb)
-    _check(checks, np.abs(det) < DET_TOL, SingularSystem,
-           lambda: f"determinant {det} below tolerance")
+    bad = np.abs(det) < DET_TOL
+    checks.append((bad, SingularSystem,
+                   lambda: f"determinant {_first(det, bad)} below tolerance"))
     return BPair((-wa.w2 * wb.w1 + wb.w2 * wa.w1) / det,
                  (-wa.w0 * wb.w2 + wb.w0 * wa.w2) / det)
 
 
-def b_to_m(b: BPair, checks=None) -> tuple:
+@_edge
+def b_to_m(b: BPair, checks) -> tuple:
     """Invert (B0, B1) to (m0, m1, s) on the monotone branch s > 0."""
     disc = b.discriminant
-    _check(checks, disc < -DISC_TOL, NegativeDiscriminant,
-           lambda: f"discriminant {disc} < -{DISC_TOL}")
+    negative = disc < -DISC_TOL
+    checks.append((negative, NegativeDiscriminant,
+                   lambda: f"discriminant {_first(disc, negative)} < -{DISC_TOL}"))
     s = np.sqrt(np.maximum(disc, 0.0))
     m0 = (b.b0 - b.b1 + 1.0 - s) / 2.0
     m1 = 1.0 - m0 - s
     for name, m in (("m0", m0), ("m1", m1)):
-        _check(checks, (m < -PROB_TOL) | (m >= 1.0), InvalidProbability,
-               lambda: f"recovered {name}={m} outside [0,1)")
+        bad = (m < -PROB_TOL) | (m >= 1.0)
+        checks.append((bad, InvalidProbability, lambda name=name, m=m, bad=bad:
+                       f"recovered {name}={_first(m, bad)} outside [0,1)"))
     return np.maximum(m0, 0.0), np.maximum(m1, 0.0), s
 
 
-def p_star_from_p(p, m0, m1, checks=None):
+@_edge
+def p_star_from_p(p, m0, m1, checks):
     """Latent treatment probability (p - m0) / (1 - m0 - m1), clamped to
     [0, 1] within PROB_TOL. Broadcasts over arrays; a value further out
     raises InvalidProbability naming the first one in C order."""
     _check_monotone(m0, m1, checks)
-    p_star = np.asarray((p - m0) / (1.0 - m0 - m1))
+    p_star = np.divide(np.subtract(p, m0), 1.0 - m0 - m1)
     bad = (p_star < -PROB_TOL) | (p_star > 1.0 + PROB_TOL)
-    _check(checks, bad, InvalidProbability,
-           lambda: f"implied p_star={p_star[bad][0]} outside [0,1]")
-    return _scalar(np.minimum(np.maximum(p_star, 0.0), 1.0))
+    checks.append((bad, InvalidProbability,
+                   lambda: f"implied p_star={_first(p_star, bad)} outside [0,1]"))
+    return np.minimum(np.maximum(p_star, 0.0), 1.0)
 
 
-def late_from_reduced(mu1: float, mu0: float, dp_star: float,
-                      checks=None) -> float:
+@_edge
+def late_from_reduced(mu1: float, mu0: float, dp_star: float, checks) -> float:
     """LATE as the reduced-form contrast over the true first stage."""
-    _check(checks, np.abs(dp_star) < FIRST_STAGE_TOL, WeakFirstStage,
-           lambda: f"|delta p*|={abs(dp_star)} below tolerance")
-    return (mu1 - mu0) / dp_star
-
-
-def _cell_pairs(arms: tuple, support: tuple) -> tuple:
-    """The (z, v, v') cell pairs of a candidate's two equations: the first
-    support point against each later one, in each z arm of its group."""
-    first, *rest = support
-    return tuple((z, first, v) for z in arms for v in rest)
+    bad = np.abs(dp_star) < FIRST_STAGE_TOL
+    checks.append((bad, WeakFirstStage,
+                   lambda: f"|delta p*|={abs(_first(dp_star, bad))} below tolerance"))
+    return np.divide(np.subtract(mu1, mu0), dp_star)
 
 
 @lru_cache(maxsize=None)
-def _candidates(k: int, mode: Mode) -> tuple:
-    """The candidate systems with K support points, by group.
+def _system(k: int, mode: Mode, pins=None) -> tuple:
+    """The candidate systems with K support points, or the pinned ones.
 
-    A group is a tuple of z arms that share one (B0, B1). Each comes with
-    its candidates, in nonsingularity_diag's order, as (key, support, the
-    (z, v, v') cell pairs of the two equations):
+    A group is a tuple of z arms that share one (B0, B1). A candidate's two
+    equations are its cell pairs (z, v, v'): the first support point
+    against each later one, in each arm of its group.
         CASE_I, groups (0,) and (1,):
-            (z, (v1, v2, v3)) -> (z, v1, v2), (z, v1, v3)
+            key (z, (v1, v2, v3)) -> (z, v1, v2), (z, v1, v3)
         CASE_II, group (0, 1):
-            (v1, v2) -> (0, v1, v2), (1, v1, v2)
+            key (v1, v2) -> (0, v1, v2), (1, v1, v2)
+    Returns the keys in nonsingularity_diag's order; the z, v and v' of the
+    equations, each of shape (candidates, 2); and per group its arms, the
+    numbers of its candidates and their supports.
     """
     if mode is Mode.CASE_I:
         groups = [((z,), [((z, sup), sup) for sup in combinations(range(k), 3)])
                   for z in (0, 1)]
     else:
         groups = [((0, 1), [(sup, sup) for sup in combinations(range(k), 2)])]
-    return tuple((arms, tuple((key, sup, _cell_pairs(arms, sup))
-                              for key, sup in cands))
-                 for arms, cands in groups)
+    if pins is not None:
+        groups = [(arms, [(None, pin)]) for (arms, _), pin in zip(groups, pins)]
+    keys, pairs, out = [], [], []
+    for arms, cands in groups:
+        supports = np.empty(len(cands), dtype=object)
+        supports[:] = [support for _, support in cands]
+        out.append((list(arms), np.arange(len(keys), len(keys) + len(cands)),
+                    supports))
+        keys += [key for key, _ in cands]
+        pairs += [[(z, first, v) for z in arms for v in rest]
+                  for _, (first, *rest) in cands]
+    eqs = np.moveaxis(np.array(pairs, dtype=int).reshape(-1, 2, 3), -1, 0)
+    return tuple(keys), tuple(eqs), tuple(out)
 
 
-def _equations(stats: CellStats, pairs: tuple, checks=None) -> tuple:
-    """The equations of the given (z, v, v') cell pairs."""
-    # transposed, a cell of one table is a float and of a stack an array
-    tau, p = stats.tau_zv.T, stats.p_zv.T
-    return tuple(w_triple(tau[v, z], tau[vp, z], p[v, z], p[vp, z], checks)
-                 for z, v, vp in pairs)
+def _equations(stats: CellStats, eqs: tuple, checks) -> np.ndarray:
+    """(w0, w1, w2) of the equations of the (z, v, v') cell pairs eqs,
+    stacked on a first axis."""
+    z, v, vp = eqs
+    tau, p = stats.tau_zv, stats.p_zv
+    return np.array(w_triple(tau[..., z, v], tau[..., z, vp], p[..., z, v],
+                             p[..., z, vp], checks=checks))
 
 
-def nonsingularity_diag(stats: CellStats, mode: Mode, checks=None) -> dict:
+def _split(coefs: np.ndarray) -> tuple:
+    """The two equations of each system, from the last axis of coefs."""
+    return WTriple(*coefs[..., 0]), WTriple(*coefs[..., 1])
+
+
+@_edge
+def nonsingularity_diag(stats: CellStats, mode: Mode, checks) -> dict:
     """Determinant of every candidate linear system.
 
     CASE_I keys are (z, (v1, v2, v3)) support-index triples; CASE_II keys are
     (v1, v2) pairs shared across z. Zero (or near-zero) values flag a failing
     nonsingularity condition for that candidate.
     """
-    return {key: _det(*_equations(stats, pairs, checks))
-            for _, cands in _candidates(stats.k, mode)
-            for key, _, pairs in cands}
+    keys, eqs, _ = _system(stats.k, mode)
+    return dict(zip(keys, _det(*_split(_equations(stats, eqs, checks))).T))
 
 
-def _tau_star(stats: CellStats, z: int, m0, m1, checks):
-    """Count-weighted least-squares fit of tau_zv = M_zv tau*_z for one z:
+def _tau_star(stats: CellStats, m0, m1, checks):
+    """Count-weighted least-squares fit of tau_zv = M_zv tau*_z for each z:
     sum n M tau / sum n M^2.
 
     All cells agree exactly in population (and in just-identified samples),
     where this is tau_zv / M_zv in every cell. Unlike the mean of those
     ratios it does not amplify a cell whose attenuation factor is near 0.
     """
-    m = m_factor(m0[..., None], m1[..., None], stats.p_zv[..., z, :], checks)
-    _check(checks, np.abs(m) < 1e-12, SingularSystem,
-           lambda: "attenuation factor vanishes in a cell")
-    n = stats.n_zv[..., z, :]
-    return ((n * m * stats.tau_zv[..., z, :]).sum(axis=-1)
-            / (n * m * m).sum(axis=-1))
+    # m_factor's checks repeat p*'s and the cells'
+    m = m_factor(m0[..., None], m1[..., None], stats.p_zv, checks=[])
+    checks.append((np.abs(m) < 1e-12, SingularSystem,
+                   lambda: "attenuation factor vanishes in a cell"))
+    nm = stats.n_zv * m
+    return (nm * stats.tau_zv).sum(axis=-1) / (nm * m).sum(axis=-1)
 
 
 def check_support_points(support_points, k: int, mode: Mode) -> tuple:
@@ -289,72 +330,71 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
     A stack of R tables gives a stack of results: every field gains a
     leading axis and support_points holds each table's pick (the pin, if
     pinned). failed marks the tables that fail a check; they raise
-    nothing, and their values mean nothing.
+    nothing, and their values mean nothing. One table is solved as a stack
+    of one, and its first failed check raises.
     """
     pins = (None if support_points is None
             else check_support_points(support_points, stats.k, mode))
-    checks = [] if stats.n_zvt.ndim > 3 else None
+    one = stats.n_zvt.ndim == 3
+    table = stats[None] if one else stats
+    checks = [(table.n_zvt == 0, EmptyCell, lambda: table.empty_cells()[0]),
+              ((table.p_zv <= 0.0) | (table.p_zv >= 1.0), DegenerateCell,
+               lambda: "a cell treatment probability is 0 or 1")]
+    keys, eqs, groups = _system(stats.k, mode)
+    if not keys:  # no system to solve; the cells' failures come first
+        _raise_first(checks)
+        raise ValidationError(f"{mode.value} needs more than K={stats.k} "
+                              f"support points")
     with np.errstate(divide="ignore", invalid="ignore"):
-        _check(checks, stats.n_zvt == 0, EmptyCell,
-               lambda: stats.empty_cells()[0])
-        _check(checks, (stats.p_zv <= 0.0) | (stats.p_zv >= 1.0),
-               DegenerateCell, lambda: "a cell treatment probability is 0 or 1")
         # the equations' checks of their cells repeat the two above
-        dets = nonsingularity_diag(stats, mode, [])
-        groups = _candidates(stats.k, mode)
-        m = np.empty((3,) + stats.p_z.T.shape)  # (m0, m1, s), a stack's axis last
-        selected, discs = [], []
-        for g, (arms, cands) in enumerate(groups):
-            if pins is not None:
-                cands = [(None, pins[g], _cell_pairs(arms, pins[g]))]
-            supports = np.empty(len(cands), dtype=object)
-            supports[:] = [support for _, support, _ in cands]
-            # the candidate with the largest |det|, of a stack each table's
-            pick = np.argmax([np.abs(dets.get(key, 0.0)) for key, _, _ in cands], axis=0)
-            if np.ndim(pick):
-                eqs = np.take_along_axis(np.array([_equations(stats, pairs, [])
-                                                   for *_, pairs in cands]),
-                                         pick[None, None, None], 0)[0]
-            else:
-                eqs = _equations(stats, cands[pick][2], [])
-            b = solve_b(*(WTriple(*w) for w in eqs), checks)
-            discs.append(_scalar(np.asarray(b.discriminant)))
-            m[:, list(arms)] = np.array(b_to_m(b, checks))[:, None]
-            selected.append(supports[pick])
+        coefs = _equations(table, eqs, [])
+        dets = by = _det(*_split(coefs))
+        if pins is not None:
+            _, eqs, groups = _system(stats.k, mode, pins)
+            coefs = _equations(table, eqs, [])
+            by = _det(*_split(coefs))
+        rows = np.arange(len(dets))
+        m = np.empty((3,) + table.p_z.shape)  # (m0, m1, s), each (R, 2)
+        discs, picks = [], []
+        for arms, cands, supports in groups:
+            # the candidate with the largest |det|, of each table
+            pick = np.abs(by[:, cands]).argmax(axis=-1)
+            b = solve_b(*_split(coefs[:, rows, cands[pick]]), checks=checks)
+            discs.append(b.discriminant)
+            m[:, :, arms] = np.array(b_to_m(b, checks=checks))[..., None]
+            picks.append(supports[pick])
         m0, m1, s = m
 
-        # z by z: p* of the cells and of the arm, then tau*_z, so that a
-        # failure at z = 0 is reported before any at z = 1
-        p_star = np.concatenate([stats.p_zv, stats.p_z[..., None]], axis=-1)
-        tau_star = np.empty(stats.p_z.shape)
-        for z in (0, 1):
-            p_star[..., z, :] = p_star_from_p(p_star[..., z, :], m0[z][..., None],
-                                              m1[z][..., None], checks)
-            tau_star[..., z] = _tau_star(stats, z, m0[z], m1[z], checks)
-        p_star_z, mu_z = p_star.T[-1], stats.mu_z.T
-        delta_p_star = p_star_z[1] - p_star_z[0]
-        beta_star = late_from_reduced(mu_z[1], mu_z[0], delta_p_star, checks)
-
-    failed = np.zeros(stats.mu_z.shape[:-1], dtype=bool)
-    for bad in checks or ():
-        failed |= np.reshape(bad, failed.shape + (-1,)).any(axis=-1)
-    # a failed table's m0 and m1 may be NaN; 0 keeps its vector valid
-    theta = ParamVector(
-        beta_star=_scalar(np.asarray(beta_star)),
-        delta_p_star=_scalar(np.asarray(delta_p_star)),
-        r=stats.r_hat,
-        m0=np.where(failed, 0.0, m0).T,
-        m1=np.where(failed, 0.0, m1).T,
-        p_star=p_star[..., :-1],
-        tau_star=tau_star,
-        mode=mode,
-    )
+        # p* of the cells and of each arm, then tau*_z; their checks go z by
+        # z, so that a failure at z = 0 is reported before any at z = 1
+        by_z = []
+        p_star = p_star_from_p(np.concatenate([table.p_zv, table.p_z[..., None]], -1),
+                               m0[..., None], m1[..., None], checks=by_z)
+        tau_star = _tau_star(table, m0, m1, by_z)
+        checks += [(bad[:, z], error, message) for z in (0, 1)
+                   for bad, error, message in by_z]
+        delta_p_star = p_star[:, 1, -1] - p_star[:, 0, -1]
+        beta_star = late_from_reduced(table.mu_z[:, 1], table.mu_z[:, 0],
+                                      delta_p_star, checks=checks)
+    failed = np.concatenate([bad.reshape(len(s), -1) for bad, _, _ in checks],
+                            axis=1).any(axis=1)
+    m0[failed] = m1[failed] = 0.0  # a failed table's may be NaN; 0 is valid
+    fields = [beta_star, delta_p_star, table.r_hat, m0, m1, p_star[..., :-1],
+              tau_star, s, failed]
+    dets = dict(zip(keys, dets.T))
+    if one:
+        if failed[0]:
+            _raise_first(checks)
+        fields, discs, picks = ([x[0] for x in fields], [d[0] for d in discs],
+                                [p[0] for p in picks])
+        dets = {key: d[0] for key, d in dets.items()}
+    *theta, s, failed = fields
     return IdentifyResult(
-        theta=theta,
-        s=s.T,
+        theta=ParamVector(*theta, mode=mode),
+        s=s,
         determinants=dets,
         discriminants=tuple(discs),
-        support_points=selected[0] if len(groups) == 1 else tuple(selected),
+        support_points=picks[0] if len(picks) == 1 else tuple(picks),
         failed=failed,
     )
 

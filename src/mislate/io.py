@@ -207,8 +207,9 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
     a chunk is converted a column at a time; one that fails a columnar check
     is read again by the row rules, which report the first bad row by the
     physical line it starts on. A record the csv module rejects is reported
-    as soon as it is read. A delimiter that is not one character, or is a
-    quote, CR or LF, raises SchemaError.
+    as soon as it is read. A file that is not UTF-8 raises ParseError
+    naming the first line that does not decode. A delimiter that is not one
+    character, or is a quote, CR or LF, raises SchemaError.
     """
     if len(schema.delimiter) != 1 or schema.delimiter in '"\r\n':
         raise SchemaError(f"delimiter must be one character other than a "
@@ -220,22 +221,30 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
         raise ValidationError(f"v_support repeats the label {repeated!r}")
     columns = []
     missing = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
-        first, _ = _take(reader, 1, 0)
-        if not first:
-            raise SchemaError("file is empty")
-        header = [h.strip() for h in first[0]]
         try:
-            idx = {c: header.index(c) for c in
-                   (schema.y_col, schema.t_col, schema.z_col, schema.v_col)}
-        except ValueError as exc:
-            raise SchemaError(f"missing column: {exc}") from None
-        for y, t, z, labels in _chunks(fh, schema, idx, len(header), reader.line_num):
-            v, chunk_missing = _code_labels(labels, index, grow)
-            if missing is None:
-                missing = chunk_missing
-            columns.append((y, t, z, v))
+            first, _ = _take(reader, 1, 0)
+            if not first:
+                raise SchemaError("file is empty")
+            header = [h.strip() for h in first[0]]
+            try:
+                idx = {c: header.index(c) for c in
+                       (schema.y_col, schema.t_col, schema.z_col, schema.v_col)}
+            except ValueError as exc:
+                raise SchemaError(f"missing column: {exc}") from None
+            for y, t, z, labels in _chunks(fh, schema, idx, len(header),
+                                           reader.line_num):
+                v, chunk_missing = _code_labels(labels, index, grow)
+                if missing is None:
+                    missing = chunk_missing
+                columns.append((y, t, z, v))
+        except UnicodeDecodeError:
+            fh.seek(0)
+            # the first line whose bytes the decoder replaces or drops
+            line = next(i for i, raw in enumerate(fh.buffer, 1) if
+                        raw.decode(errors="replace") != raw.decode(errors="ignore"))
+            raise ParseError(f"invalid UTF-8 at line {line}", line) from None
     if not any(len(col[0]) for col in columns):
         raise SchemaError("no data rows")
     if missing is not None:

@@ -96,35 +96,36 @@ class MomentSums:
 
     @classmethod
     def of(cls, stats: CellStats) -> "MomentSums":
-        n, (n_zvt, sum_y, n_zv) = stats.n, (stats.n_zvt, stats.sum_y, stats.n_zv)
-        if n_zvt.ndim > 3:  # a stack's axis goes last
-            n_zvt, sum_y, n_zv = (np.moveaxis(x, 0, -1) for x in (n_zvt, sum_y, n_zv))
+        # a stack's axis moves after the (z, v, t) axes
+        n_zvt, sum_y = (x.transpose(-3, -2, -1, *range(x.ndim - 3))
+                        for x in (stats.n_zvt, stats.sum_y))
+        n = np.asarray(stats.n)
         n1 = n_zvt[:, :, 1] / n
         s = sum_y / n
-        return cls(p=n_zv / n, n1=n1, s1=s[:, :, 1], s0=s[:, :, 0],
+        return cls(p=n_zvt.sum(axis=2) / n, n1=n1, s1=s[:, :, 1], s0=s[:, :, 0],
                    t_z=n1.sum(axis=1), y_z=s.sum(axis=(1, 2)),
                    r_hat=stats.r_hat, mode=stats.mode)
 
 
+_DOMAIN_ERRORS = ("r-moment: r={} outside (0,1)", "p-moment: m0+m1 >= 1 at z=0",
+                  "p-moment: m0+m1 >= 1 at z=1", "beta-moment: delta_p_star is zero",
+                  "tau-moment: cell denominator outside (0,1)")
+
+
 def _check_domain(r, dp, m0, m1, p_star) -> tuple:
     """(s, q): s_z = 1 - m0_z - m1_z and the (2, K) cell probabilities
-    q = m0_z + s_z p*_zv, after checking that every moment is defined; a
-    stack is checked vector by vector."""
+    q = m0_z + s_z p*_zv, after checking that every moment is defined. Of a
+    stack (axis last), the first vector with an undefined moment raises,
+    naming the first in _DOMAIN_ERRORS."""
     s = 1.0 - m0 - m1
     q = m0[:, None] + s[:, None] * p_star
-    if isinstance(dp, np.ndarray):
-        for i in range(dp.size):
-            _check_domain(r[i], dp[i], m0[:, i], m1[:, i], p_star[..., i])
-        return s, q
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r-moment: r={r} outside (0,1)")
-    for z in (0, 1):
-        if s[z] <= 0.0:
-            raise DomainError(f"p-moment: m0+m1 >= 1 at z={z}")
-    if dp == 0.0:
-        raise DomainError("beta-moment: delta_p_star is zero")
-    if q.min() <= 0.0 or q.max() >= 1.0:
-        raise DomainError("tau-moment: cell denominator outside (0,1)")
+    bad = np.array([np.logical_not((0.0 < r) & (r < 1.0)), s[0] <= 0.0, s[1] <= 0.0,
+                    dp == 0.0, (q.min(axis=(0, 1)) <= 0.0) | (q.max(axis=(0, 1)) >= 1.0)]
+                   ).reshape(5, -1)
+    if bad.any():
+        vector = bad.any(axis=0).argmax()
+        raise DomainError(_DOMAIN_ERRORS[bad[:, vector].argmax()].format(
+            np.ravel(r)[vector]))
     return s, q
 
 

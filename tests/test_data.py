@@ -22,6 +22,22 @@ def test_validate_full_dataset_ok():
     assert validate(cell_stats(_full_dataset())) == []
 
 
+@pytest.mark.parametrize("y,cells", [
+    ([1e150] * 8, 8),                          # a mean beyond Y_MAX
+    ([1e150, -1e150] + [0.0] * 6, 1),          # a spread beyond Y_MAX, mean 0
+    ([1e155] + [0.0] * 7, 8),                  # a square that overflows
+    ([8e307, 8e307] + [0.0] * 6, 8),           # a z arm's sum that overflows
+], ids=["mean", "spread", "square", "sum"])
+def test_validate_refuses_y_where_the_moments_overflow(y, cells):
+    # y is finite, but its cell sums or the fit's second moments are not;
+    # the rows fill the first `cells` (z, v, t) cells in turn
+    z, v, t = np.indices((2, 2, 2)).reshape(3, -1)[:, np.arange(8) % cells]
+    ds = Dataset(y=np.array(y), t=t, z=z, v=v, v_support=(0, 1),
+                 mode=Mode.CASE_II)
+    problems = validate(cell_stats(ds))
+    assert any(p.startswith("y ") for p in problems), problems
+
+
 def test_validate_degenerate_instrument():
     ds = Dataset(y=np.zeros(4), t=np.array([0, 1, 0, 1]),
                  z=np.ones(4, dtype=int), v=np.array([0, 0, 1, 1]),
@@ -283,18 +299,3 @@ def test_cell_stats_n_is_an_exact_count(rng):
     assert type(table.n) is int and table.n == 8
     population = forward_cell_stats(random_theta(rng, Mode.CASE_I, 3))
     assert type(population.n) is int and population.n == 1
-
-
-def test_param_vector_violations():
-    theta = ParamVectorFactory(m0=0.7, m1=0.5)
-    assert any("monotonicity" in msg for msg in theta.violations())
-
-
-def ParamVectorFactory(m0=0.25, m1=0.25):
-    from mislate.data import ParamVector
-    return ParamVector(
-        beta_star=1.0, delta_p_star=0.3, r=0.5,
-        m0=np.array([m0, m0]), m1=np.array([m1, m1]),
-        p_star=np.array([[0.2, 0.6], [0.4, 0.8]]),
-        tau_star=np.array([1.0, 1.0]), mode=Mode.CASE_II,
-    )

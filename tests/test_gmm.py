@@ -14,7 +14,6 @@ from mislate.gmm import (
     GmmConfig,
     confidence_intervals,
     estimate,
-    j_test,
     param_names,
     sandwich_cov,
 )
@@ -289,8 +288,7 @@ class TestJTest:
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 2000, rng)
         est = estimate(cell_stats(ds))
-        stat, dof, p = j_test(est)
-        assert dof == 0 and p is None
+        assert est.j_dof == 0 and est.j_pvalue is None
 
     def test_just_identified_fit_on_a_bound_keeps_its_j(self):
         # J is 0 at dof 0 only for a closed-form fit; this draw's closed form
@@ -301,12 +299,12 @@ class TestJTest:
         assert est.j_stat > 1.0
 
     def test_identity_weighting_overidentified_refuses_pvalue(self, rng):
+        # J is chi-squared only under two-step optimal weighting
         ds = simulate_from_theta(_calibration_theta(), 4000,
                                  np.random.default_rng(3))
         est = estimate(cell_stats(ds), GmmConfig(weighting="identity"))
-        assert est.j_dof == 2
-        with pytest.raises(ValidationError):
-            j_test(est)
+        assert est.j_dof == 2 and est.j_stat > 0.0
+        assert est.j_pvalue is None
 
     def test_pvalue_is_the_chi2_survival_function(self):
         ds = simulate_from_theta(_calibration_theta(), 4000,
@@ -326,9 +324,8 @@ class TestJTest:
         for _ in range(reps):
             ds = simulate_from_theta(theta, 4000, rng)
             est = estimate(cell_stats(ds), GmmConfig(weighting="optimal"))
-            _, dof, p = j_test(est)
-            assert dof == 2
-            rej += p < 0.05
+            assert est.j_dof == 2
+            rej += est.j_pvalue < 0.05
         assert 0.02 <= rej / reps <= 0.11
 
     def test_power_against_cell_varying_error(self):
@@ -339,6 +336,5 @@ class TestJTest:
         for _ in range(reps):
             ds = simulate_from_theta(theta, 4000, rng, error_by_v=True)
             est = estimate(cell_stats(ds), GmmConfig(weighting="optimal"))
-            _, _, p = j_test(est)
-            rej += p < 0.05
+            rej += est.j_pvalue < 0.05
         assert rej / reps > 0.5

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mislate
+from mislate import gmm
 from conftest import random_theta, simulate_from_theta, stack_tables
 from mislate.data import CellStats, Mode, ParamVector, cell_stats
 from mislate.exceptions import (
@@ -406,12 +407,9 @@ def test_no_extended_precision_in_the_package():
             assert name not in text, f"{path.name} names {name}"
 
 
-@pytest.mark.parametrize("mode,k", [(Mode.CASE_II, 2), (Mode.CASE_II, 3),
-                                    (Mode.CASE_I, 3), (Mode.CASE_I, 4)])
-def test_a_stack_is_solved_as_each_table_alone(mode, k):
-    # small samples, so that some tables fail and some that solve pick
-    # another candidate than their neighbours; each must give the bits it
-    # gives alone, or fail where it fails alone
+def _pool(mode: Mode, k: int) -> list:
+    """24 small-sample tables: some fail, and some that solve pick another
+    candidate than their neighbours; every sixth may have an empty cell."""
     rng = np.random.default_rng(40 + k)
     tables = []
     while len(tables) < 24:
@@ -420,13 +418,104 @@ def test_a_stack_is_solved_as_each_table_alone(mode, k):
         table = cell_stats(dataclasses.replace(sample, mode=mode))
         if not (table.n_zvt == 0).any() or len(tables) % 6 == 0:
             tables.append(table)
+    return tables
+
+
+# (index, error, message) of each table of _pool(mode, K) that fails alone
+_FAILS_ALONE = {
+    (Mode.CASE_II, 2): [
+        (1, 'InvalidProbability', 'implied p_star=1.0590330940452914 outside [0,1]'),
+        (2, 'InvalidProbability', 'implied p_star=-0.20121953495634254 outside [0,1]'),
+        (5, 'InvalidProbability', 'implied p_star=4.139083871690407 outside [0,1]'),
+        (8, 'InvalidProbability', 'implied p_star=-1.2864101605591767 outside [0,1]'),
+        (10, 'InvalidProbability', 'implied p_star=1.04357002721039 outside [0,1]'),
+        (14, 'InvalidProbability', 'implied p_star=-0.03634779061189866 outside [0,1]'),
+        (17, 'InvalidProbability', 'implied p_star=4.2782623338552925 outside [0,1]'),
+        (18, 'InvalidProbability', 'implied p_star=-0.07424751517762351 outside [0,1]'),
+        (19, 'InvalidProbability', 'implied p_star=-0.04135083523222194 outside [0,1]'),
+        (22, 'NegativeDiscriminant', 'discriminant -0.08087964537303316 < -1e-08'),
+    ],
+    (Mode.CASE_II, 3): [
+        (0, 'InvalidProbability', 'implied p_star=1.2930052669885552 outside [0,1]'),
+        (1, 'InvalidProbability', 'recovered m1=-0.001172541933896487 outside [0,1)'),
+        (2, 'InvalidProbability', 'implied p_star=-0.026410535474690862 outside [0,1]'),
+        (3, 'NegativeDiscriminant', 'discriminant -0.03660639069481471 < -1e-08'),
+        (4, 'InvalidProbability', 'implied p_star=1.571254243830726 outside [0,1]'),
+        (6, 'InvalidProbability', 'implied p_star=1.0188230959737115 outside [0,1]'),
+        (8, 'NegativeDiscriminant', 'discriminant -0.0015058042937916571 < -1e-08'),
+        (9, 'InvalidProbability', 'implied p_star=1.0006509357185078 outside [0,1]'),
+        (11, 'InvalidProbability', 'implied p_star=-0.009434462500004187 outside [0,1]'),
+        (12, 'NegativeDiscriminant', 'discriminant -0.014210928217211372 < -1e-08'),
+        (13, 'NegativeDiscriminant', 'discriminant -0.014323377576419993 < -1e-08'),
+        (14, 'InvalidProbability', 'implied p_star=1.0747633828459242 outside [0,1]'),
+        (15, 'NegativeDiscriminant', 'discriminant -0.000743715671294165 < -1e-08'),
+        (17, 'InvalidProbability', 'implied p_star=1.3838414367286203 outside [0,1]'),
+        (19, 'InvalidProbability', 'implied p_star=-0.338266546751367 outside [0,1]'),
+        (21, 'InvalidProbability', 'implied p_star=-0.012955685373446732 outside [0,1]'),
+        (22, 'InvalidProbability', 'implied p_star=1.156863473364501 outside [0,1]'),
+        (23, 'InvalidProbability', 'implied p_star=-0.00850951100533645 outside [0,1]'),
+    ],
+    (Mode.CASE_I, 3): [
+        (1, 'InvalidProbability', 'implied p_star=1.0249105721219463 outside [0,1]'),
+        (2, 'InvalidProbability', 'recovered m1=-0.00965611711952924 outside [0,1)'),
+        (3, 'InvalidProbability', 'recovered m1=-0.020392543033218247 outside [0,1)'),
+        (5, 'InvalidProbability', 'implied p_star=1.139557803145295 outside [0,1]'),
+        (6, 'InvalidProbability', 'implied p_star=-0.21786689063103612 outside [0,1]'),
+        (7, 'InvalidProbability', 'implied p_star=1.0410033947974995 outside [0,1]'),
+        (9, 'NegativeDiscriminant', 'discriminant -0.3196424432193723 < -1e-08'),
+        (10, 'InvalidProbability', 'implied p_star=-0.030693995477246244 outside [0,1]'),
+        (11, 'InvalidProbability', 'recovered m1=-0.11549363369910343 outside [0,1)'),
+        (12, 'NegativeDiscriminant', 'discriminant -0.0012007577362793675 < -1e-08'),
+        (13, 'InvalidProbability', 'implied p_star=-0.02221257327882516 outside [0,1]'),
+        (14, 'InvalidProbability', 'implied p_star=1.0167779792053244 outside [0,1]'),
+        (15, 'InvalidProbability', 'recovered m1=-0.006426462628979945 outside [0,1)'),
+        (16, 'NegativeDiscriminant', 'discriminant -0.0003099487962137104 < -1e-08'),
+        (17, 'NegativeDiscriminant', 'discriminant -0.020772302626962613 < -1e-08'),
+        (19, 'InvalidProbability', 'recovered m0=-0.8920887626720395 outside [0,1)'),
+        (20, 'InvalidProbability', 'implied p_star=1.1421544733133442 outside [0,1]'),
+        (21, 'NegativeDiscriminant', 'discriminant -0.004184748044653297 < -1e-08'),
+        (22, 'InvalidProbability', 'implied p_star=1.0318639194640356 outside [0,1]'),
+        (23, 'NegativeDiscriminant', 'discriminant -0.005519238700614215 < -1e-08'),
+    ],
+    (Mode.CASE_I, 4): [
+        (0, 'InvalidProbability', 'implied p_star=1.0337803032137716 outside [0,1]'),
+        (2, 'NegativeDiscriminant', 'discriminant -0.018737405237909233 < -1e-08'),
+        (3, 'InvalidProbability', 'implied p_star=-0.10366941880177508 outside [0,1]'),
+        (5, 'InvalidProbability', 'implied p_star=-0.0012859458377080786 outside [0,1]'),
+        (6, 'InvalidProbability', 'implied p_star=1.076599134875446 outside [0,1]'),
+        (8, 'InvalidProbability', 'implied p_star=-0.04138232818524654 outside [0,1]'),
+        (9, 'InvalidProbability', 'implied p_star=1.011979793538883 outside [0,1]'),
+        (10, 'InvalidProbability', 'recovered m1=-0.004413881772258155 outside [0,1)'),
+        (11, 'InvalidProbability', 'implied p_star=1.1146152633165245 outside [0,1]'),
+        (12, 'InvalidProbability', 'implied p_star=-0.5657985021472255 outside [0,1]'),
+        (13, 'InvalidProbability', 'implied p_star=-0.15644247155935753 outside [0,1]'),
+        (14, 'NegativeDiscriminant', 'discriminant -0.0016914112346779753 < -1e-08'),
+        (15, 'InvalidProbability', 'implied p_star=1.558584089932732 outside [0,1]'),
+        (16, 'InvalidProbability', 'implied p_star=1.0667087364450114 outside [0,1]'),
+        (17, 'InvalidProbability', 'implied p_star=1.0652012392155707 outside [0,1]'),
+        (19, 'NegativeDiscriminant', 'discriminant -0.00115964892306053 < -1e-08'),
+        (20, 'NegativeDiscriminant', 'discriminant -0.006131290847913756 < -1e-08'),
+        (21, 'NegativeDiscriminant', 'discriminant -0.0020994717355420356 < -1e-08'),
+        (23, 'InvalidProbability', 'implied p_star=1.3807159009483634 outside [0,1]'),
+    ],
+}
+
+
+POOLS = [(Mode.CASE_II, 2), (Mode.CASE_II, 3), (Mode.CASE_I, 3), (Mode.CASE_I, 4)]
+
+
+@pytest.mark.parametrize("mode,k", POOLS)
+def test_a_stack_is_solved_as_each_table_alone(mode, k):
+    # each table of the stack gives the bits it gives alone, or fails
+    # where it fails alone, with the error and message _FAILS_ALONE pins
+    tables = _pool(mode, k)
     stacked = identify(stack_tables(tables), mode)
-    failed = 0
+    failed = []
     for i, table in enumerate(tables):
         try:
             alone = identify(table, mode)
-        except MislateError:
-            failed += 1
+        except MislateError as exc:
+            failed.append((i, type(exc).__name__, str(exc)))
             assert stacked.failed[i]
             continue
         assert not stacked.failed[i]
@@ -436,4 +525,47 @@ def test_a_stack_is_solved_as_each_table_alone(mode, k):
         picked = (stacked.support_points[i] if mode is Mode.CASE_II
                   else tuple(g[i] for g in stacked.support_points))
         assert picked == alone.support_points
-    assert 0 < failed < len(tables)
+    assert failed == _FAILS_ALONE[mode, k]
+    assert 0 < len(failed) < len(tables)
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("mode,k", POOLS)
+def test_identify_on_a_stack_of_one_is_identify_on_the_table(mode, k):
+    for table in _pool(mode, k):
+        one = identify(table[None], mode)
+        try:
+            alone = identify(table, mode)
+        except MislateError:
+            assert one.failed[0]
+            continue
+        assert not one.failed[0]
+        assert _same_bits(one.theta.pack()[0], alone.theta.pack())
+        assert _same_bits(one.s[0], alone.s)
+        assert list(one.determinants) == list(alone.determinants)
+        assert all(_same_bits(one.determinants[key][0], det)
+                   for key, det in alone.determinants.items())
+        assert len(one.discriminants) == len(alone.discriminants)
+        assert all(_same_bits(d[0], a) for d, a in
+                   zip(one.discriminants, alone.discriminants))
+        picked = (one.support_points[0] if mode is Mode.CASE_II
+                  else tuple(g[0] for g in one.support_points))
+        assert picked == alone.support_points
+
+
+@pytest.mark.parametrize("mode,k", [(Mode.CASE_II, 2), (Mode.CASE_I, 3)])
+def test_a_closed_form_estimate_is_closed_forms_on_a_stack_of_one(mode, k):
+    # just-identified pools, where some closed forms are the estimate
+    closed_forms = 0
+    for table in _pool(mode, k):
+        closed, x, se = gmm._closed_forms(table[None])
+        if not closed[0]:
+            continue
+        closed_forms += 1
+        est = gmm.estimate(table)
+        assert _same_bits(x[0], est.theta_flat)
+        assert _same_bits(se[0], est.se)
+    assert closed_forms >= 3

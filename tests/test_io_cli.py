@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -133,6 +135,18 @@ class TestLoadCsv:
         assert err.value.line == line
         assert str(err.value) == ("field larger than field limit (131072) "
                                   f"at line {line}")
+
+    @pytest.mark.parametrize("body,line", [
+        (b"y,t,z,v\n1.0,1,0,a\n2.0,0,1,b\xff\n", 3),
+        (b"\xffy,t,z,v\n1.0,1,0,a\n", 1),
+        (b"y,t,z,v\n1.0,1,0,\xe2\x82\n", 2),   # a cut multi-byte character
+    ], ids=["label", "header", "truncated"])
+    def test_non_utf8_reports_line(self, tmp_path, body, line):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(body)
+        with pytest.raises(ParseError, match=f"^invalid UTF-8 at line {line}$") as err:
+            load_csv(path, STD_SCHEMA, Mode.CASE_II)
+        assert err.value.line == line
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "cols.csv"
@@ -519,6 +533,53 @@ def test_reader_matches_row_loop_on_any_layout(tmp_path, text, chunk):
             assert ds.v_support == want[4]
 
 
+@st.composite
+def _cli_argv(draw):
+    """A command with any mix of its flags, some of them malformed or
+    naming a column the file lacks."""
+    command = draw(st.sampled_from(["estimate", "identify"]))
+    argv = [command, "--outcome", draw(st.sampled_from(["y", "w"])),
+            "--treatment", "t", "--instrument", "z", "--exogenous", "v"]
+    flags = {"--mode": ["case-i", "case-ii", "case-iii"],
+             "--delimiter": [",", ";", "ab", '"'],
+             "--v-support": ["0,1", "1, 0", "", "a,b,c"],
+             "--weight" if command == "estimate" else "--support-points":
+                 ["identity", "optimal"] if command == "estimate"
+                 else ["0,1", "0,1,2;0,1,2", "1,1", "x"],
+             "--level" if command == "estimate" else "--json":
+                 ["0.9", "1.5", "nan", "x"] if command == "estimate" else [None]}
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(values))
+            argv += [flag] if value is None else [flag, value]
+    if draw(st.booleans()):
+        argv.append("--text")
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=120),
+                 _csv_files().map(str.encode),
+                 st.tuples(_csv_files().map(str.encode), st.binary(min_size=1, max_size=3),
+                           st.integers(0, 200)).map(
+                     lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])),
+       _cli_argv())
+def test_cli_exits_with_a_documented_code_on_any_input(tmp_path, data, argv):
+    # any bytes as the CSV and any flag set end in an exit code: 0-3 from
+    # main, or 2 from argparse; no other exception escapes
+    path = tmp_path / "any.csv"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--data", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2
+    assert code in (EXIT_OK, EXIT_IO, EXIT_DIAG, 3)
+
+
 class TestReportFormats:
     def test_json_is_deterministic_and_finite_safe(self):
         report = {"a": np.float64(1.5), "b": [np.inf, 2.0],
@@ -711,6 +772,30 @@ class TestCli:
         assert captured.err == ("error: field larger than field limit "
                                 "(131072) at line 2\n")
 
+    @pytest.mark.parametrize("command", ["estimate", "identify"])
+    def test_non_utf8_csv_is_io_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"y,t,z,v\n1.0,1,0,caf\xe9\n")
+        code = main([command] + _data_args(path))
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == "error: invalid UTF-8 at line 2\n"
+
+    def test_simulate_out_of_memory_is_io_error(self, capsys, monkeypatch):
+        # a study whose arrays do not fit; nothing is allocated here
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+        monkeypatch.setattr(mislate.cli, "run_study", too_large)
+        code = main(["simulate", "--design", "1", "--n", "1000000000000000",
+                     "--reps", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == ("error: the study does not fit in memory "
+                                "(Unable to allocate 7.28 PiB for an array)\n")
+
     def test_case_i_with_two_support_points_is_diagnostic_failure(
             self, sample_csv, capsys):
         path, _ = sample_csv
@@ -821,6 +906,14 @@ class TestRunEmpirical:
         assert captured.out == ""
         assert captured.err == ("error: field larger than field limit "
                                 "(131072) at line 2\n")
+
+    def test_non_utf8_csv_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"y,t,z,v\n1.0,1,0,caf\xe9\n")
+        assert _run_empirical().main(_data_args(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid UTF-8 at line 2\n"
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = _run_empirical().main(_data_args(tmp_path / "nope.csv"))
