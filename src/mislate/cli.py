@@ -10,8 +10,6 @@ import argparse
 import re
 import sys
 
-import numpy as np
-
 from . import io as mio
 from .baselines import naive_bias_diag, relevance_test, wald_iv
 from .data import Mode, cell_stats, param_names, validate

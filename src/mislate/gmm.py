@@ -32,7 +32,7 @@ from .data import CellStats, Mode, ParamVector, n_params, param_names, validate
 from .exceptions import MislateError, RankDeficient, StartFailure, ValidationError
 from .identification import identify
 from .lsq import trf
-from .moments import (MomentLayout, MomentSums, gbar_and_jacobian,
+from .moments import (MomentSums, _n_overid, gbar_and_jacobian,
                       gbar_jacobian_omega)
 
 EPS_CONSTRAINT = 1e-4
@@ -168,14 +168,13 @@ def _weights(omega: np.ndarray, weighting: str) -> tuple:
     return weight, _w_half(weight)
 
 
-def _evaluate(x: np.ndarray, table, w_half: Optional[np.ndarray]) -> tuple:
+def _evaluate(x: np.ndarray, sums: MomentSums, w_half: Optional[np.ndarray]) -> tuple:
     """The residuals W^{1/2} gbar(P(x)) and PENALTY * violations, and their
     Jacobian W^{1/2} G(P(x)) DP(x) over PENALTY dviol/dx, from one
     projection and one set of moment terms; w_half None stands for the
-    identity. table is a CellStats or its MomentSums."""
-    k, mode = table.k, table.mode
-    xp, viols, jac = _project(x, k, mode)
-    g, G = gbar_and_jacobian(table, xp, k, mode)
+    identity."""
+    xp, viols, jac = _project(x, sums.k, sums.mode)
+    g, G = gbar_and_jacobian(sums, xp)
     if w_half is not None:
         g, G = w_half @ g, w_half @ G
     if jac is None:
@@ -224,13 +223,13 @@ def _se(vcov: np.ndarray) -> np.ndarray:
 
 def _is_closed(x: np.ndarray, k: int, mode: Mode) -> bool:
     # a just-identified closed form zeroes every moment: the minimum, unclipped
-    return (MomentLayout(k, mode).n_overid == 0
+    return (_n_overid(k, mode) == 0
             and np.array_equal(_clip_start(x, k, mode)[0], x))
 
 
 def _closed_fit(table: CellStats, x: np.ndarray, weighting: str) -> tuple:
     """(gbar, Omega, W^{1/2}, vcov) at closed forms x, stacked or not."""
-    g, G, omega = gbar_jacobian_omega(table, MomentSums.of(table), x)
+    g, G, omega = gbar_jacobian_omega(table, x)
     weight, w_half = _weights(omega, weighting)
     return g, omega, w_half, sandwich_cov(G, weight, omega, table.n, w_half)
 
@@ -297,11 +296,11 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
     else:
         sums = MomentSums.of(table)
         x_hat, objective, converged = _minimize(sums, x_hat, None)
-        g, G, omega = gbar_jacobian_omega(table, sums, x_hat)
+        g, G, omega = gbar_jacobian_omega(table, x_hat)
         weight, w_half = _weights(omega, cfg.weighting)
         if cfg.weighting == "optimal":
             x_hat, objective, converged = _minimize(sums, x_hat, w_half)
-            g, G, omega = gbar_jacobian_omega(table, sums, x_hat)
+            g, G, omega = gbar_jacobian_omega(table, x_hat)
         vcov = sandwich_cov(G, weight, omega, n, w_half)
 
     theta_hat = ParamVector.unpack(x_hat, k, mode)
@@ -309,7 +308,7 @@ def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
     ci = confidence_intervals(x_hat, vcov, cfg.ci_level)
 
     j_stat = float(n * g @ np.linalg.pinv(omega) @ g)
-    j_dof = MomentLayout(k, mode).n_overid
+    j_dof = _n_overid(k, mode)
     j_pvalue = (
         float(chdtrc(j_dof, j_stat))
         if (cfg.weighting == "optimal" and j_dof > 0)

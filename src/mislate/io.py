@@ -208,8 +208,9 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
     is read again by the row rules, which report the first bad row by the
     physical line it starts on. A record the csv module rejects is reported
     as soon as it is read. A file that is not UTF-8 raises ParseError
-    naming the first line that does not decode. A delimiter that is not one
-    character, or is a quote, CR or LF, raises SchemaError.
+    naming the first line that does not decode; a leading byte-order mark
+    is dropped. A delimiter that is not one character, or is a quote, CR or
+    LF, raises SchemaError.
     """
     if len(schema.delimiter) != 1 or schema.delimiter in '"\r\n':
         raise SchemaError(f"delimiter must be one character other than a "
@@ -221,7 +222,7 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
         raise ValidationError(f"v_support repeats the label {repeated!r}")
     columns = []
     missing = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             first, _ = _take(reader, 1, 0)

@@ -8,17 +8,17 @@ shrinks the parameter vector but not the moment vector.
 
 Within a (z, v, t) cell every component is affine in y: the row of a cell
 is a + b y, with intercept a and slope b read off the parameters. So the
-sample mean depends on the data only through per-(z, v) counts and sums of
-y, held divided by n in MomentSums. gbar and moment_jacobian are the sample
-mean and its Jacobian in closed form on those sums: a few array operations
-on (2, K) blocks, O(K^2) per evaluation, with no row. Both are built on one
-set of shared terms, and gbar_and_jacobian, which each step of a GMM fit
-calls, returns the two from one pass over them. gbar_jacobian_omega, which
-a fit calls once at each estimate, adds the second-moment matrix Omega from
-the same terms: each cell's a and b, summed against the cell's count, sum
-of y and sum of y squared; on a stack of tables and vectors, for each,
-the terms carrying the stack's axis last. The row-by-row moment function is
-the test suite's oracle (tests/conftest.py), not part of the package.
+sample mean gbar depends on the data only through per-(z, v) counts and
+sums of y, held divided by n in MomentSums. There is one entry point per
+job, each built on one set of shared terms (a few array operations on
+(2, K) blocks, O(K^2) per evaluation, with no row). gbar_and_jacobian,
+which each step of a GMM fit calls, gives gbar and its Jacobian in closed
+form on the MomentSums. gbar_jacobian_omega, which a fit calls once at each
+estimate, adds the second-moment matrix Omega from the same terms: each
+cell's a and b, summed against the cell's count, sum of y and sum of y
+squared; on a stack of tables and vectors, for each, the terms carrying the
+stack's axis last. The row-by-row moment function is the test suite's
+oracle (tests/conftest.py), not part of the package.
 """
 from __future__ import annotations
 
@@ -32,54 +32,18 @@ from .data import CellStats, Mode, ParamVector, n_params, packed_layout
 from .exceptions import DomainError
 
 
-@dataclass(frozen=True)
-class MomentLayout:
-    """Index map from moment labels to vector positions."""
-
-    k: int
-    mode: Mode
-
-    @property
-    def n_moments(self) -> int:
-        return 4 * self.k + 3
-
-    @property
-    def n_params(self) -> int:
-        return n_params(self.k, self.mode)
-
-    @property
-    def n_overid(self) -> int:
-        return self.n_moments - self.n_params
-
-    def r_index(self) -> int:
-        return 0
-
-    def p_index(self, z: int, k: int) -> int:
-        return 1 + z * self.k + k
-
-    def tau_index(self, z: int, k: int) -> int:
-        return 1 + 2 * self.k + z * self.k + k
-
-    def dp_index(self) -> int:
-        return 1 + 4 * self.k
-
-    def beta_index(self) -> int:
-        return 2 + 4 * self.k
-
-    def labels(self) -> list:
-        out = ["r"]
-        out += [f"p[z={z},k={k}]" for z in (0, 1) for k in range(self.k)]
-        out += [f"tau[z={z},k={k}]" for z in (0, 1) for k in range(self.k)]
-        out += ["delta_p_star", "beta_star"]
-        return out
+def _n_overid(k: int, mode: Mode) -> int:
+    """Moments (4K+3) less packed coordinates: the J statistic's degrees of
+    freedom, 0 when the model is just identified."""
+    return 4 * k + 3 - n_params(k, mode)
 
 
 @dataclass(frozen=True)
 class MomentSums:
     """Per-(z, v) sums of a CellStats table, each divided by its n: all that
-    the sample moment mean and its Jacobian read of the data. Build it once
-    and pass it to gbar and moment_jacobian in place of the table (a
-    stack's with its axis last)."""
+    the sample moment mean and its Jacobian read of the data. A fit builds
+    it once and passes it to every gbar_and_jacobian step (a stack's with
+    its axis last)."""
 
     p: np.ndarray        # (2, K) n_zv / n
     n1: np.ndarray       # (2, K) treated count / n
@@ -179,17 +143,17 @@ class _Terms(NamedTuple):
     late: float          # Y1 / r - Y0 / (1-r)
 
 
-def _terms(table, fields: tuple) -> _Terms:
-    """gbar's terms at the fields (beta*, dp*, r, m0, m1, p*, tau*) of a
-    parameter vector, on a CellStats table or its MomentSums.
+def _terms(sums: MomentSums, theta_flat: np.ndarray) -> _Terms:
+    """gbar's terms at a packed coordinate vector, laid out for the K and
+    mode of sums.
 
     With P = n_zv/n, N1 the treated share, S_t the sums of y by arm over n,
     q = m0_z + s_z p*, alpha = P tau (1-m1) p* - S1 and
     gamma = P tau (1-m0) (1-p*) + S0, the cell rows are P q - N1 and
     P tau - alpha/q - gamma/(1-q); the rest read the per-z totals.
     """
-    sums = table if isinstance(table, MomentSums) else MomentSums.of(table)
-    beta, dp, r, m0, m1, ps, tau = fields
+    beta, dp, r, m0, m1, ps, tau = ParamVector.unpacked_fields(
+        theta_flat, sums.k, sums.mode)
     s, q = _check_domain(r, dp, m0, m1, ps)
     cm0, cm1 = 1.0 - m0[:, None], 1.0 - m1[:, None]
     ptau = sums.p * tau[:, None]
@@ -213,12 +177,12 @@ def _gbar(t: _Terms) -> np.ndarray:
     ])
 
 
-def _jacobian(t: _Terms, mode: Mode) -> np.ndarray:
+def _jacobian(t: _Terms) -> np.ndarray:
     """gbar's terms differentiated by hand: each nonzero entry, placed in
     the packed columns (where CASE_II's shared m0 and m1 sum their z
     parts). A stack's Jacobians come with its axis first."""
     sums, q, s, r, dp, ps = t.sums, t.q, t.s, t.r, t.dp, t.ps
-    k, stack = sums.k, q.shape[2:]
+    k, mode, stack = sums.k, sums.mode, q.shape[2:]
     p, q1, ps1, sz = sums.p, 1.0 - q, 1.0 - ps, s[:, None]
     cm0, cm1, ptau = t.cm0, t.cm1, t.ptau
     w = t.alpha / q ** 2 - t.gamma / q1 ** 2
@@ -272,39 +236,22 @@ def _cell_rows(t: _Terms) -> tuple:
     return a, b
 
 
-def gbar(table, theta_flat: np.ndarray, k: int, mode: Mode) -> np.ndarray:
-    """Sample moment mean at a packed coordinate vector, in closed form on a
-    CellStats table or its MomentSums."""
-    return _gbar(_terms(table, ParamVector.unpacked_fields(theta_flat, k, mode)))
+def gbar_and_jacobian(sums: MomentSums, theta_flat: np.ndarray) -> tuple:
+    """(gbar, its Jacobian with respect to the packed vector, shape
+    (4K+3, dim)) at a packed coordinate vector, from one set of shared
+    terms: what each step of a fit reads."""
+    t = _terms(sums, theta_flat)
+    return _gbar(t), _jacobian(t)
 
 
-def moment_jacobian(table, theta: ParamVector) -> np.ndarray:
-    """Jacobian of the sample moment mean with respect to the packed
-    parameter vector, shape (4K+3, dim), in closed form on a CellStats table
-    or its MomentSums."""
-    fields = (theta.beta_star, theta.delta_p_star, theta.r, theta.m0,
-              theta.m1, theta.p_star, theta.tau_star)
-    return _jacobian(_terms(table, fields), theta.mode)
-
-
-def gbar_and_jacobian(table, theta_flat: np.ndarray, k: int,
-                      mode: Mode) -> tuple:
-    """(gbar, moment_jacobian) at a packed coordinate vector, from one set
-    of shared terms: what each step of a fit reads."""
-    t = _terms(table, ParamVector.unpacked_fields(theta_flat, k, mode))
-    return _gbar(t), _jacobian(t, mode)
-
-
-def gbar_jacobian_omega(stats: CellStats, sums: MomentSums,
-                        theta_flat: np.ndarray) -> tuple:
-    """(gbar, moment_jacobian, Omega) at a packed coordinate vector, from one
-    set of shared terms: what a fit reads at its estimate. sums is
-    MomentSums.of(stats). Omega, the uncentered second moment (1/n) sum
-    g_i g_i', is summed cell by cell as a'Na + a'(Sy)b + b'(Sy)a + b'(Syy)b,
-    where a cell's sum of y squared is its centred sum of squares plus Sy
-    times its mean. A stack of tables and vectors gives a stack of each."""
-    t = _terms(sums, ParamVector.unpacked_fields(theta_flat, stats.k,
-                                                 stats.mode))
+def gbar_jacobian_omega(stats: CellStats, theta_flat: np.ndarray) -> tuple:
+    """(gbar, its Jacobian, Omega) at a packed coordinate vector, from one
+    set of shared terms: what a fit reads at its estimate. Omega, the
+    uncentered second moment (1/n) sum g_i g_i', is summed cell by cell as
+    a'Na + a'(Sy)b + b'(Sy)a + b'(Syy)b, where a cell's sum of y squared is
+    its centred sum of squares plus Sy times its mean. A stack of tables and
+    vectors gives a stack of each."""
+    t = _terms(MomentSums.of(stats), theta_flat)
     a, b = _cell_rows(t)
     at, column = np.swapaxes(a, -1, -2), stats.n_zvt.shape[:-3] + (-1, 1)
     n_c, sy = stats.n_zvt.reshape(column), stats.sum_y.reshape(column)
@@ -313,4 +260,4 @@ def gbar_jacobian_omega(stats: CellStats, sums: MomentSums,
     omega = ((at @ (n_c * a) + cross + np.swapaxes(cross, -1, -2)
               + np.swapaxes(b, -1, -2) @ (syy * b))
              / np.reshape(stats.n, column[:-2] + (1, 1)))
-    return _gbar(t).T, _jacobian(t, stats.mode), omega
+    return _gbar(t).T, _jacobian(t), omega

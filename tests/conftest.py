@@ -8,7 +8,7 @@ import pytest
 from scipy import optimize
 
 from mislate.data import CellStats, Dataset, Mode, ParamVector
-from mislate.moments import MomentLayout, _check_domain
+from mislate.moments import _check_domain
 
 
 def random_theta(rng: np.random.Generator, mode: Mode, k: int) -> ParamVector:
@@ -120,15 +120,15 @@ def least_squares_oracle(evaluate, x0, lb, ub, *, ftol, xtol, gtol, max_nfev):
 
 def moment_matrix(ds: Dataset, theta: ParamVector) -> np.ndarray:
     """Per-observation moment rows, shape (n, 4K+3): the moment function row
-    by row. The oracle for the closed forms in mislate.moments."""
+    by row, in the order r, p by (z, v), tau by (z, v), first stage, LATE.
+    The oracle for the closed forms in mislate.moments."""
     k = ds.k
-    layout = MomentLayout(k, theta.mode)
     s, q = _check_domain(theta.r, theta.delta_p_star, theta.m0, theta.m1,
                          theta.p_star)
 
     y, t, z, v = ds.y, ds.t.astype(float), ds.z.astype(float), ds.v
     n = ds.n
-    g = np.zeros((n, layout.n_moments))
+    g = np.zeros((n, 4 * k + 3))
     g[:, 0] = theta.r - z
 
     zi = ds.z.astype(np.int64)
@@ -150,11 +150,11 @@ def moment_matrix(ds: Dataset, theta: ParamVector) -> np.ndarray:
     g[rows, 1 + zi * k + v] = p_val
     g[rows, 1 + 2 * k + zi * k + v] = tau_val
 
-    g[:, layout.dp_index()] = theta.delta_p_star - (
+    g[:, 1 + 4 * k] = theta.delta_p_star - (
         (t * z / theta.r - theta.m0[1]) / s[1]
         - (t * (1.0 - z) / (1.0 - theta.r) - theta.m0[0]) / s[0]
     )
-    g[:, layout.beta_index()] = theta.beta_star - (
+    g[:, 2 + 4 * k] = theta.beta_star - (
         y * z / theta.r - y * (1.0 - z) / (1.0 - theta.r)
     ) / theta.delta_p_star
     return g

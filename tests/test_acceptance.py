@@ -16,8 +16,8 @@ from mislate.baselines import wald_iv
 from mislate.data import Mode, cell_stats
 from mislate.gmm import GmmConfig, estimate
 from mislate.identification import forward_cell_stats, identify, w_triple
-from mislate.moments import (MomentLayout, MomentSums, gbar_jacobian_omega,
-                             moment_jacobian)
+from mislate.moments import (MomentSums, _n_overid, gbar_and_jacobian,
+                             gbar_jacobian_omega)
 from mislate.simulation import DesignSpec, generate, run_study, true_params
 
 from test_moments import _exact_count_dataset, _oracle_theta
@@ -74,8 +74,7 @@ def test_criterion_2_population_moments_vanish(capsys):
     # Bonferroni bound c = 4.44 fails a correct program with probability at
     # most CRIT2_FWER = 1e-4, whatever the seeds.
     truth = true_params(DesignSpec(1))
-    layout = MomentLayout(truth.k, truth.mode)
-    c = float(norm.isf(CRIT2_FWER / (2 * layout.n_moments)))
+    c = float(norm.isf(CRIT2_FWER / (2 * (4 * truth.k + 3))))
     # each shift moves some component's mean by at least 8.9 standard errors
     # (beta_star 9.1, m0 8.9, delta_p_star 10.7; mean over draws 1-60), so
     # the statistic also exceeds c with probability above 1 - 1e-4
@@ -92,9 +91,8 @@ def test_criterion_2_population_moments_vanish(capsys):
     for seed in range(1, draws + 1):
         ds, _ = generate(DesignSpec(1), draw_n, seed=seed)
         table = cell_stats(ds)
-        sums = MomentSums.of(table)
         for name, theta in thetas.items():
-            g, _, omega = gbar_jacobian_omega(table, sums, theta.pack())
+            g, _, omega = gbar_jacobian_omega(table, theta.pack())
             gbars[name].append(g)
             omega_diags[name].append(np.diag(omega))
     # the draws are the same size, so pooled means are means over draws
@@ -163,7 +161,7 @@ def test_criterion_5_error_rate_table(capsys, mc):
 def test_criterion_6_naive_bias_law(capsys):
     # population: s = 0.5 doubles the naive Wald
     theta = _oracle_theta()
-    assert float(theta.s[0]) == 0.5
+    assert float(1.0 - theta.m0[0] - theta.m1[0]) == 0.5
     ds = _exact_count_dataset(theta)
     wald = float(wald_iv(cell_stats(ds)).coef[1])
     pop_err = abs(wald - 2.0 * theta.beta_star)
@@ -217,18 +215,18 @@ def test_criterion_8_property_suite(capsys, rng):
     checks["psd covariance"] = bool(np.all(np.linalg.eigvalsh(est.vcov) > -1e-12))
 
     checks["overid counts"] = (
-        MomentLayout(5, Mode.CASE_I).n_overid == 2 * 5 - 6
-        and MomentLayout(5, Mode.CASE_II).n_overid == 2 * 5 - 4
+        _n_overid(5, Mode.CASE_I) == 2 * 5 - 6
+        and _n_overid(5, Mode.CASE_II) == 2 * 5 - 4
     )
 
     theta = _oracle_theta()
     cells = _exact_count_dataset(theta, per_cell=200)
-    jac = moment_jacobian(cell_stats(cells), theta)
-    layout = MomentLayout(2, Mode.CASE_II)
+    jac = gbar_and_jacobian(MomentSums.of(cell_stats(cells)), theta.pack())[1]
+    # rows (K = 2): r 0, p[z=0, v=0] 1, LATE 10
     checks["jacobian slopes"] = (
-        abs(jac[layout.beta_index(), 0] - 1.0) < 1e-6
-        and abs(jac[layout.r_index(), 2] - 1.0) < 1e-6
-        and abs(jac[layout.p_index(0, 0), 4] - 0.25 * float(theta.s[0])) < 1e-6
+        abs(jac[10, 0] - 1.0) < 1e-6
+        and abs(jac[0, 2] - 1.0) < 1e-6
+        and abs(jac[1, 4] - 0.25 * float(1.0 - theta.m0[0] - theta.m1[0])) < 1e-6
     )
 
     _, latent = generate(DesignSpec(3), 100_000, seed=8)

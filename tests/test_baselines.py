@@ -136,7 +136,7 @@ class TestRelevance:
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 50_000, rng)
         out = relevance_test(cell_stats(ds))
-        s = float(theta.s[0])
+        s = float(1.0 - theta.m0[0] - theta.m1[0])
         for z in (0, 1):
             slope_true = s * (theta.p_star[z, 1] - theta.p_star[z, 0])
             assert out[z].coef[1] == pytest.approx(slope_true, abs=0.02)
@@ -155,7 +155,8 @@ class TestNaiveBias:
         ds = simulate_from_theta(theta, 200_000, rng)
         rep = naive_bias_diag(theta.beta_star, float(theta.m0[0]),
                               float(theta.m1[0]), wald_iv(cell_stats(ds)))
-        assert rep.s_hat == pytest.approx(float(theta.s[0]), abs=1e-12)
+        s = float(1.0 - theta.m0[0] - theta.m1[0])
+        assert rep.s_hat == pytest.approx(s, abs=1e-12)
         assert rep.beta_naive_times_s == pytest.approx(theta.beta_star, abs=0.1)
         assert rep.gap == rep.beta_naive_times_s - rep.beta_star_hat
 

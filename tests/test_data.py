@@ -27,7 +27,8 @@ def test_validate_full_dataset_ok():
     ([1e150, -1e150] + [0.0] * 6, 1),          # a spread beyond Y_MAX, mean 0
     ([1e155] + [0.0] * 7, 8),                  # a square that overflows
     ([8e307, 8e307] + [0.0] * 6, 8),           # a z arm's sum that overflows
-], ids=["mean", "spread", "square", "sum"])
+    ([1e155, -1e155] + [0.0] * 6, 1),          # a cell's ss_y that overflows
+], ids=["mean", "spread", "square", "sum", "ss"])
 def test_validate_refuses_y_where_the_moments_overflow(y, cells):
     # y is finite, but its cell sums or the fit's second moments are not;
     # the rows fill the first `cells` (z, v, t) cells in turn
@@ -35,7 +36,8 @@ def test_validate_refuses_y_where_the_moments_overflow(y, cells):
     ds = Dataset(y=np.array(y), t=t, z=z, v=v, v_support=(0, 1),
                  mode=Mode.CASE_II)
     problems = validate(cell_stats(ds))
-    assert any(p.startswith("y ") for p in problems), problems
+    assert "y is too large: a cell's mean or spread exceeds 1e+100" in problems
+    assert "y contains non-finite values" not in problems
 
 
 def test_validate_degenerate_instrument():

@@ -18,7 +18,7 @@ from mislate.gmm import (
     sandwich_cov,
 )
 from mislate.identification import identify
-from mislate.moments import gbar_jacobian_omega
+from mislate.moments import MomentSums, gbar_jacobian_omega
 from mislate.simulation import DesignSpec, generate
 
 
@@ -222,8 +222,8 @@ class TestResidualJacobian:
         # s swamps a difference quotient, so test the same map at 0.05
         monkeypatch.setattr(gmm, "EPS_CONSTRAINT", 0.05)
         theta = random_theta(rng, mode, k)
-        table = cell_stats(replace(simulate_from_theta(theta, 2000, rng),
-                                   mode=mode))
+        sums = MomentSums.of(cell_stats(replace(
+            simulate_from_theta(theta, 2000, rng), mode=mode)))
         x = theta.pack()
         if active:
             for i0, i1 in gmm._m_indices(k, mode):
@@ -232,21 +232,21 @@ class TestResidualJacobian:
         w_half = gmm._w_half(a @ a.T)
         assert np.all(gmm._project(x, k, mode)[1] > 0) == active
         expected = central_differences(
-            lambda x_: gmm._evaluate(x_, table, w_half)[0], x)
-        np.testing.assert_allclose(gmm._evaluate(x, table, w_half)[1],
+            lambda x_: gmm._evaluate(x_, sums, w_half)[0], x)
+        np.testing.assert_allclose(gmm._evaluate(x, sums, w_half)[1],
                                    expected, rtol=1e-7, atol=1e-7)
 
     @pytest.mark.parametrize("active", [False, True], ids=["inside", "projected"])
     def test_identity_weighting_needs_no_matrix(self, rng, active):
         # w_half None skips the products with W^{1/2} = I, which are exact
         theta = random_theta(rng, Mode.CASE_II, 3)
-        table = cell_stats(simulate_from_theta(theta, 2000, rng))
+        sums = MomentSums.of(cell_stats(simulate_from_theta(theta, 2000, rng)))
         x = theta.pack()
         if active:
             for i0, i1 in gmm._m_indices(3, Mode.CASE_II):
                 x[[i0, i1]] *= 1.2 / (x[i0] + x[i1])
-        f, J = gmm._evaluate(x, table, None)
-        f_eye, J_eye = gmm._evaluate(x, table, np.eye(15))
+        f, J = gmm._evaluate(x, sums, None)
+        f_eye, J_eye = gmm._evaluate(x, sums, np.eye(15))
         assert np.array_equal(f, f_eye) and np.array_equal(J, J_eye)
         assert (f[-1] > 0) == active
 

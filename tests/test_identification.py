@@ -276,7 +276,7 @@ class TestIdentify:
         # with z-invariant misclassification the naive Wald equals beta*/s
         theta = random_theta(rng, Mode.CASE_II, 2)
         stats = forward_cell_stats(theta)
-        s = float(theta.s[0])
+        s = float(1.0 - theta.m0[0] - theta.m1[0])
         wald = late_from_reduced(stats.mu_z[1], stats.mu_z[0],
                                  stats.p_z[1] - stats.p_z[0])
         assert wald == pytest.approx(theta.beta_star / s, abs=1e-10)

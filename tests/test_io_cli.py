@@ -140,13 +140,36 @@ class TestLoadCsv:
         (b"y,t,z,v\n1.0,1,0,a\n2.0,0,1,b\xff\n", 3),
         (b"\xffy,t,z,v\n1.0,1,0,a\n", 1),
         (b"y,t,z,v\n1.0,1,0,\xe2\x82\n", 2),   # a cut multi-byte character
-    ], ids=["label", "header", "truncated"])
+        (b"\xef\xbb\xbfy,t,z,v\n1.0,1,0,a\n2.0,0,1,b\xff\n", 3),
+    ], ids=["label", "header", "truncated", "after-byte-order-mark"])
     def test_non_utf8_reports_line(self, tmp_path, body, line):
         path = tmp_path / "latin.csv"
         path.write_bytes(body)
         with pytest.raises(ParseError, match=f"^invalid UTF-8 at line {line}$") as err:
             load_csv(path, STD_SCHEMA, Mode.CASE_II)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("first", ["1.0", '"1.0"'],
+                             ids=["split", "csv-reader"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, monkeypatch, first):
+        # Excel's "CSV UTF-8" export starts the file with one; a quoted first
+        # field sends the rows to csv.reader instead of the split
+        body = (f"y,t,z,v\n{first},1,0,a\n2.0,0,1,b\n"
+                "0.5,1,1,a\n1.5,0,0,b\n").encode()
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        want = load_csv(plain, STD_SCHEMA, Mode.CASE_II)
+        split, plain_columns = [], mio._plain_columns
+        monkeypatch.setattr(mio, "_plain_columns", lambda *args: split.append(
+            plain_columns(*args)) or split[-1])
+        got = load_csv(marked, STD_SCHEMA, Mode.CASE_II)
+        assert [fields is not None for fields in split] == [first == "1.0"]
+        for name in ("y", "t", "z", "v"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (got.v_support, got.mode) == (want.v_support, want.mode) == (
+            ("a", "b"), Mode.CASE_II)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "cols.csv"
@@ -795,6 +818,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == ("error: the study does not fit in memory "
                                 "(Unable to allocate 7.28 PiB for an array)\n")
+
+    def test_y_whose_moments_overflow_is_diagnostic_failure(self, tmp_path,
+                                                              capsys):
+        # every y is finite, but the first cell's sum of squares overflows
+        path = tmp_path / "huge.csv"
+        path.write_text("y,t,z,v\n1e155,0,0,0\n-1e155,0,0,0\n"
+                        + "".join(f"0.0,{t},{z},{v}\n" for z in (0, 1)
+                                  for v in (0, 1) for t in (0, 1)))
+        code, out = _run(capsys, ["estimate", "--json"] + _data_args(path))
+        assert code == EXIT_DIAG
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["error"] == ("y is too large: a cell's mean or spread "
+                                   "exceeds 1e+100")
 
     def test_case_i_with_two_support_points_is_diagnostic_failure(
             self, sample_csv, capsys):

@@ -57,8 +57,7 @@ def _two_step_start():
     table = cell_stats(simulate_from_theta(random_theta(rng, Mode.CASE_II, 3),
                                            20_000, rng))
     first = gmm.estimate(table)
-    omega = gbar_jacobian_omega(table, MomentSums.of(table),
-                                first.theta_flat)[2]
+    omega = gbar_jacobian_omega(table, first.theta_flat)[2]
     return table, first.theta_flat, gmm._w_half(np.linalg.pinv(omega))
 
 

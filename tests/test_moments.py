@@ -7,19 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (cell_grid, central_differences, moment_matrix,
                       random_theta, simulate_from_theta, stack_tables)
+from mislate import data
 from mislate.data import Dataset, Mode, ParamVector, cell_stats
 from mislate.exceptions import DomainError
 from mislate.identification import (forward_cell_stats, identify, implied_p,
                                     implied_tau)
 from mislate import moments
-from mislate.moments import (
-    MomentLayout,
-    MomentSums,
-    gbar,
-    gbar_and_jacobian,
-    gbar_jacobian_omega,
-    moment_jacobian,
-)
+from mislate.moments import MomentSums, gbar_and_jacobian, gbar_jacobian_omega
 
 
 TABLE_CASES = [
@@ -31,7 +25,12 @@ TABLE_CASES = [
 
 def _at(stats, theta):
     """(gbar, G, Omega) as a fit evaluates them at its estimate."""
-    return gbar_jacobian_omega(stats, MomentSums.of(stats), theta.pack())
+    return gbar_jacobian_omega(stats, theta.pack())
+
+
+def _step(stats, theta_flat):
+    """(gbar, G) as a solver step evaluates them."""
+    return gbar_and_jacobian(MomentSums.of(stats), theta_flat)
 
 
 class TestLayout:
@@ -41,20 +40,12 @@ class TestLayout:
         (3, Mode.CASE_I, 15, 0),
         (5, Mode.CASE_I, 19, 4),
     ])
-    def test_counts(self, k, mode, n_params, n_overid):
-        layout = MomentLayout(k, mode)
-        assert layout.n_moments == 4 * k + 3
-        assert layout.n_params == n_params
-        assert layout.n_overid == n_overid
-
-    def test_indices_partition_the_vector(self):
-        layout = MomentLayout(3, Mode.CASE_I)
-        idx = [layout.r_index()]
-        idx += [layout.p_index(z, j) for z in (0, 1) for j in range(3)]
-        idx += [layout.tau_index(z, j) for z in (0, 1) for j in range(3)]
-        idx += [layout.dp_index(), layout.beta_index()]
-        assert sorted(idx) == list(range(layout.n_moments))
-        assert len(layout.labels()) == layout.n_moments
+    def test_counts(self, rng, k, mode, n_params, n_overid):
+        theta = random_theta(rng, mode, k)
+        g, G = _step(forward_cell_stats(theta), theta.pack())
+        assert g.shape == (4 * k + 3,) and G.shape == (4 * k + 3, n_params)
+        assert data.n_params(k, mode) == n_params
+        assert moments._n_overid(k, mode) == n_overid
 
 
 def _exact_count_dataset(theta, per_cell=2000):
@@ -145,14 +136,14 @@ class TestStructure:
     def test_indicator_sparsity(self, rng):
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 200, rng)
-        layout = MomentLayout(ds.k, theta.mode)
+        k = ds.k
         g = moment_matrix(ds, theta)
         for i in range(ds.n):
             z, v = int(ds.z[i]), int(ds.v[i])
-            p_cols = [layout.p_index(zz, vv) for zz in (0, 1)
-                      for vv in range(ds.k) if (zz, vv) != (z, v)]
-            tau_cols = [layout.tau_index(zz, vv) for zz in (0, 1)
-                        for vv in range(ds.k) if (zz, vv) != (z, v)]
+            p_cols = [1 + zz * k + vv for zz in (0, 1)
+                      for vv in range(k) if (zz, vv) != (z, v)]
+            tau_cols = [1 + 2 * k + zz * k + vv for zz in (0, 1)
+                        for vv in range(k) if (zz, vv) != (z, v)]
             assert np.all(g[i, p_cols] == 0.0)
             assert np.all(g[i, tau_cols] == 0.0)
 
@@ -186,9 +177,8 @@ class TestStructure:
         # oracle's second moment
         theta, ds = _table_case(rng, mode, k, n=2000)
         stats = cell_stats(ds)
-        sums = MomentSums.of(stats)
-        g, G, omega = gbar_jacobian_omega(stats, sums, theta.pack())
-        g_step, G_step = gbar_and_jacobian(sums, theta.pack(), k, mode)
+        g, G, omega = gbar_jacobian_omega(stats, theta.pack())
+        g_step, G_step = _step(stats, theta.pack())
         assert g.tobytes() == g_step.tobytes()
         assert G.tobytes() == G_step.tobytes()
         np.testing.assert_allclose(g, _row_mean(ds, theta.pack(), k, mode),
@@ -205,9 +195,9 @@ class TestStructure:
         tables = [cell_stats(ds) for _, ds in cases]
         x = np.stack([theta.pack() for theta, _ in cases])
         stack = stack_tables(tables)
-        together = gbar_jacobian_omega(stack, MomentSums.of(stack), x)
+        together = gbar_jacobian_omega(stack, x)
         for i, table in enumerate(tables):
-            alone = gbar_jacobian_omega(table, MomentSums.of(table), x[i])
+            alone = gbar_jacobian_omega(table, x[i])
             for got, want in zip(together, alone):
                 assert got[i].tobytes() == want.tobytes()
 
@@ -216,10 +206,10 @@ class TestStructure:
             self, rng, mode, k):
         theta, ds = _table_case(rng, mode, k)
         stats = cell_stats(ds)
-        fields = ParamVector.unpacked_fields(theta.pack(), k, mode)
-        a, b = moments._cell_rows(moments._terms(stats, fields))
+        a, b = moments._cell_rows(moments._terms(MomentSums.of(stats),
+                                                 theta.pack()))
         cells = (stats.n_zvt.ravel() @ a + stats.sum_y.ravel() @ b) / stats.n
-        assert np.max(np.abs(gbar(stats, theta.pack(), k, mode) - cells)) <= 1e-13
+        assert np.max(np.abs(_step(stats, theta.pack())[0] - cells)) <= 1e-13
         # every cell's row at y = 0 and y = 1, against the row-by-row oracle
         rows = moment_matrix(cell_grid(k, mode), theta)
         assert np.max(np.abs(a - rows[:4 * k])) <= 1e-13
@@ -243,7 +233,7 @@ class TestStructure:
             xm[j] -= h
             expected[:, j] = (_row_mean(ds, xp, k, mode)
                               - _row_mean(ds, xm, k, mode)) / (2 * h)
-        np.testing.assert_allclose(moment_jacobian(stats, theta), expected,
+        np.testing.assert_allclose(_step(stats, x0)[1], expected,
                                    rtol=1e-8, atol=1e-8)
 
 
@@ -275,22 +265,23 @@ class TestAnalyticJacobian:
     def test_matches_central_differences(self, rng, mode, k, where):
         theta, stats = _jacobian_point(rng, mode, k, where)
         expected = central_differences(
-            lambda x: gbar(stats, x, k, mode), theta.pack())
+            lambda x: _step(stats, x)[0], theta.pack())
         # the oracle's truncation error grows like h^2 / q^4 near the
         # boundary: about 4e-8 at q = 0.015
-        np.testing.assert_allclose(moment_jacobian(stats, theta), expected,
+        np.testing.assert_allclose(_step(stats, theta.pack())[1], expected,
                                    rtol=1e-7, atol=1e-7)
 
     @pytest.mark.parametrize("where", ["interior", "s-0.1"])
     @pytest.mark.parametrize("mode,k", TABLE_CASES)
     def test_combined_evaluation_is_gbar_and_jacobian(self, rng, mode, k,
                                                       where):
-        # one set of shared terms: the same bits as the two calls
+        # a solver step and the evaluation at an estimate build one set of
+        # shared terms: the same bits
         theta, stats = _jacobian_point(rng, mode, k, where)
-        sums = MomentSums.of(stats)
-        g, G = gbar_and_jacobian(sums, theta.pack(), k, mode)
-        assert g.tobytes() == gbar(sums, theta.pack(), k, mode).tobytes()
-        assert G.tobytes() == moment_jacobian(sums, theta).tobytes()
+        g, G = _step(stats, theta.pack())
+        g_at, G_at, _ = _at(stats, theta)
+        assert g.tobytes() == g_at.tobytes()
+        assert G.tobytes() == G_at.tobytes()
 
 
 class TestDomainGuards:
@@ -334,59 +325,58 @@ class TestDomainGuards:
         with pytest.raises(DomainError) as rows:
             moment_matrix(ds, theta)
         assert str(rows.value).startswith(prefix)
-        for table in (cell_stats(ds), MomentSums.of(cell_stats(ds))):
-            for closed_form in (lambda: gbar(table, theta.pack(), 2, theta.mode),
-                                lambda: moment_jacobian(table, theta)):
-                with pytest.raises(DomainError) as err:
-                    closed_form()
-                assert str(err.value) == str(rows.value)
+        for closed_form in (_step, gbar_jacobian_omega):
+            with pytest.raises(DomainError) as err:
+                closed_form(cell_stats(ds), theta.pack())
+            assert str(err.value) == str(rows.value)
 
 
 class TestJacobian:
     def test_analytic_slopes(self):
         theta = _oracle_theta()
         ds = _exact_count_dataset(theta, per_cell=200)
-        layout = MomentLayout(2, Mode.CASE_II)
-        jac = moment_jacobian(cell_stats(ds), theta)
+        jac = _step(cell_stats(ds), theta.pack())[1]
 
         # column order: beta*, dp*, r, m0, p*00, p*01, tau0*, m1, p*10, p*11, tau1*
         beta_col, dp_col, r_col = 0, 1, 2
+        # row order (K = 2): r, p by (z, v), tau by (z, v), first stage, LATE
+        r_row, dp_row, beta_row = 0, 9, 10
 
         # the LATE moment is linear in beta* with unit slope and is the only
         # moment touching it
-        assert jac[layout.beta_index(), beta_col] == pytest.approx(1.0, abs=1e-6)
-        mask = np.ones(layout.n_moments, bool)
-        mask[layout.beta_index()] = False
+        assert jac[beta_row, beta_col] == pytest.approx(1.0, abs=1e-6)
+        mask = np.ones(11, bool)
+        mask[beta_row] = False
         np.testing.assert_allclose(jac[mask, beta_col], 0.0, atol=1e-8)
 
         # instrument-mean moment: unit slope in r, no other parameter enters
-        assert jac[layout.r_index(), r_col] == pytest.approx(1.0, abs=1e-6)
-        np.testing.assert_allclose(jac[layout.r_index(), [c for c in range(11) if c != r_col]],
+        assert jac[r_row, r_col] == pytest.approx(1.0, abs=1e-6)
+        np.testing.assert_allclose(jac[r_row, [c for c in range(11) if c != r_col]],
                                    0.0, atol=1e-8)
 
         # first-stage moment: unit slope in delta_p*; the LATE moment reacts
         # with slope beta*/delta_p* at the solution
-        assert jac[layout.dp_index(), dp_col] == pytest.approx(1.0, abs=1e-6)
-        assert jac[layout.beta_index(), dp_col] == pytest.approx(
+        assert jac[dp_row, dp_col] == pytest.approx(1.0, abs=1e-6)
+        assert jac[beta_row, dp_col] == pytest.approx(
             theta.beta_star / theta.delta_p_star, abs=1e-5)
 
         # treatment-probability moment for cell (z, v): slope in p*_zv equals
         # s_z times the cell frequency (cells are balanced here: 1/4)
-        s = float(theta.s[0])
+        s = float(1.0 - theta.m0[0] - theta.m1[0])
         for z, v, col in ((0, 0, 4), (0, 1, 5), (1, 0, 8), (1, 1, 9)):
-            assert jac[layout.p_index(z, v), col] == pytest.approx(
+            assert jac[1 + 2 * z + v, col] == pytest.approx(
                 0.25 * s, abs=1e-6)
 
     def test_matches_numpy_gradient_of_gbar(self, rng):
         theta = random_theta(rng, Mode.CASE_II, 2)
         ds = simulate_from_theta(theta, 500, rng)
         stats = cell_stats(ds)
-        jac = moment_jacobian(stats, theta)
         x0 = theta.pack()
+        jac = _step(stats, x0)[1]
         j = 3
         h = 1e-6 * max(1.0, abs(x0[j]))
         xp, xm = x0.copy(), x0.copy()
         xp[j] += h
         xm[j] -= h
-        col = (gbar(stats, xp, 2, Mode.CASE_II) - gbar(stats, xm, 2, Mode.CASE_II)) / (2 * h)
+        col = (_step(stats, xp)[0] - _step(stats, xm)[0]) / (2 * h)
         np.testing.assert_allclose(jac[:, j], col, atol=1e-12)

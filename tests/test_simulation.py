@@ -9,14 +9,13 @@ from conftest import count_calls
 import mislate.simulation
 from mislate.baselines import ols, wald_iv
 from mislate.data import Mode, cell_stats
-from mislate.exceptions import MislateError
+from mislate.exceptions import MislateError, NoConvergence
 from mislate import gmm
 from mislate.gmm import estimate
 from mislate.identification import identify
 from mislate.simulation import (
     DesignSpec,
     _trunc_moments,
-    complier_effect_reference,
     generate,
     run_study,
     true_params,
@@ -36,9 +35,6 @@ class TestDesignSpec:
             DesignSpec(7)
 
     def test_roles(self):
-        assert DesignSpec(1).v_role == "covariate"
-        assert DesignSpec(3).v_role == "instrument"
-        assert DesignSpec(5).v_role == "repeated"
         assert DesignSpec(2).heterogeneous and not DesignSpec(1).heterogeneous
         assert DesignSpec(1).v_in_outcome and not DesignSpec(3).v_in_outcome
 
@@ -97,8 +93,8 @@ class TestGenerate:
         assert set(np.unique(ds.t)) <= {0, 1}
 
     def test_observed_flip_rate(self):
-        _, latent = generate(DesignSpec(1), 1_000_000, seed=5)
-        flip = np.mean(latent.u_t != 0)
+        ds, latent = generate(DesignSpec(1), 1_000_000, seed=5)
+        flip = np.mean(ds.t != latent.t_star)
         assert flip == pytest.approx(0.25, abs=0.002)
 
     def test_repeated_measure_flip_rate(self):
@@ -236,9 +232,17 @@ class TestTrueParams:
                 assert y1 - y0 == pytest.approx(float(t.tau_star[z]), abs=0.005)
 
     def test_complier_effect_near_one(self):
-        assert complier_effect_reference(DesignSpec(1), n=10 ** 6) == 1.0
-        het = complier_effect_reference(DesignSpec(2), n=4 * 10 ** 6)
-        assert het == pytest.approx(1.0, abs=0.02)
+        # E(Y1 - Y0 | complier): in designs 1-2 a unit complies, taking
+        # T* = 1 at z = 1 and T* = 0 at z = 0, when V - 1 <= U1 < V; the
+        # effect is 1 exactly when it is homogeneous, and slightly off 1
+        # otherwise, because U2 correlates with U1
+        def complier_effect(design, n):
+            ds, latent = generate(DesignSpec(design), n, seed=0)
+            complier = (latent.u1 >= ds.v - 1.0) & (latent.u1 < ds.v)
+            return float((latent.y1 - latent.y0)[complier].mean())
+
+        assert complier_effect(1, 10 ** 6) == 1.0
+        assert complier_effect(2, 4 * 10 ** 6) == pytest.approx(1.0, abs=0.02)
 
 
 class TestRunStudy:
@@ -421,6 +425,31 @@ class TestBlocks:
                 sizes = [len(call[3]) for call in blocks]
                 assert sum(sizes) == 11 and len(sizes) >= workers
                 assert max(sizes) <= max(1, cap // 500)
+
+    def test_the_retry_path_fills_the_array_as_the_stack_does(self,
+                                                              monkeypatch):
+        # design 4, seed 0: some replications take the solver, so both
+        # kinds of fit fill the array
+        task = (4, 1000, 0, range(12), 0.95)
+        causes, fits = mislate.simulation._run_block(task)
+        assert causes == [None] * 12 and fits.shape == (12, 6, 2)
+        fit, alone = mislate.simulation._fit, []
+
+        def trips_on_a_stack(stats, ci_level):
+            if len(stats.n) > 1:
+                raise MislateError("a stacked check tripped")
+            alone.append(stats)
+            if len(alone) == 6:
+                raise NoConvergence("this replication fails alone")
+            return fit(stats, ci_level)
+
+        monkeypatch.setattr(mislate.simulation, "_fit", trips_on_a_stack)
+        retry_causes, retry_fits = mislate.simulation._run_block(task)
+        assert len(alone) == 12
+        assert retry_causes == [None] * 5 + ["NoConvergence"] + [None] * 6
+        assert np.isnan(retry_fits[5]).all()
+        kept = np.arange(12) != 5
+        assert retry_fits[kept].tobytes() == fits[kept].tobytes()
 
     def test_a_sample_larger_than_a_block_runs_alone(self, monkeypatch):
         monkeypatch.setattr(mislate.simulation, "_BLOCK_DRAWS", 999)
