@@ -5,9 +5,11 @@
 Example:
     python3 scripts/run_montecarlo.py --n 1000 --reps 500 --seed 2024
 
-A row whose estimator failed in every replication prints `.` in place of
-its numbers. Exit codes follow the CLI: 0 success, 1 a bad option value
-(`--workers` below 1, a design outside 1..6), with `error: ...` on stderr.
+Each design's `done` line on stderr counts its failed replications and
+names their errors. A row whose estimator failed in every replication
+prints `.` in place of its numbers. Exit codes follow the CLI: 0 success,
+1 a bad option value (`--workers` below 1, a design outside 1..6) or a
+study that does not fit in memory, with `error: ...` on stderr.
 """
 import argparse
 import sys
@@ -39,8 +41,14 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-        print(f"design {d}: done ({studies[d].n_failed} failed reps)",
-              file=sys.stderr)
+        except MemoryError as exc:
+            print(f"error: the study does not fit in memory "
+                  f"({exc or 'no detail'})", file=sys.stderr)
+            return EXIT_IO
+        causes = ", ".join(f"{count} {cause}"
+                           for cause, count in studies[d].failures.items())
+        print(f"design {d}: done ({studies[d].n_failed} failed reps"
+              f"{': ' + causes if causes else ''})", file=sys.stderr)
 
     blocks = [
         ("LATE (beta*)", [("gmm", "beta_star"), ("iv", "beta_star")]),

@@ -261,6 +261,7 @@ def cmd_simulate(args) -> int:
     report["simulate"] = {
         "design": summary.design, "n": summary.n, "reps": summary.reps,
         "seed": summary.seed, "n_failed": summary.n_failed,
+        "failures": summary.failures,
         "true": {"beta_star": truth.beta_star,
                  "delta_p_star": truth.delta_p_star,
                  "m0": float(truth.m0[0]), "m1": float(truth.m1[0])},

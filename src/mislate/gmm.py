@@ -12,18 +12,16 @@ and their Jacobian together, from gbar's closed-form terms and the
 closed-form moment Jacobian; under identity weighting and while the hinge
 is inactive it multiplies by neither W^{1/2} nor the projection's
 Jacobian. A just-identified closed form inside the box zeroes every moment,
-so it is the estimate with no solver call. At the estimate one evaluation
-gives gbar, the moment Jacobian and Omega for the sandwich and J.
-_closed_forms makes the closed-form fits of a stack of tables with one
-call of each step. estimate is the one-table edge: identify solves its
-table as a stack of one, and the moment and sandwich functions, which
-broadcast over a stack axis, run on the table itself.
+so it is the estimate with no solver call. _fit is the one fit path: it
+identifies a stack of tables once, solves the other tables one at a time,
+and evaluates every estimate with one call of each step. estimate is the
+one-table edge: it fits its validated table as a stack of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,7 +43,6 @@ TOL_STEP = 1e-12
 @dataclass(frozen=True)
 class GmmConfig:
     weighting: str = "identity"        # "identity" | "optimal"
-    start: Optional[ParamVector] = None  # closed form when None
     ci_level: float = 0.95
 
     def __post_init__(self):
@@ -189,14 +186,11 @@ def _evaluate(x: np.ndarray, sums: MomentSums, w_half: Optional[np.ndarray]) -> 
 def _minimize(sums: MomentSums, x0, w_half):
     k, mode = sums.k, sums.mode
     x0, lo, hi = _clip_start(x0, k, mode)
-    n_con = len(_m_indices(k, mode))
 
     res = trf(lambda x: _evaluate(x, sums, w_half), x0, lo, hi,
               ftol=TOL_STEP, xtol=TOL_STEP, gtol=TOL_GRAD,
               max_nfev=MAX_ITER * (x0.size + 1))
-    x_hat = _project(res.x, k, mode)[0]
-    core = res.fun[: res.fun.size - n_con]
-    return x_hat, float(core @ core), res.status > 0
+    return _project(res.x, k, mode)[0], res.status > 0
 
 
 def sandwich_cov(G: np.ndarray, W: np.ndarray, Omega: np.ndarray, n: int,
@@ -227,25 +221,69 @@ def _is_closed(x: np.ndarray, k: int, mode: Mode) -> bool:
             and np.array_equal(_clip_start(x, k, mode)[0], x))
 
 
-def _closed_fit(table: CellStats, x: np.ndarray, weighting: str) -> tuple:
-    """(gbar, Omega, W^{1/2}, vcov) at closed forms x, stacked or not."""
-    g, G, omega = gbar_jacobian_omega(table, x)
-    weight, w_half = _weights(omega, weighting)
-    return g, omega, w_half, sandwich_cov(G, weight, omega, table.n, w_half)
+def _solve(table: CellStats, x0: Optional[np.ndarray], weighting: str):
+    """(x, converged, weights) of a table: validate it, minimise from x0
+    (_fallback_start's where x0 is None) and, two-step, again with the
+    weights (W, W^{1/2}) taken at the first estimate, which weights holds
+    (else None)."""
+    problems = validate(table)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    if x0 is None:
+        x0 = _fallback_start(table).pack()
+    sums = MomentSums.of(table)
+    x, converged = _minimize(sums, x0, None)
+    if weighting == "identity":
+        return x, converged, None
+    weights = _weights(gbar_jacobian_omega(table, x)[2], weighting)
+    return (*_minimize(sums, x, weights[1]), weights)
 
 
-def _closed_forms(stats: CellStats) -> tuple:
-    """(closed, x, se) of a stack: where the closed form x is the estimate,
-    and its identity-weighted SEs there (NaN elsewhere). A check that trips
-    there raises."""
-    ident = identify(stats, stats.mode)
+class _Fit(NamedTuple):
+    """A stack's fits, its axis first; a failed table's arrays hold NaN."""
+    x: np.ndarray          # estimates, packed
+    g: np.ndarray          # gbar at x
+    omega: np.ndarray      # Omega at x
+    vcov: np.ndarray       # sandwich covariance
+    objective: np.ndarray  # gbar' W gbar at x
+    converged: np.ndarray
+    errors: list           # per table the MislateError that failed it, or None
+
+
+def _fit(stats: CellStats, weighting: str) -> _Fit:
+    """GMM fits of a stack of tables, identified once: a just-identified
+    closed form inside the box is the estimate, any other table goes
+    through _solve alone. gbar, G and Omega, the weights (a two-step
+    solve's own) and the sandwich then run once on every estimate. A
+    table's MislateError goes in errors; a check that trips on the stack
+    raises."""
+    k, mode, size = stats.k, stats.mode, len(stats.n)
+    ident = identify(stats, mode)
     x = ident.theta.pack()
-    closed = np.array([not failed and _is_closed(xi, stats.k, stats.mode)
-                       for failed, xi in zip(ident.failed, x)])
-    se = np.full_like(x, np.nan)
-    if closed.any():
-        se[closed] = _se(_closed_fit(stats[closed], x[closed], "identity")[-1])
-    return closed, x, se
+    converged, errors, first = np.ones(size, dtype=bool), [None] * size, {}
+    for i in range(size):
+        if ident.failed[i] or not _is_closed(x[i], k, mode):
+            try:
+                x[i], converged[i], first[i] = _solve(
+                    stats[i], None if ident.failed[i] else x[i], weighting)
+            except MislateError as exc:
+                errors[i] = exc
+    ok = np.array([error is None for error in errors])
+    x[~ok] = np.nan
+    m, p = 4 * k + 3, x.shape[1]
+    g, omega, vcov, objective = (np.full((size,) + shape, np.nan)
+                                 for shape in ((m,), (m, m), (p, p), ()))
+    if ok.any():
+        done = stats[ok]
+        g[ok], G, omega[ok] = gbar_jacobian_omega(done, x[ok])
+        weight, w_half = _weights(omega[ok], weighting)
+        for j, i in enumerate(np.flatnonzero(ok)):
+            if first.get(i) is not None:
+                weight[j], w_half[j] = first[i]
+        vcov[ok] = sandwich_cov(G, weight, omega[ok], done.n, w_half)
+        core = w_half @ g[ok][..., None]
+        objective[ok] = (np.swapaxes(core, -1, -2) @ core)[..., 0, 0]
+    return _Fit(x, g, omega, vcov, objective, converged, errors)
 
 
 @lru_cache(maxsize=None)
@@ -267,65 +305,30 @@ def confidence_intervals(theta_flat: np.ndarray, vcov: np.ndarray, level: float)
 
 
 def estimate(table: CellStats, cfg: GmmConfig = GmmConfig()) -> Estimate:
-    """Full GMM pipeline on a cell table: validate, start, minimise (unless
-    the start is a just-identified closed form), (optionally) re-weight,
-    infer."""
+    """Full GMM pipeline on a cell table: validate, fit it as a stack of
+    one (raising its error), infer."""
     problems = validate(table)
     if problems:
         raise ValidationError("; ".join(problems))
     k, mode, n = table.k, table.mode, table.n
-
-    start, closed = cfg.start, False
-    if start is not None:
-        if (start.mode, start.k) != (mode, k):
-            raise ValidationError(
-                f"start is laid out for {start.mode.value} with K={start.k}, "
-                f"the table for {mode.value} with K={k}")
-        x_hat = start.pack()
-    else:
-        try:
-            x_hat = identify(table, mode).theta.pack()
-        except MislateError:
-            x_hat = _fallback_start(table).pack()
-        else:
-            closed = _is_closed(x_hat, k, mode)
-    if closed:
-        g, omega, w_half, vcov = _closed_fit(table, x_hat, cfg.weighting)
-        core = w_half @ g
-        objective, converged = float(core @ core), True
-    else:
-        sums = MomentSums.of(table)
-        x_hat, objective, converged = _minimize(sums, x_hat, None)
-        g, G, omega = gbar_jacobian_omega(table, x_hat)
-        weight, w_half = _weights(omega, cfg.weighting)
-        if cfg.weighting == "optimal":
-            x_hat, objective, converged = _minimize(sums, x_hat, w_half)
-            g, G, omega = gbar_jacobian_omega(table, x_hat)
-        vcov = sandwich_cov(G, weight, omega, n, w_half)
-
-    theta_hat = ParamVector.unpack(x_hat, k, mode)
-    se = _se(vcov)
-    ci = confidence_intervals(x_hat, vcov, cfg.ci_level)
-
+    fit = _fit(table[None], cfg.weighting)
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    x_hat, g, omega, vcov = fit.x[0], fit.g[0], fit.omega[0], fit.vcov[0]
     j_stat = float(n * g @ np.linalg.pinv(omega) @ g)
     j_dof = _n_overid(k, mode)
-    j_pvalue = (
-        float(chdtrc(j_dof, j_stat))
-        if (cfg.weighting == "optimal" and j_dof > 0)
-        else None
-    )
-
     return Estimate(
-        theta_hat=theta_hat,
+        theta_hat=ParamVector.unpack(x_hat, k, mode),
         theta_flat=x_hat,
         vcov=vcov,
-        se=se,
-        ci=ci,
+        se=_se(vcov),
+        ci=confidence_intervals(x_hat, vcov, cfg.ci_level),
         j_stat=j_stat,
         j_dof=j_dof,
-        j_pvalue=j_pvalue,
-        objective=objective,
-        converged=converged,
+        j_pvalue=(float(chdtrc(j_dof, j_stat))
+                  if cfg.weighting == "optimal" and j_dof > 0 else None),
+        objective=float(fit.objective[0]),
+        converged=bool(fit.converged[0]),
         n=n,
         weighting=cfg.weighting,
         param_names=param_names(k, mode),

@@ -7,9 +7,9 @@ replications are scheduled across workers. Normal draws go through the
 inverse CDF to keep streams aligned.
 
 A study draws, tabulates and fits its replications in blocks of at most
-_BLOCK_DRAWS draws, as stacks of tables; a replication whose GMM fit needs
-the solver is fitted alone. Either way each gets the same bits, so the
-summary depends on neither the block size nor the number of workers.
+_BLOCK_DRAWS draws, as stacks of tables: one gmm._fit fits a block. Each
+table gets the bits it gets alone, so the summary depends on neither the
+block size nor the number of workers.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from ._special import ndtr, ndtri
 from .baselines import ols, wald_iv
 from .data import Dataset, Mode, ParamVector, cell_stats, param_names
 from .exceptions import MislateError, NoConvergence
-from .gmm import GmmConfig, _closed_forms, _zcrit, estimate
+from . import gmm
 
 # var(U2 | U1) under the (U1, U2) covariance [[1, 0.05], [0.05, 0.5]]
 _U2_RESID_SD = float(np.sqrt(0.5 - 0.05 ** 2))
@@ -213,43 +213,36 @@ _TRACKED = {p: i for i, p in enumerate(param_names(2, Mode.CASE_II))
 _ROWS = [(p, "gmm") for p in _TRACKED] + [("beta_star", "iv"), ("delta_p_star", "ols")]
 
 
-def _fit(stats, ci_level) -> tuple:
+def _fit(stats) -> tuple:
     """(causes, fits) of a stack: per table the class name of the error that
     failed its fit, or None; and its (estimate, SE) by _ROWS, shape
-    (R, len(_ROWS), 2), of which a failed table's are not read. A closed
-    form that is the estimate is fitted with the stack, any other table
-    alone; a check that trips on the stack raises."""
-    causes = [None] * len(stats.n)
+    (R, len(_ROWS), 2), of which a failed table's are not read. A check
+    that trips on the stack raises."""
     iv, fs = wald_iv(stats), ols(stats, outcome="t", regressors=("z",))
-    closed, x, se = _closed_forms(stats)
-    for i in np.flatnonzero(~closed):
-        try:
-            est = estimate(stats[i], GmmConfig(weighting="identity",
-                                               ci_level=ci_level))
-            if not est.converged:
-                raise NoConvergence("optimizer did not converge")
-            x[i], se[i] = est.theta_flat, est.se
-        except MislateError as exc:
-            causes[i] = type(exc).__name__
+    fit = gmm._fit(stats, "identity")
+    causes = [type(error).__name__ if error is not None
+              else (None if converged else NoConvergence.__name__)
+              for error, converged in zip(fit.errors, fit.converged)]
     cols = list(_TRACKED.values())
     return causes, np.stack([
-        np.column_stack([x[:, cols], iv.coef[:, 1], fs.coef[:, 1]]),
-        np.column_stack([se[:, cols], iv.robust_se[:, 1], fs.robust_se[:, 1]]),
+        np.column_stack([fit.x[:, cols], iv.coef[:, 1], fs.coef[:, 1]]),
+        np.column_stack([gmm._se(fit.vcov)[:, cols], iv.robust_se[:, 1],
+                         fs.robust_se[:, 1]]),
     ], axis=-1)
 
 
 def _run_block(args) -> tuple:
     """_fit of a block of replications, drawn and tabulated as one stack; if
     a check trips on the stack, of each replication as a stack of one."""
-    design_id, n, seed, reps, ci_level = args
+    design_id, n, seed, reps = args
     stats = cell_stats(generate(DesignSpec(design_id), n, seed, reps)[0])
     try:
-        return _fit(stats, ci_level)
+        return _fit(stats)
     except MislateError:
         causes, fits = [], np.full((len(reps), len(_ROWS), 2), np.nan)
         for i in range(len(reps)):
             try:
-                [cause], fits[i:i + 1] = _fit(stats[i:i + 1], ci_level)
+                [cause], fits[i:i + 1] = _fit(stats[i:i + 1])
                 causes.append(cause)
             except MislateError as exc:
                 causes.append(type(exc).__name__)
@@ -280,13 +273,13 @@ def run_study(design: DesignSpec, n: int, reps: int, seed: int,
     truth = true_params(design)
     true_flat = truth.pack()
     true_vals = {p: float(true_flat[i]) for p, i in _TRACKED.items()}
-    zcrit = _zcrit(ci_level)
+    zcrit = gmm._zcrit(ci_level)
 
     pool_size = min(workers, os.cpu_count() or 1, reps)
     blocks = max(pool_size, -(-reps // max(1, _BLOCK_DRAWS // n)))
     tasks = [(design.id, n, seed, range(reps * b // blocks,
-                                        reps * (b + 1) // blocks),
-              ci_level) for b in range(blocks)]
+                                        reps * (b + 1) // blocks))
+             for b in range(blocks)]
     if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -164,28 +164,6 @@ class TestEstimate:
         # rounding by cond(G), not by its square as an inverse of G'WG would
         np.testing.assert_allclose(a.vcov, 2.0 * b.vcov, rtol=1e-9, atol=1e-9)
 
-    def test_explicit_start_is_honoured(self):
-        rng = np.random.default_rng(8)
-        theta = random_theta(rng, Mode.CASE_II, 2)
-        ds = simulate_from_theta(theta, 3000, rng)
-        table = cell_stats(ds)
-        est = estimate(table, GmmConfig(start=theta))
-        closed = identify(table, Mode.CASE_II).theta
-        np.testing.assert_allclose(est.theta_flat, closed.pack(), atol=1e-6)
-
-    def test_start_of_another_layout_is_refused(self):
-        # CASE_I with K = 2 and CASE_II with K = 3 both pack to 13
-        # coordinates, so the start would fit the solver but mean another
-        # parameter in most places
-        rng = np.random.default_rng(8)
-        theta = random_theta(rng, Mode.CASE_II, 3)
-        table = cell_stats(simulate_from_theta(theta, 3000, rng))
-        start = random_theta(rng, Mode.CASE_I, 2)
-        assert start.pack().size == theta.pack().size
-        with pytest.raises(ValidationError,
-                           match=r"case-i with K=2.*case-ii with K=3"):
-            estimate(table, GmmConfig(start=start))
-
     def test_fallback_fit_builds_omega_once_per_step(self, monkeypatch):
         # a draw whose closed form fails, so the fit starts from the
         # fallback and iterates; gbar, G and Omega are evaluated at the

@@ -15,6 +15,7 @@ from mislate.exceptions import (
     InvalidProbability,
     MislateError,
     MonotonicityViolated,
+    RankDeficient,
     SingularSystem,
     ValidationError,
     WeakFirstStage,
@@ -557,15 +558,44 @@ def test_identify_on_a_stack_of_one_is_identify_on_the_table(mode, k):
 
 
 @pytest.mark.parametrize("mode,k", [(Mode.CASE_II, 2), (Mode.CASE_I, 3)])
-def test_a_closed_form_estimate_is_closed_forms_on_a_stack_of_one(mode, k):
-    # just-identified pools, where some closed forms are the estimate
-    closed_forms = 0
-    for table in _pool(mode, k):
-        closed, x, se = gmm._closed_forms(table[None])
-        if not closed[0]:
-            continue
-        closed_forms += 1
-        est = gmm.estimate(table)
-        assert _same_bits(x[0], est.theta_flat)
-        assert _same_bits(se[0], est.se)
-    assert closed_forms >= 3
+def test_a_closed_form_estimate_is_closed_forms_on_a_stack_of_one(
+        mode, k, monkeypatch):
+    # just-identified pools, where some closed forms are the estimate and
+    # the other tables are solved, and a table with an emptied cell that
+    # fails validation: under either weighting, each table of the stack
+    # gets estimate's bits, or its error, from _fit. A short solver budget
+    # keeps the fits quick; both paths stop at the same evaluation.
+    monkeypatch.setattr(gmm, "MAX_ITER", 3)
+    tables = _pool(mode, k)
+    n_zvt = tables[0].n_zvt.copy()
+    n_zvt[0, 0, 0] = 0
+    tables.append(CellStats(n_zvt, *(np.where(n_zvt == 0, 0.0, x) for x in
+                                     (tables[0].sum_y, tables[0].ss_y)),
+                            mode=mode, v_support=tables[0].v_support))
+    for weighting in ("identity", "optimal"):
+        kept = []
+        for table in tables:
+            try:
+                kept.append((table, gmm.estimate(
+                    table, gmm.GmmConfig(weighting=weighting))))
+            except RankDeficient:  # a check of the evaluated stack: it raises
+                pass
+            except MislateError as exc:
+                kept.append((table, exc))
+        stats = stack_tables([table for table, _ in kept])
+        ident = identify(stats, mode)
+        closed = [not failed and gmm._is_closed(x, k, mode)
+                  for failed, x in zip(ident.failed, ident.theta.pack())]
+        assert sum(closed) >= 3 and not all(closed)
+        fit = gmm._fit(stats, weighting)
+        for i, (_, est) in enumerate(kept):
+            if isinstance(est, MislateError):
+                assert type(fit.errors[i]) is type(est)
+                assert str(fit.errors[i]) == str(est)
+                continue
+            assert fit.errors[i] is None
+            assert _same_bits(fit.x[i], est.theta_flat)
+            assert _same_bits(fit.vcov[i], est.vcov)
+            assert _same_bits(fit.objective[i], est.objective)
+            assert fit.converged[i] == est.converged
+        assert sum(fit.errors[i] is not None for i in range(len(kept))) == 1

@@ -853,6 +853,22 @@ class TestCli:
         assert ("beta_star", "gmm") in rows
         assert ("delta_p_star", "ols") in rows
 
+    def test_simulate_reports_failures_by_cause(self, capsys):
+        # design 2, n = 40, seed 0: one replication has no first-stage
+        # contrast and one fit does not converge
+        argv = ["simulate", "--design", "2", "--n", "40", "--reps", "12"]
+        code, out = _run(capsys, argv + ["--json"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        failures = report["simulate"]["failures"]
+        assert failures == {"WeakFirstStage": 1, "NoConvergence": 1}
+        assert sum(failures.values()) == report["simulate"]["n_failed"]
+        code, out = _run(capsys, argv + ["--text"])
+        assert code == EXIT_OK
+        assert "simulate.failures.WeakFirstStage: 1\n" in out
+        assert "simulate.failures.NoConvergence: 1\n" in out
+
     def test_simulate_bad_design_is_io_error(self, capsys):
         code, _ = _run(capsys, ["simulate", "--design", "9", "--n", "100",
                                 "--reps", "1"])
@@ -1008,11 +1024,33 @@ class TestRunMontecarlo:
         argv = ["--n", "12", "--reps", "2", "--designs", "1"]
         assert _run_montecarlo().main(argv) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err == "design 1: done (2 failed reps)\n"
+        assert captured.err == ("design 1: done (2 failed reps: "
+                                "2 ValidationError)\n")
         rows = [line.split() for line in captured.out.splitlines()
                 if line.startswith("     1")]
         assert len(rows) == 6
         assert all(row[3:] == ["."] * 5 for row in rows)
+
+    def test_done_line_names_the_causes(self, capsys):
+        argv = ["--n", "40", "--reps", "12", "--seed", "0", "--designs", "2"]
+        assert _run_montecarlo().main(argv) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "design 2: done (2 failed reps: 1 WeakFirstStage, "
+            "1 NoConvergence)\n")
+
+    def test_out_of_memory_is_io_error(self, capsys, monkeypatch):
+        # a study whose arrays do not fit; nothing is allocated here
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+        script = _run_montecarlo()
+        monkeypatch.setattr(script, "run_study", too_large)
+        argv = ["--n", "1000000000000000", "--reps", "1", "--designs", "1"]
+        assert script.main(argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the study does not fit in memory "
+                                "(Unable to allocate 7.28 PiB for an array)\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["--workers", "0"], "workers must be at least 1, got 0"),

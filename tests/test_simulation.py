@@ -8,7 +8,7 @@ from scipy.stats import norm
 from conftest import count_calls
 import mislate.simulation
 from mislate.baselines import ols, wald_iv
-from mislate.data import Mode, cell_stats
+from mislate.data import Mode, cell_stats, validate
 from mislate.exceptions import MislateError, NoConvergence
 from mislate import gmm
 from mislate.gmm import estimate
@@ -263,25 +263,44 @@ class TestRunStudy:
         assert row.cp in (0.0, 1.0)
 
     def test_gmm_failure_is_counted_by_cause(self, monkeypatch):
-        # a block fits GMM through _closed_forms, and a table that is not a
-        # closed form alone through estimate
-        calls = {"estimate": [], "_closed_forms": []}
+        # a block fits GMM through one gmm._fit of its stack, which solves a
+        # table that is not a closed form alone; the solve's error is the
+        # replication's cause
+        fits = count_calls(monkeypatch, gmm._fit)
+        solves = []
 
-        def not_closed(stats):
-            calls["_closed_forms"].append(stats)
-            nan = np.full((len(stats.n), 11), np.nan)  # packed CASE_II, K = 2
-            return np.zeros(len(stats.n), dtype=bool), nan, nan.copy()
+        def failing(*args):
+            solves.append(args)
+            raise MislateError("solve called")
 
-        def failing(*args, **kwargs):
-            calls["estimate"].append(args)
-            raise MislateError("estimate called")
-
-        monkeypatch.setattr(mislate.simulation, "_closed_forms", not_closed)
-        monkeypatch.setattr(mislate.simulation, "estimate", failing)
+        monkeypatch.setattr(gmm, "_is_closed", lambda *args: False)
+        monkeypatch.setattr(gmm, "_solve", failing)
         s = run_study(DesignSpec(1), n=1000, reps=5, seed=1)
-        assert len(calls["_closed_forms"]) == 1 and len(calls["estimate"]) == 5
+        assert len(fits) == 1 and len(solves) == 5
         assert s.n_failed == 5 and s.rows == []
         assert s.failures == {"MislateError": 5}
+
+    def test_a_block_identifies_each_table_once(self, monkeypatch):
+        # design 4, seed 0: some replications take the solver; the block is
+        # identified as one stack, and only the solver's tables are
+        # validated, each once
+        solver = []
+        for rep in range(12):
+            table = cell_stats(generate(DesignSpec(4), 1000, 0, rep)[0])
+            try:
+                closed_form = identify(table, table.mode).theta.pack()
+            except MislateError:
+                closed_form = None
+            if closed_form is None or not gmm._is_closed(closed_form, 2,
+                                                         table.mode):
+                solver.append(table.n_zvt.tobytes())
+        assert 0 < len(solver) < 12
+        identified = count_calls(monkeypatch, identify)
+        validated = count_calls(monkeypatch, validate)
+        s = run_study(DesignSpec(4), n=1000, reps=12, seed=0)
+        assert s.n_failed == 0
+        assert [len(stats.n) for stats, _ in identified] == [12]
+        assert [stats.n_zvt.tobytes() for stats, in validated] == solver
 
     def test_each_replication_is_tabulated_once(self, monkeypatch):
         # one tabulation per block, of every replication in it
@@ -364,12 +383,12 @@ class TestBlocks:
     @pytest.mark.parametrize("design", range(1, 7))
     def test_a_block_is_each_replication_alone(self, design):
         # the block's draws and tables are the bits of each replication's
-        # own; each closed form the block fits is the bits of estimate's,
-        # and the block leaves every other replication to estimate
+        # own, and each fit of the block's stack, closed form or solved, is
+        # the bits of estimate's
         reps = range(3, 23)
         ds, latent = generate(DesignSpec(design), 1000, 7, reps)
         stats = cell_stats(ds)
-        done, x, se = gmm._closed_forms(stats)
+        fit, closed = gmm._fit(stats, "identity"), 0
         slopes = wald_iv(stats), ols(stats, outcome="t", regressors=("z",))
         for i, r in enumerate(reps):
             ds_r, latent_r = generate(DesignSpec(design), 1000, 7, r)
@@ -388,13 +407,14 @@ class TestBlocks:
                 closed_form = identify(table, table.mode).theta.pack()
             except MislateError:
                 closed_form = None
-            assert done[i] == (closed_form is not None
-                               and gmm._is_closed(closed_form, 2, table.mode))
-            if done[i]:
-                est = estimate(table, gmm.GmmConfig(weighting="identity"))
-                assert x[i].tobytes() == est.theta_flat.tobytes()
-                assert se[i].tobytes() == est.se.tobytes()
-        assert done.sum() >= 10
+            closed += (closed_form is not None
+                       and gmm._is_closed(closed_form, 2, table.mode))
+            est = estimate(table, gmm.GmmConfig(weighting="identity"))
+            assert fit.errors[i] is None
+            assert fit.x[i].tobytes() == est.theta_flat.tobytes()
+            assert gmm._se(fit.vcov[i]).tobytes() == est.se.tobytes()
+            assert fit.converged[i] == est.converged
+        assert 10 <= closed < 20
 
     def test_the_summary_depends_on_neither_block_size_nor_workers(
             self, monkeypatch):
@@ -430,18 +450,18 @@ class TestBlocks:
                                                               monkeypatch):
         # design 4, seed 0: some replications take the solver, so both
         # kinds of fit fill the array
-        task = (4, 1000, 0, range(12), 0.95)
+        task = (4, 1000, 0, range(12))
         causes, fits = mislate.simulation._run_block(task)
         assert causes == [None] * 12 and fits.shape == (12, 6, 2)
         fit, alone = mislate.simulation._fit, []
 
-        def trips_on_a_stack(stats, ci_level):
+        def trips_on_a_stack(stats):
             if len(stats.n) > 1:
                 raise MislateError("a stacked check tripped")
             alone.append(stats)
             if len(alone) == 6:
                 raise NoConvergence("this replication fails alone")
-            return fit(stats, ci_level)
+            return fit(stats)
 
         monkeypatch.setattr(mislate.simulation, "_fit", trips_on_a_stack)
         retry_causes, retry_fits = mislate.simulation._run_block(task)
