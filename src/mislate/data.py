@@ -34,12 +34,27 @@ class Mode(Enum):
     CASE_II = "case-ii"
 
 
+def _codes(values, dtype, top: int, message: str) -> np.ndarray:
+    """values as a dtype array of integer codes in 0..top; a value outside
+    that range or not a whole number, NaN included, raises ValidationError
+    with message before the cast could change it."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        arr = np.asarray(arr, dtype=float)
+        if not np.all(arr == np.floor(arr)):
+            raise ValidationError(message)
+    if arr.size and (arr.min() < 0 or arr.max() > top):
+        raise ValidationError(message)
+    return arr.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Column-oriented sample of (Y, T, Z, V) with V-support metadata.
 
     v holds integer codes 0..K-1 into v_support; the support order fixes the
-    parameter ordering everywhere downstream.
+    parameter ordering everywhere downstream. A t or z outside {0, 1} or a
+    v code outside 0..K-1, as given, raises ValidationError.
     """
 
     y: np.ndarray
@@ -50,16 +65,19 @@ class Dataset:
     mode: Mode
 
     def __post_init__(self):
+        support = tuple(self.v_support)
+        binary = "t or z contains values outside {0,1}"
         y = np.asarray(self.y, dtype=float)
-        t = np.asarray(self.t, dtype=np.int8)
-        z = np.asarray(self.z, dtype=np.int8)
-        v = np.asarray(self.v, dtype=np.int64)
+        t = _codes(self.t, np.int8, 1, binary)
+        z = _codes(self.z, np.int8, 1, binary)
+        v = _codes(self.v, np.int64, len(support) - 1,
+                   "v contains codes outside the declared support")
         for name, arr in (("y", y), ("t", t), ("z", z), ("v", v)):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
         if not (t.shape == z.shape == v.shape == y.shape):
             raise ValidationError("column lengths differ")
-        object.__setattr__(self, "v_support", tuple(self.v_support))
+        object.__setattr__(self, "v_support", support)
 
     @property
     def n(self) -> int:
@@ -286,17 +304,11 @@ def cell_stats(ds: Dataset) -> CellStats:
     """Exact per-(z, v, t) count, sum of y and sum of squares about the cell
     mean, and the frequencies and conditional means they give per (z, v).
 
-    A t or z outside {0, 1} or a v code outside 0..K-1 raises
-    ValidationError. An empty (z, v, t) cell leaves its tau_zv NaN; validate
-    lists it. A stack of samples gives the stack of their tables.
+    Dataset has checked the codes, so every row has a cell. An empty
+    (z, v, t) cell leaves its tau_zv NaN; validate lists it. A stack of
+    samples gives the stack of their tables.
     """
     k = ds.k
-    n = ds.n
-    if n and (min(ds.t.min(), ds.z.min()) < 0
-              or max(ds.t.max(), ds.z.max()) > 1):
-        raise ValidationError("t or z contains values outside {0,1}")
-    if n and (ds.v.min() < 0 or ds.v.max() >= k):
-        raise ValidationError("v contains codes outside the declared support")
     # flat (z, v, t) cell of each row, in C order of the (2, K, 2) table, and
     # after the previous sample's table in a stack
     lead = ds.y.shape[:-1]

@@ -11,18 +11,18 @@ count-weighted least-squares fit of the observed contrasts on their
 attenuation factors. Every step runs in double precision, so the result
 does not depend on the platform's long double.
 
-Inner code takes a stack of tables, and every check yields a mask, which
-goes into a list of checks with its error class and message. The edges
-raise the first check that failed: identify on one table, which it solves
-as a stack of one, and the public helpers called without a checks list.
+Every function has one mode. The solver's steps take a stack of tables
+and append each check, as (mask, error class, message builder), to the
+list they are given; identify on one table, solved as a stack of one, is
+the one edge that raises the first that failed. The forward maps and
+nonsingularity_diag check their own input first and raise, then compute.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations
 from operator import index
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,28 +46,6 @@ DET_TOL = 1e-12
 FIRST_STAGE_TOL = 1e-12
 
 
-class BPair(NamedTuple):
-    """Solution (B0, B1) of one misclassification system."""
-
-    b0: float
-    b1: float
-
-    @property
-    def discriminant(self) -> float:
-        """(B0 - B1 + 1)^2 - 4 B0, whose square root is s = 1 - m0 - m1."""
-        # libm's pow, which ** is on a float, also on a stack
-        return np.float_power(self.b0 - self.b1 + 1.0, 2) - 4.0 * self.b0
-
-
-class WTriple(NamedTuple):
-    """Coefficients (w0, w1, w2) of one linear identification equation,
-    built from a (v, v') cell pair at fixed z."""
-
-    w0: float
-    w1: float
-    w2: float
-
-
 @dataclass(frozen=True)
 class IdentifyResult:
     theta: ParamVector
@@ -79,7 +57,7 @@ class IdentifyResult:
 
 
 def _raise_first(checks: list):
-    """The one-table edge: raise the error of the first check that failed."""
+    """Raise the error of the first check that failed, in the list's order."""
     for bad, error, message in checks:
         if np.any(bad):
             raise error(message())
@@ -90,53 +68,36 @@ def _first(x, bad):
     return np.asarray(x)[bad][0]
 
 
-def _edge(helper):
-    """A helper that appends each check, as (mask, error class, message
-    builder), to the checks list it is given; called without one, the
-    one-table edge, it raises the first that failed."""
-    @wraps(helper)
-    def edge(*args, checks=None):
-        if checks is not None:
-            return helper(*args, checks)
-        checks = []
-        # a failed check's values may divide by zero; they are not returned
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = helper(*args, checks)
-        _raise_first(checks)
-        return out
-    return edge
-
-
-def _check_monotone(m0, m1, checks):
-    """Check m0 + m1 < 1, naming the first m0 + m1 >= 1."""
+def _monotone(m0, m1) -> tuple:
+    """The check m0 + m1 < 1, naming the first m0 + m1 >= 1."""
     total = m0 + m1
     bad = total >= 1.0
-    checks.append((bad, MonotonicityViolated,
-                   lambda: f"m0+m1={_first(total, bad)} >= 1"))
+    return bad, MonotonicityViolated, lambda: f"m0+m1={_first(total, bad)} >= 1"
 
 
-@_edge
-def implied_p(m0, m1, p_star, checks):
+def implied_p(m0, m1, p_star):
     """Observable treatment probability implied by the latent one:
     p = m0 + (1 - m0 - m1) * p_star. Broadcasts over arrays."""
-    _check_monotone(m0, m1, checks)
     p_star = np.asarray(p_star, dtype=float)
     bad = ~((0.0 <= p_star) & (p_star <= 1.0))
-    checks.append((bad, InvalidProbability,
-                   lambda: f"p_star={_first(p_star, bad)} outside [0,1]"))
+    _raise_first([_monotone(m0, m1), (bad, InvalidProbability, lambda:
+                  f"p_star={_first(p_star, bad)} outside [0,1]")])
     return m0 + (1.0 - m0 - m1) * p_star
 
 
-@_edge
-def m_factor(m0, m1, p, checks):
-    """Attenuation factor linking observed and latent outcome contrasts:
-    tau = M(m0, m1, p) * tau_star. Broadcasts over arrays."""
-    _check_monotone(m0, m1, checks)
-    p = np.asarray(p, dtype=float)
-    checks.append(((p <= 0.0) | (p >= 1.0), DegenerateCell,
-                   lambda: "observed treatment probability on the boundary"))
+def _m_factor(m0, m1, p):
+    """The attenuation factor M(m0, m1, p), unchecked."""
     s = 1.0 - m0 - m1
     return (1.0 - m0 * (1.0 - m1) / p - (1.0 - m0) * m1 / (1.0 - p)) / s
+
+
+def m_factor(m0, m1, p):
+    """Attenuation factor linking observed and latent outcome contrasts:
+    tau = M(m0, m1, p) * tau_star. Broadcasts over arrays."""
+    p = np.asarray(p, dtype=float)
+    _raise_first([_monotone(m0, m1), ((p <= 0.0) | (p >= 1.0), DegenerateCell,
+                  lambda: "observed treatment probability on the boundary")])
+    return _m_factor(m0, m1, p)
 
 
 def implied_tau(m0, m1, p, tau_star):
@@ -144,47 +105,49 @@ def implied_tau(m0, m1, p, tau_star):
     return m_factor(m0, m1, p) * tau_star
 
 
-@_edge
-def w_triple(tau_v, tau_vp, p_v, p_vp, checks) -> WTriple:
-    """Equation coefficients for the cell pair (v, v') at fixed z."""
-    p = np.stack([p_v, p_vp], axis=-1)
-    bad = ~((0.0 < p) & (p < 1.0))
-    checks.append((bad, DegenerateCell,
-                   lambda: f"cell probability {_first(p, bad)} on the boundary"))
-    return WTriple(
-        w0=np.divide(tau_v, p_vp) - np.divide(tau_vp, p_v),
-        w1=np.divide(tau_v, 1.0 - p_vp) - np.divide(tau_vp, 1.0 - p_v),
-        w2=np.subtract(tau_vp, tau_v),
-    )
+def _w_triple(tau_v, tau_vp, p_v, p_vp) -> np.ndarray:
+    """Coefficients (w0, w1, w2), stacked on a first axis, of the
+    identification equation w0 B0 + w1 B1 + w2 = 0 of the cell pair (v, v')
+    at fixed z."""
+    return np.array([np.divide(tau_v, p_vp) - np.divide(tau_vp, p_v),
+                     np.divide(tau_v, 1.0 - p_vp) - np.divide(tau_vp, 1.0 - p_v),
+                     np.subtract(tau_vp, tau_v)])
 
 
-def _det(wa: WTriple, wb: WTriple) -> float:
-    """Determinant of the system of equations wa, wb in (B0, B1)."""
-    return np.subtract(wa.w0 * wb.w1, wb.w0 * wa.w1)
+def _det(coefs: np.ndarray) -> np.ndarray:
+    """Determinant in (B0, B1) of each system of two equations, whose
+    coefficients coefs holds on its first axis and the equations on its
+    last."""
+    (w0a, w0b), (w1a, w1b) = np.moveaxis(coefs[:2], -1, 1)
+    return np.subtract(w0a * w1b, w0b * w1a)
 
 
-@_edge
-def solve_b(wa: WTriple, wb: WTriple, checks) -> BPair:
-    """Solve two identification equations for (B0, B1): the cell pairs
-    (v1, v2) and (v1, v3) at one z in CASE_I, the pair (v1, v2) at z = 0
-    and at z = 1 in CASE_II."""
-    det = _det(wa, wb)
+def _solve_b(coefs: np.ndarray, checks) -> tuple:
+    """(B0, B1) of each system of two equations, as _det takes them: the
+    cell pairs (v1, v2) and (v1, v3) at one z in CASE_I, the pair (v1, v2)
+    at z = 0 and at z = 1 in CASE_II."""
+    det = _det(coefs)
     bad = np.abs(det) < DET_TOL
     checks.append((bad, SingularSystem,
                    lambda: f"determinant {_first(det, bad)} below tolerance"))
-    return BPair((-wa.w2 * wb.w1 + wb.w2 * wa.w1) / det,
-                 (-wa.w0 * wb.w2 + wb.w0 * wa.w2) / det)
+    (w0a, w0b), (w1a, w1b), (w2a, w2b) = np.moveaxis(coefs, -1, 1)
+    return (-w2a * w1b + w2b * w1a) / det, (-w0a * w2b + w0b * w2a) / det
 
 
-@_edge
-def b_to_m(b: BPair, checks) -> tuple:
+def _discriminant(b0, b1):
+    """(B0 - B1 + 1)^2 - 4 B0, whose square root is s = 1 - m0 - m1."""
+    # libm's pow, which ** is on a float, also on a stack
+    return np.float_power(b0 - b1 + 1.0, 2) - 4.0 * b0
+
+
+def _b_to_m(b0, b1, checks) -> tuple:
     """Invert (B0, B1) to (m0, m1, s) on the monotone branch s > 0."""
-    disc = b.discriminant
+    disc = _discriminant(b0, b1)
     negative = disc < -DISC_TOL
     checks.append((negative, NegativeDiscriminant,
                    lambda: f"discriminant {_first(disc, negative)} < -{DISC_TOL}"))
     s = np.sqrt(np.maximum(disc, 0.0))
-    m0 = (b.b0 - b.b1 + 1.0 - s) / 2.0
+    m0 = (b0 - b1 + 1.0 - s) / 2.0
     m1 = 1.0 - m0 - s
     for name, m in (("m0", m0), ("m1", m1)):
         bad = (m < -PROB_TOL) | (m >= 1.0)
@@ -193,26 +156,16 @@ def b_to_m(b: BPair, checks) -> tuple:
     return np.maximum(m0, 0.0), np.maximum(m1, 0.0), s
 
 
-@_edge
-def p_star_from_p(p, m0, m1, checks):
+def _p_star(p, m0, m1, checks):
     """Latent treatment probability (p - m0) / (1 - m0 - m1), clamped to
-    [0, 1] within PROB_TOL. Broadcasts over arrays; a value further out
-    raises InvalidProbability naming the first one in C order."""
-    _check_monotone(m0, m1, checks)
+    [0, 1] within PROB_TOL; the check of a value further out names the
+    first one in C order. Broadcasts over arrays."""
+    checks.append(_monotone(m0, m1))
     p_star = np.divide(np.subtract(p, m0), 1.0 - m0 - m1)
     bad = (p_star < -PROB_TOL) | (p_star > 1.0 + PROB_TOL)
     checks.append((bad, InvalidProbability,
                    lambda: f"implied p_star={_first(p_star, bad)} outside [0,1]"))
     return np.minimum(np.maximum(p_star, 0.0), 1.0)
-
-
-@_edge
-def late_from_reduced(mu1: float, mu0: float, dp_star: float, checks) -> float:
-    """LATE as the reduced-form contrast over the true first stage."""
-    bad = np.abs(dp_star) < FIRST_STAGE_TOL
-    checks.append((bad, WeakFirstStage,
-                   lambda: f"|delta p*|={abs(_first(dp_star, bad))} below tolerance"))
-    return np.divide(np.subtract(mu1, mu0), dp_star)
 
 
 @lru_cache(maxsize=None)
@@ -250,30 +203,29 @@ def _system(k: int, mode: Mode, pins=None) -> tuple:
     return tuple(keys), tuple(eqs), tuple(out)
 
 
-def _equations(stats: CellStats, eqs: tuple, checks) -> np.ndarray:
+def _equations(stats: CellStats, eqs: tuple) -> np.ndarray:
     """(w0, w1, w2) of the equations of the (z, v, v') cell pairs eqs,
     stacked on a first axis."""
     z, v, vp = eqs
     tau, p = stats.tau_zv, stats.p_zv
-    return np.array(w_triple(tau[..., z, v], tau[..., z, vp], p[..., z, v],
-                             p[..., z, vp], checks=checks))
+    return _w_triple(tau[..., z, v], tau[..., z, vp], p[..., z, v], p[..., z, vp])
 
 
-def _split(coefs: np.ndarray) -> tuple:
-    """The two equations of each system, from the last axis of coefs."""
-    return WTriple(*coefs[..., 0]), WTriple(*coefs[..., 1])
-
-
-@_edge
-def nonsingularity_diag(stats: CellStats, mode: Mode, checks) -> dict:
+def nonsingularity_diag(stats: CellStats, mode: Mode) -> dict:
     """Determinant of every candidate linear system.
 
     CASE_I keys are (z, (v1, v2, v3)) support-index triples; CASE_II keys are
     (v1, v2) pairs shared across z. Zero (or near-zero) values flag a failing
-    nonsingularity condition for that candidate.
+    nonsingularity condition for that candidate. A cell of the systems with
+    a treatment probability outside (0, 1) raises DegenerateCell.
     """
     keys, eqs, _ = _system(stats.k, mode)
-    return dict(zip(keys, _det(*_split(_equations(stats, eqs, checks))).T))
+    z, v, vp = eqs
+    p = np.stack([stats.p_zv[..., z, v], stats.p_zv[..., z, vp]], axis=-1)
+    bad = ~((0.0 < p) & (p < 1.0))
+    if np.any(bad):
+        raise DegenerateCell(f"cell probability {_first(p, bad)} on the boundary")
+    return dict(zip(keys, _det(_equations(stats, eqs)).T))
 
 
 def _tau_star(stats: CellStats, m0, m1, checks):
@@ -284,8 +236,8 @@ def _tau_star(stats: CellStats, m0, m1, checks):
     where this is tau_zv / M_zv in every cell. Unlike the mean of those
     ratios it does not amplify a cell whose attenuation factor is near 0.
     """
-    # m_factor's checks repeat p*'s and the cells'
-    m = m_factor(m0[..., None], m1[..., None], stats.p_zv, checks=[])
+    # its input is the cells' and p*'s, which their checks cover
+    m = _m_factor(m0[..., None], m1[..., None], stats.p_zv)
     checks.append((np.abs(m) < 1e-12, SingularSystem,
                    lambda: "attenuation factor vanishes in a cell"))
     nm = stats.n_zv * m
@@ -346,36 +298,38 @@ def identify(stats: CellStats, mode: Mode, support_points=None) -> IdentifyResul
         raise ValidationError(f"{mode.value} needs more than K={stats.k} "
                               f"support points")
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the equations' checks of their cells repeat the two above
-        coefs = _equations(table, eqs, [])
-        dets = by = _det(*_split(coefs))
+        coefs = _equations(table, eqs)
+        dets = by = _det(coefs)
         if pins is not None:
             _, eqs, groups = _system(stats.k, mode, pins)
-            coefs = _equations(table, eqs, [])
-            by = _det(*_split(coefs))
+            coefs = _equations(table, eqs)
+            by = _det(coefs)
         rows = np.arange(len(dets))
         m = np.empty((3,) + table.p_z.shape)  # (m0, m1, s), each (R, 2)
         discs, picks = [], []
         for arms, cands, supports in groups:
             # the candidate with the largest |det|, of each table
             pick = np.abs(by[:, cands]).argmax(axis=-1)
-            b = solve_b(*_split(coefs[:, rows, cands[pick]]), checks=checks)
-            discs.append(b.discriminant)
-            m[:, :, arms] = np.array(b_to_m(b, checks=checks))[..., None]
+            b = _solve_b(coefs[:, rows, cands[pick]], checks)
+            discs.append(_discriminant(*b))
+            m[:, :, arms] = np.array(_b_to_m(*b, checks))[..., None]
             picks.append(supports[pick])
         m0, m1, s = m
 
         # p* of the cells and of each arm, then tau*_z; their checks go z by
         # z, so that a failure at z = 0 is reported before any at z = 1
         by_z = []
-        p_star = p_star_from_p(np.concatenate([table.p_zv, table.p_z[..., None]], -1),
-                               m0[..., None], m1[..., None], checks=by_z)
+        p_star = _p_star(np.concatenate([table.p_zv, table.p_z[..., None]], -1),
+                         m0[..., None], m1[..., None], by_z)
         tau_star = _tau_star(table, m0, m1, by_z)
         checks += [(bad[:, z], error, message) for z in (0, 1)
                    for bad, error, message in by_z]
+        # the LATE: the reduced-form contrast over the true first stage
         delta_p_star = p_star[:, 1, -1] - p_star[:, 0, -1]
-        beta_star = late_from_reduced(table.mu_z[:, 1], table.mu_z[:, 0],
-                                      delta_p_star, checks=checks)
+        weak = np.abs(delta_p_star) < FIRST_STAGE_TOL
+        checks.append((weak, WeakFirstStage, lambda: f"|delta p*|="
+                       f"{abs(_first(delta_p_star, weak))} below tolerance"))
+        beta_star = (table.mu_z[:, 1] - table.mu_z[:, 0]) / delta_p_star
     failed = np.concatenate([bad.reshape(len(s), -1) for bad, _, _ in checks],
                             axis=1).any(axis=1)
     m0[failed] = m1[failed] = 0.0  # a failed table's may be NaN; 0 is valid

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CellStats, Mode, ParamVector, n_params, packed_layout
+from .data import CellStats, Mode, ParamVector, n_params
 from .exceptions import DomainError
 
 
@@ -102,19 +102,20 @@ def _jacobian_entries(k: int, mode: Mode) -> np.ndarray:
     r, m0_0, m1_0, m0_1, m1_1; then the LATE row's b*, dp*, r. In CASE_II
     the first-stage row lists the shared m0 (and m1) twice, and the two
     values add."""
+    n = n_params(k, mode)
+    # each coordinate's packed position, as data lays the vector out
+    beta, dp, r, m0, m1, ps, tau = (np.asarray(x).astype(np.int64) for x in
+                                    ParamVector.unpacked_fields(np.arange(n), k, mode))
     z, v = np.indices((2, k))
-    base = 3 + z * (k + 3)                     # natural column of m0_z
     p_row, tau_row = 1 + z * k + v, 1 + 2 * k + z * k + v
-    cell_cols = [base, base + 1, base + 2 + v, base + 2 + k]
+    cell_cols = [m0[z], m1[z], ps, tau[z]]
     rows = [p_row] * 3 + [tau_row] * 4
     cols = cell_cols[:3] + cell_cols
     fs, late = 1 + 4 * k, 2 + 4 * k
     rows.append(np.array([0, fs, fs, fs, fs, fs, fs, late, late, late]))
-    cols.append(np.array([2, 1, 2, 3, 4, k + 6, k + 7, 0, 1, 2]))
-    gather = packed_layout(k, mode)[1]
-    rows = np.concatenate(rows, axis=None)
-    cols = gather[np.concatenate(cols, axis=None)]
-    flat = rows * packed_layout(k, mode)[0].size + cols
+    cols.append(np.array([r, dp, r, m0[0], m1[0], m0[1], m1[1], beta, dp, r]))
+    flat = (np.concatenate(rows, axis=None) * n
+            + np.concatenate(cols, axis=None))
     flat.setflags(write=False)
     return flat
 
@@ -205,7 +206,7 @@ def _jacobian(t: _Terms) -> np.ndarray:
          1.0 / s[1] - u1 / s12, -u1 / s12,
          one, t.late / dp2, (y1 / r2 + y0 / rc2) / dp],
     ], axis=None)
-    n_packed = packed_layout(k, mode)[0].size
+    n_packed = n_params(k, mode)
     size, entries = (4 * k + 3) * n_packed, _jacobian_entries(k, mode)
     if stack:  # each entry's values hold the stack's; table i goes after i - 1
         entries = (entries[:, None] + size * np.arange(stack[0])).ravel()

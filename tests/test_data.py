@@ -97,9 +97,33 @@ def test_cell_stats_refuses_codes_outside_their_range(column, value):
     cols = {"y": ds.y, "t": ds.t, "z": ds.z, "v": ds.v}
     cols[column] = cols[column].astype(np.int64)
     cols[column][0] = value
-    bad = Dataset(**cols, v_support=ds.v_support, mode=ds.mode)
     with pytest.raises(ValidationError):
-        cell_stats(bad)
+        Dataset(**cols, v_support=ds.v_support, mode=ds.mode)
+
+
+@pytest.mark.parametrize("column,value", [
+    ("t", 257), ("t", 0.7), ("t", np.nan), ("z", 1.5), ("z", -0.5),
+    ("z", np.inf), ("v", 1.9), ("v", np.nan)])
+def test_dataset_refuses_codes_as_given(column, value):
+    # each would pass as a valid code once cast to int8 or int64: 257 is 1
+    # in int8, 0.7 and 1.9 truncate to 0 and 1
+    ds = _full_dataset()
+    cols = {"y": ds.y, "t": ds.t, "z": ds.z, "v": ds.v}
+    cols[column] = cols[column].astype(type(value))
+    cols[column][0] = value
+    message = ("v contains codes outside the declared support" if column == "v"
+               else "t or z contains values outside {0,1}")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        Dataset(**cols, v_support=ds.v_support, mode=ds.mode)
+
+
+def test_dataset_keeps_whole_number_codes_of_any_type():
+    ds = _full_dataset()
+    again = Dataset(y=ds.y, t=ds.t.astype(float), z=ds.z.astype(bool),
+                    v=ds.v.astype(np.uint8), v_support=ds.v_support, mode=ds.mode)
+    for name in ("t", "z", "v"):
+        got, want = getattr(again, name), getattr(ds, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_cell_stats_hand_counted():

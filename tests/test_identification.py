@@ -12,6 +12,7 @@ from conftest import random_theta, simulate_from_theta, stack_tables
 from mislate.data import CellStats, Mode, ParamVector, cell_stats
 from mislate.exceptions import (
     DegenerateCell,
+    EmptyCell,
     InvalidProbability,
     MislateError,
     MonotonicityViolated,
@@ -21,18 +22,16 @@ from mislate.exceptions import (
     WeakFirstStage,
 )
 from mislate.identification import (
-    BPair,
-    b_to_m,
+    _b_to_m,
+    _p_star,
+    _solve_b,
+    _w_triple,
     forward_cell_stats,
     identify,
     implied_p,
     implied_tau,
-    late_from_reduced,
     m_factor,
     nonsingularity_diag,
-    p_star_from_p,
-    solve_b,
-    w_triple,
 )
 
 
@@ -82,14 +81,13 @@ class TestForwardMaps:
 
 class TestWTriple:
     def test_identical_cells_vanish(self):
-        w = w_triple(0.7, 0.7, 0.4, 0.4)
-        assert (w.w0, w.w1, w.w2) == (0.0, 0.0, 0.0)
+        assert tuple(_w_triple(0.7, 0.7, 0.4, 0.4)) == (0.0, 0.0, 0.0)
 
     def test_direct_arithmetic(self):
-        w = w_triple(0.45494, 0.56, 0.58535, 0.46)
-        assert w.w2 == pytest.approx(0.10506, abs=1e-12)
-        assert w.w0 == pytest.approx(0.45494 / 0.46 - 0.56 / 0.58535, abs=1e-12)
-        assert w.w1 == pytest.approx(
+        w0, w1, w2 = _w_triple(0.45494, 0.56, 0.58535, 0.46)
+        assert w2 == pytest.approx(0.10506, abs=1e-12)
+        assert w0 == pytest.approx(0.45494 / 0.46 - 0.56 / 0.58535, abs=1e-12)
+        assert w1 == pytest.approx(
             0.45494 / 0.54 - 0.56 / (1 - 0.58535), abs=1e-12
         )
 
@@ -98,97 +96,125 @@ class TestWTriple:
         p_v=st.floats(0.05, 0.95), p_vp=st.floats(0.05, 0.95),
     )
     def test_antisymmetry(self, tau_v, tau_vp, p_v, p_vp):
-        a = w_triple(tau_v, tau_vp, p_v, p_vp)
-        b = w_triple(tau_vp, tau_v, p_vp, p_v)
-        assert a.w0 == pytest.approx(-b.w0, abs=1e-12)
-        assert a.w1 == pytest.approx(-b.w1, abs=1e-12)
-        assert a.w2 == pytest.approx(-b.w2, abs=1e-12)
+        a = _w_triple(tau_v, tau_vp, p_v, p_vp)
+        b = _w_triple(tau_vp, tau_v, p_vp, p_v)
+        np.testing.assert_allclose(a, -b, rtol=0, atol=1e-12)
 
     def test_boundary_probability(self):
-        with pytest.raises(DegenerateCell):
-            w_triple(0.5, 0.6, 0.0, 0.5)
+        # the equations' cells are checked where a public call reads them
+        stats = _observed_table([[0.0, 0.5], [0.3, 0.7]], np.ones((2, 2)))
+        with pytest.raises(DegenerateCell, match="^cell probability 0.0 on the boundary$"):
+            nonsingularity_diag(stats, Mode.CASE_II)
 
 
 def _w_from_params(m0, m1, p_stars, tau_star):
     ps = [implied_p(m0, m1, p) for p in p_stars]
     taus = [implied_tau(m0, m1, p, tau_star) for p in ps]
     return [
-        w_triple(taus[0], taus[j], ps[0], ps[j]) for j in (1, 2)
-    ] if len(ps) == 3 else w_triple(taus[0], taus[1], ps[0], ps[1])
+        _w_triple(taus[0], taus[j], ps[0], ps[j]) for j in (1, 2)
+    ] if len(ps) == 3 else _w_triple(taus[0], taus[1], ps[0], ps[1])
+
+
+def _solved(wa, wb):
+    """(B0, B1) of the equations wa and wb, and the checks _solve_b appends."""
+    checks = []
+    return _solve_b(np.stack([wa, wb], axis=-1), checks), checks
+
+
+def _failed(checks) -> list:
+    """The error class of each check that failed, in order."""
+    return [error for bad, error, _ in checks if np.any(bad)]
 
 
 class TestSolveB:
     def test_case_i_round_trip(self):
-        w12, w13 = _w_from_params(0.2, 0.3, [0.2, 0.5, 0.8], 1.0)
-        b = solve_b(w12, w13)
-        assert b.b0 == pytest.approx(0.2 * 0.7, abs=1e-10)
-        assert b.b1 == pytest.approx(0.8 * 0.3, abs=1e-10)
+        (b0, b1), checks = _solved(*_w_from_params(0.2, 0.3, [0.2, 0.5, 0.8], 1.0))
+        assert b0 == pytest.approx(0.2 * 0.7, abs=1e-10)
+        assert b1 == pytest.approx(0.8 * 0.3, abs=1e-10)
+        assert _failed(checks) == []
 
     def test_case_i_zero_misclassification(self):
-        w12, w13 = _w_from_params(0.0, 0.0, [0.2, 0.5, 0.8], 1.0)
-        b = solve_b(w12, w13)
-        assert abs(b.b0) < 1e-12 and abs(b.b1) < 1e-12
+        (b0, b1), _ = _solved(*_w_from_params(0.0, 0.0, [0.2, 0.5, 0.8], 1.0))
+        assert abs(b0) < 1e-12 and abs(b1) < 1e-12
 
     def test_case_i_zero_tau_singular(self):
         w12, w13 = _w_from_params(0.2, 0.3, [0.2, 0.5, 0.8], 0.0)
-        with pytest.raises(SingularSystem):
-            solve_b(w12, w13)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, checks = _solved(w12, w13)
+        assert _failed(checks) == [SingularSystem]
 
     def test_case_ii_round_trip(self):
         wz0 = _w_from_params(0.25, 0.25, [0.3, 0.7], 1.0)
         wz1 = _w_from_params(0.25, 0.25, [0.4, 0.9], 0.8)
-        b = solve_b(wz0, wz1)
-        assert b.b0 == pytest.approx(0.1875, abs=1e-10)
-        assert b.b1 == pytest.approx(0.1875, abs=1e-10)
+        (b0, b1), checks = _solved(wz0, wz1)
+        assert b0 == pytest.approx(0.1875, abs=1e-10)
+        assert b1 == pytest.approx(0.1875, abs=1e-10)
+        assert _failed(checks) == []
 
     def test_case_ii_zero_tau_singular(self):
         wz0 = _w_from_params(0.25, 0.25, [0.3, 0.7], 0.0)
         wz1 = _w_from_params(0.25, 0.25, [0.4, 0.9], 0.8)
-        with pytest.raises(SingularSystem):
-            solve_b(wz0, wz1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, checks = _solved(wz0, wz1)
+        assert _failed(checks) == [SingularSystem]
+
+
+def _m_of(b0, b1):
+    """(m0, m1, s) of (B0, B1), and the checks _b_to_m appends."""
+    checks = []
+    return _b_to_m(b0, b1, checks), checks
 
 
 class TestBToM:
     def test_design_values(self):
-        assert b_to_m(BPair(0.1875, 0.1875)) == pytest.approx((0.25, 0.25, 0.5))
+        assert _m_of(0.1875, 0.1875)[0] == pytest.approx((0.25, 0.25, 0.5))
 
     def test_zero(self):
-        assert b_to_m(BPair(0.0, 0.0)) == (0.0, 0.0, 1.0)
+        assert _m_of(0.0, 0.0)[0] == (0.0, 0.0, 1.0)
 
     def test_asymmetric(self):
-        m0, m1, s = b_to_m(BPair(0.14, 0.24))
+        (m0, m1, s), checks = _m_of(0.14, 0.24)
         assert (m0, m1, s) == pytest.approx((0.2, 0.3, 0.5), abs=1e-12)
+        assert _failed(checks) == []
 
     @given(m0=st.floats(0.0, 0.9), m1=st.floats(0.0, 0.9))
     def test_identity_on_monotone_region(self, m0, m1):
         if m0 + m1 >= 0.999:
             return
-        b = BPair(m0 * (1 - m1), (1 - m0) * m1)
-        r0, r1, s = b_to_m(b)
+        (r0, r1, s), checks = _m_of(m0 * (1 - m1), (1 - m0) * m1)
         assert r0 == pytest.approx(m0, abs=1e-12)
         assert r1 == pytest.approx(m1, abs=1e-12)
         # returned branch always satisfies the monotonicity condition
         assert r0 + r1 < 1.0
         assert s > 0.0
+        assert _failed(checks) == []
 
     def test_negative_discriminant(self):
         from mislate.exceptions import NegativeDiscriminant
-        with pytest.raises(NegativeDiscriminant):
-            b_to_m(BPair(0.5, 0.5))
+        _, checks = _m_of(0.5, 0.5)
+        assert _failed(checks) == [NegativeDiscriminant]
 
 
 class TestScalarInverses:
     def test_p_star_from_p(self):
-        assert p_star_from_p(0.58535, 0.25, 0.25) == pytest.approx(0.6707, abs=1e-10)
-        assert p_star_from_p(0.37, 0.0, 0.0) == 0.37
-        with pytest.raises(InvalidProbability):
-            p_star_from_p(0.2, 0.25, 0.25)
+        assert _p_star(0.58535, 0.25, 0.25, []) == pytest.approx(0.6707, abs=1e-10)
+        assert _p_star(0.37, 0.0, 0.0, []) == 0.37
+        checks = []
+        _p_star(0.2, 0.25, 0.25, checks)
+        assert _failed(checks) == [InvalidProbability]
 
     def test_late_from_reduced(self):
-        assert late_from_reduced(1.3413, 1.0, 0.3413) == pytest.approx(1.0, abs=1e-10)
-        assert late_from_reduced(0.7, 0.7, 0.2) == 0.0
+        # identify's LATE is the reduced form over the true first stage, and
+        # a first stage of 0 trips its check
+        theta = random_theta(np.random.default_rng(3), Mode.CASE_II, 2)
+        stats = forward_cell_stats(theta)
+        got = identify(stats, Mode.CASE_II).theta
+        assert got.beta_star == (stats.mu_z[1] - stats.mu_z[0]) / got.delta_p_star
+        assert got.beta_star == pytest.approx(theta.beta_star, abs=1e-10)
+        weak = _table_with_latent(0.25, 0.25, [[0.25, 0.5, 0.75], [0.75, 0.5, 0.25]],
+                                  [1.0, 0.5])
         with pytest.raises(WeakFirstStage):
-            late_from_reduced(1.0, 0.0, 0.0)
+            identify(weak, Mode.CASE_II)
 
 
 class TestNonsingularityDiag:
@@ -228,11 +254,11 @@ class TestNonsingularityDiag:
         stats = forward_cell_stats(theta)
         dets = nonsingularity_diag(stats, Mode.CASE_I)
         for z in (0, 1):
-            wa = w_triple(stats.tau_zv[z, 0], stats.tau_zv[z, 1],
-                          stats.p_zv[z, 0], stats.p_zv[z, 1])
-            wb = w_triple(stats.tau_zv[z, 0], stats.tau_zv[z, 2],
-                          stats.p_zv[z, 0], stats.p_zv[z, 2])
-            assert dets[(z, (0, 1, 2))] == wa.w0 * wb.w1 - wb.w0 * wa.w1
+            wa = _w_triple(stats.tau_zv[z, 0], stats.tau_zv[z, 1],
+                           stats.p_zv[z, 0], stats.p_zv[z, 1])
+            wb = _w_triple(stats.tau_zv[z, 0], stats.tau_zv[z, 2],
+                           stats.p_zv[z, 0], stats.p_zv[z, 2])
+            assert dets[(z, (0, 1, 2))] == wa[0] * wb[1] - wb[0] * wa[1]
 
 
 class TestIdentify:
@@ -278,8 +304,7 @@ class TestIdentify:
         theta = random_theta(rng, Mode.CASE_II, 2)
         stats = forward_cell_stats(theta)
         s = float(1.0 - theta.m0[0] - theta.m1[0])
-        wald = late_from_reduced(stats.mu_z[1], stats.mu_z[0],
-                                 stats.p_z[1] - stats.p_z[0])
+        wald = (stats.mu_z[1] - stats.mu_z[0]) / (stats.p_z[1] - stats.p_z[0])
         assert wald == pytest.approx(theta.beta_star / s, abs=1e-10)
 
 
@@ -298,10 +323,10 @@ def test_broadcast_maps_match_the_scalar_loop(rng, mode, k):
     assert np.array_equal(p, loop(implied_p, m0, m1, theta.p_star))
     tau = implied_tau(m0, m1, p, tau_star)
     assert np.array_equal(tau, loop(implied_tau, m0, m1, p, tau_star))
-    back = p_star_from_p(p, m0, m1)
-    assert np.array_equal(back, loop(p_star_from_p, p, m0, m1))
+    back = _p_star(p, m0, m1, [])
+    assert np.array_equal(back, loop(lambda *a: _p_star(*a, []), p, m0, m1))
     assert isinstance(implied_p(0.1, 0.2, 0.3), float)
-    assert isinstance(p_star_from_p(0.5, 0.1, 0.2), float)
+    assert isinstance(_p_star(0.5, 0.1, 0.2, []), float)
 
 
 def _default_pick(dets: dict, mode: Mode):
@@ -396,6 +421,80 @@ def test_invalid_p_star_names_the_first_bad_cell(p_star, first):
     got = re.fullmatch(r"implied p_star=(\S+) outside \[0,1\]", str(exc.value))
     assert got is not None
     assert float(got.group(1)) == pytest.approx(first, abs=1e-9)
+
+
+def _observed_table(p, tau) -> CellStats:
+    """CASE_II table of the given observed cell probabilities and contrasts,
+    with equal cell weights."""
+    p = np.asarray(p, dtype=float)
+    n_zvt = np.stack([1.0 - p, p], axis=2)
+    ybar = np.stack([np.zeros(p.shape), tau], axis=2)
+    return CellStats(n_zvt=n_zvt, sum_y=n_zvt * ybar, ss_y=np.zeros(n_zvt.shape),
+                     mode=Mode.CASE_II, v_support=("a", "b"))
+
+
+def _half_misclassified():
+    # the contrasts of m0 = m1 = 1/2, where B0 = B1 = 1/4 and s = 0
+    p = np.array([[0.25, 0.75], [0.5, 0.75]])
+    return _observed_table(p, (1.0 - 0.25 / p - 0.25 / (1.0 - p)) * [[1.0], [0.5]])
+
+
+def _boundary_cell():
+    # a t = 0 count too small to move p off 1 in double precision
+    table = _observed_table([[0.25, 0.5], [0.5, 0.75]], [[1.0, 0.5], [0.3, 0.2]])
+    n_zvt = table.n_zvt.copy()
+    n_zvt[0, 0] = [1e-20, 0.25]
+    return CellStats(n_zvt=n_zvt, sum_y=n_zvt * [0.0, 1.0], ss_y=table.ss_y,
+                     mode=Mode.CASE_II, v_support=table.v_support)
+
+
+def _empty_cell():
+    table = _observed_table([[0.25, 0.5], [0.5, 0.75]], [[1.0, 0.5], [0.3, 0.2]])
+    n_zvt = table.n_zvt.copy()
+    n_zvt[1, 0, 1] = 0.0
+    return CellStats(n_zvt=n_zvt, sum_y=n_zvt * 1.0, ss_y=table.ss_y,
+                     mode=Mode.CASE_II, v_support=table.v_support)
+
+
+def _boundary_latent():
+    # p* = 1 with m1 = 0 puts the observed probability at 1
+    return ParamVector(beta_star=1.0, delta_p_star=0.4, r=0.5, m0=[0.25, 0.25],
+                       m1=[0.0, 0.0], p_star=[[0.1, 1.0], [0.5, 0.75]],
+                       tau_star=[1.0, 1.0], mode=Mode.CASE_II)
+
+
+def _identify(table):
+    return lambda: identify(table(), Mode.CASE_II)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (_identify(lambda: _observed_table([[0.25] * 2] * 2, np.zeros((2, 2)))),
+     SingularSystem, "determinant 0.0 below tolerance"),
+    # p* = 0 in cell (0, 0), where the attenuation factor of m0 = m1 = 1/4 is 0
+    (_identify(lambda: _table_with_latent(0.25, 0.25, [[0.0, 0.5, 0.75],
+                                                        [0.25, 0.5, 1.0]], [1.0, 0.5])),
+     SingularSystem, "attenuation factor vanishes in a cell"),
+    (_identify(_half_misclassified), MonotonicityViolated, "m0+m1=1.0 >= 1"),
+    # the arms' cells swapped: the same p* on average in each arm
+    (_identify(lambda: _table_with_latent(0.25, 0.25, [[0.25, 0.5, 0.75],
+                                                        [0.75, 0.5, 0.25]], [1.0, 0.5])),
+     WeakFirstStage, "|delta p*|=0.0 below tolerance"),
+    (_identify(_boundary_cell), DegenerateCell,
+     "a cell treatment probability is 0 or 1"),
+    (lambda: nonsingularity_diag(_boundary_cell(), Mode.CASE_II), DegenerateCell,
+     "cell probability 1.0 on the boundary"),
+    (lambda: forward_cell_stats(_boundary_latent()), DegenerateCell,
+     "observed treatment probability on the boundary"),
+    (_identify(_empty_cell), EmptyCell, "no observations with z=1, v='a', t=1"),
+], ids=["determinant", "attenuation", "monotone", "first-stage", "cell-p",
+        "equation-p", "observed-p", "empty"])
+def test_every_identification_message_is_reached(call, error, message):
+    # each message that reaches a report's error field, through the public
+    # call that raises it
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def test_no_extended_precision_in_the_package():
