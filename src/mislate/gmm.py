@@ -94,6 +94,12 @@ def _m_indices(k: int, mode: Mode) -> tuple:
     return tuple(dict.fromkeys((int(at.m0[z]), int(at.m1[z])) for z in (0, 1)))
 
 
+@lru_cache(maxsize=None)
+def _no_penalty(k: int, mode: Mode) -> np.ndarray:
+    """The penalty rows' Jacobian while no constraint is violated: read-only zeros."""
+    return np.broadcast_to(0.0, (len(_m_indices(k, mode)), n_params(k, mode)))
+
+
 def _project(x: np.ndarray, k: int, mode: Mode) -> tuple:
     """Scale (m0, m1) onto m0+m1 <= 1-eps where violated. Returns the
     projected vector, the per-constraint violations, and the derivatives of
@@ -174,13 +180,12 @@ def _evaluate(x: np.ndarray, sums: MomentSums, w_half: Optional[np.ndarray]) -> 
     g, G = gbar_and_jacobian(sums, xp)
     if w_half is not None:
         g, G = w_half @ g, w_half @ G
-    if jac is None:
-        d_viols = np.zeros((viols.size, x.size))
-    else:
-        d_xp, d_viols = jac
-        G = G @ d_xp
+    if jac is None:  # the penalty rows are zeros
+        return (np.concatenate([g, viols]),
+                np.concatenate([G, _no_penalty(sums.k, sums.mode)]))
+    d_xp, d_viols = jac
     return (np.concatenate([g, PENALTY * viols]),
-            np.concatenate([G, PENALTY * d_viols]))
+            np.concatenate([G @ d_xp, PENALTY * d_viols]))
 
 
 def _minimize(sums: MomentSums, x0, w_half):

@@ -75,12 +75,21 @@ def _monotone(m0, m1) -> tuple:
     return bad, MonotonicityViolated, lambda: f"m0+m1={_first(total, bad)} >= 1"
 
 
+def _rates(m0, m1) -> list:
+    """The checks m0 >= 0 and m1 >= 0, which NaN fails, each naming its
+    first failing entry."""
+    rates = {"m0": np.asarray(m0, dtype=float), "m1": np.asarray(m1, dtype=float)}
+    return [(~(m >= 0.0), InvalidProbability, lambda name=name, m=m:
+             f"{name}={_first(m, ~(m >= 0.0))} is not a probability")
+            for name, m in rates.items()]
+
+
 def implied_p(m0, m1, p_star):
     """Observable treatment probability implied by the latent one:
     p = m0 + (1 - m0 - m1) * p_star. Broadcasts over arrays."""
     p_star = np.asarray(p_star, dtype=float)
     bad = ~((0.0 <= p_star) & (p_star <= 1.0))
-    _raise_first([_monotone(m0, m1), (bad, InvalidProbability, lambda:
+    _raise_first([*_rates(m0, m1), _monotone(m0, m1), (bad, InvalidProbability, lambda:
                   f"p_star={_first(p_star, bad)} outside [0,1]")])
     return m0 + (1.0 - m0 - m1) * p_star
 
@@ -95,8 +104,9 @@ def m_factor(m0, m1, p):
     """Attenuation factor linking observed and latent outcome contrasts:
     tau = M(m0, m1, p) * tau_star. Broadcasts over arrays."""
     p = np.asarray(p, dtype=float)
-    _raise_first([_monotone(m0, m1), ((p <= 0.0) | (p >= 1.0), DegenerateCell,
-                  lambda: "observed treatment probability on the boundary")])
+    _raise_first([*_rates(m0, m1), _monotone(m0, m1),
+                  ((p <= 0.0) | (p >= 1.0), DegenerateCell,
+                   lambda: "observed treatment probability on the boundary")])
     return _m_factor(m0, m1, p)
 
 

@@ -28,7 +28,7 @@ algorithm: implementation and theory", Lecture Notes in Mathematics 630.
 """
 from __future__ import annotations
 
-from math import copysign
+from math import copysign, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,19 +44,19 @@ class LsqResult(NamedTuple):
     status: int          # 0 to 4, as trf documents; > 0 means converged
 
 
-def _norm(v):
+def _norm(v) -> float:
     """The Euclidean norm of a real vector, as numpy.linalg.norm computes
     it, without its argument handling."""
-    return np.sqrt(v.dot(v))
+    return sqrt(v.dot(v))
 
 
 def _strictly_feasible(x, lb, ub, rstep):
     """x with every coordinate within rstep * max(1, |bound|) of a bound
     moved to that distance inside it (to the next float when rstep = 0)."""
+    if rstep == 0 and ((x > lb) & (x < ub)).all():
+        return x
     x_new = x.copy()
     if rstep == 0:
-        if ((x > lb) & (x < ub)).all():
-            return x_new
         upper = x >= ub
         lower = (x <= lb) & ~upper
         x_new[lower] = np.nextafter(lb[lower], ub[lower])
@@ -76,22 +76,22 @@ def _strictly_feasible(x, lb, ub, rstep):
 
 
 def _step_to_bound(x, s, lb, ub):
-    """(t, hits): the largest t >= 0 with x + t s in the box, and per
-    coordinate -1 / 1 where it reaches the lower / upper bound, else 0."""
-    nz = np.nonzero(s)
+    """(t, hits): the largest t >= 0 with x + t s in the box, and the
+    coordinates where x + t s reaches a bound."""
+    # only the bound ahead of x along s is reached: the other one's t is <= 0
     steps = np.full_like(x, np.inf)
     with np.errstate(over="ignore"):
-        steps[nz] = np.maximum((lb - x)[nz] / s[nz], (ub - x)[nz] / s[nz])
-    t = np.min(steps)
-    return t, np.equal(steps, t) * np.sign(s).astype(int)
+        np.divide(np.where(s > 0, ub, lb) - x, s, out=steps, where=s != 0)
+    t = steps.min()
+    return t, steps == t
 
 
 def _intersect_trust_region(x, s, delta):
     """The two roots t of ||x + t s|| = delta, smaller first; x lies inside
     the region and s is not zero."""
-    a = np.dot(s, s)
-    b = np.dot(x, s)
-    c = np.dot(x, x) - delta ** 2
+    a = s.dot(s)
+    b = x.dot(s)
+    c = x.dot(x) - delta ** 2
     d = np.sqrt(b * b - a * c)
     q = -(b + copysign(d, b))
     t1, t2 = q / a, c / q
@@ -103,17 +103,19 @@ def _solve_trust_region(n, m, uf, s, V, delta, alpha):
     uf = U'f, by More's Newton iteration on alpha (the Levenberg-Marquardt
     parameter), warm-started at the previous alpha. Returns (p, alpha)."""
     def phi_and_derivative(alpha):
-        denom = s ** 2 + alpha
+        denom = s2 + alpha
         p_norm = _norm(suf / denom)
-        return p_norm - delta, -np.sum(suf ** 2 / denom ** 3) / p_norm
+        return p_norm - delta, -(suf2 / denom ** 3).sum() / p_norm
 
-    suf = s * uf
     full_rank = m >= n and s[-1] > EPS * m * s[0]
     if full_rank:
         p = -V.dot(uf / s)
         if _norm(p) <= delta:
             return p, 0.0
 
+    # squared once per subproblem, not once per Newton iteration
+    suf = s * uf
+    s2, suf2 = s ** 2, suf ** 2
     alpha_upper = _norm(suf) / delta
     if full_rank:
         phi, phi_prime = phi_and_derivative(0.0)
@@ -132,10 +134,10 @@ def _solve_trust_region(n, m, uf, s, V, delta, alpha):
         ratio = phi / phi_prime
         alpha_lower = max(alpha_lower, alpha - ratio)
         alpha -= (phi + delta) * ratio / delta
-        if np.abs(phi) < 0.01 * delta:
+        if abs(phi) < 0.01 * delta:
             break
 
-    p = -V.dot(suf / (s ** 2 + alpha))
+    p = -V.dot(suf / (s2 + alpha))
     # on the boundary exactly, so that later steps start inside the region
     p *= delta / _norm(p)
     return p, alpha
@@ -144,34 +146,34 @@ def _solve_trust_region(n, m, uf, s, V, delta, alpha):
 def _quadratic(J, g, s, diag):
     """0.5 s'(J'J + diag(diag))s + g's."""
     Js = J.dot(s)
-    return 0.5 * (np.dot(Js, Js) + np.dot(s * diag, s)) + np.dot(s, g)
+    return 0.5 * (Js.dot(Js) + (s * diag).dot(s)) + s.dot(g)
 
 
 def _quadratic_1d(J, g, s, diag, s0=None):
     """Coefficients (a, b[, c]) of the quadratic along s0 + t s: a t^2 + b t
     + c; c only with s0."""
     v = J.dot(s)
-    a = 0.5 * (np.dot(v, v) + np.dot(s * diag, s))
-    b = np.dot(g, s)
+    a = 0.5 * (v.dot(v) + (s * diag).dot(s))
+    b = g.dot(s)
     if s0 is None:
         return a, b
     u = J.dot(s0)
-    b += np.dot(u, v)
-    b += np.dot(s0 * diag, s)
-    c = 0.5 * np.dot(u, u) + np.dot(g, s0) + 0.5 * np.dot(s0 * diag, s0)
+    b += u.dot(v)
+    b += (s0 * diag).dot(s)
+    c = 0.5 * u.dot(u) + g.dot(s0) + 0.5 * (s0 * diag).dot(s0)
     return a, b, c
 
 
 def _minimize_1d(a, b, lo, hi, c=0):
-    """(t, value): the minimum of a t^2 + b t + c over lo <= t <= hi."""
+    """(t, value): the minimum of a t^2 + b t + c over lo <= t <= hi, the
+    first of equal values, a NaN value first, as numpy's argmin picks it."""
     t = [lo, hi]
     if a != 0:
         extremum = -0.5 * b / a
         if lo < extremum < hi:
             t.append(extremum)
-    t = np.asarray(t)
-    y = t * (a * t + b) + c
-    i = np.argmin(y)
+    y = [u * (a * u + b) + c for u in t]
+    i = min(range(len(t)), key=lambda j: (y[j] == y[j], y[j]))
     return t[i], y[i]
 
 
@@ -180,12 +182,12 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta):
     its reflection off the first bound it hits, and the projected gradient
     step; returns (step, step in hat space, predicted reduction)."""
     x_p = x + p
-    if np.all((x_p >= lb) & (x_p <= ub)):
+    if ((x_p >= lb) & (x_p <= ub)).all():
         return p, p_h, -_quadratic(J_h, g_h, p_h, diag_h)
 
     p_stride, hits = _step_to_bound(x, p, lb, ub)
-    r_h = np.copy(p_h)
-    r_h[hits.astype(bool)] *= -1
+    r_h = p_h.copy()
+    r_h[hits] *= -1
     r = d * r_h
 
     # cut the step at the bound; the reflection leaves the box or the trust
@@ -281,11 +283,11 @@ def trf(evaluate: Callable, x0, lb, ub, *, ftol: float, xtol: float,
     x = _strictly_feasible(x0, lb, ub, 1e-10)
 
     f, J = evaluate(x)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("residuals are not finite at the initial point")
     nfev = njev = 1
     m, n = J.shape
-    cost = 0.5 * np.dot(f, f)
+    cost = 0.5 * f.dot(f)
     g = J.T.dot(f)
 
     # Coleman-Li scaling: v is the distance to the bound the negative
@@ -295,12 +297,14 @@ def trf(evaluate: Callable, x0, lb, ub, *, ftol: float, xtol: float,
     def scaling(x, g):
         to_ub, to_lb = (g < 0) & finite_ub, (g > 0) & finite_lb
         v = np.where(to_ub, ub - x, np.where(to_lb, x - lb, 1.0))
-        return v, to_lb - to_ub.astype(float)
+        return v, np.subtract(to_lb, to_ub, dtype=float)
 
     v, _ = scaling(x, g)
     delta = _norm(x / v ** 0.5) or 1.0
+    # the subproblem's [J d; diag(C)^0.5] and [f; 0], written in place
     f_augmented = np.zeros(m + n)
-    J_augmented = np.empty((m + n, n))
+    J_augmented = np.zeros((m + n, n))
+    J_h, diagonal = J_augmented[:m], J_augmented[m:].reshape(-1)[::n + 1]
     alpha = 0.0
     status = None
 
@@ -318,9 +322,8 @@ def trf(evaluate: Callable, x0, lb, ub, *, ftol: float, xtol: float,
         diag_h = g * dv
         g_h = d * g
         f_augmented[:m] = f
-        J_augmented[:m] = J * d
-        J_h = J_augmented[:m]
-        J_augmented[m:] = np.diag(diag_h ** 0.5)
+        np.multiply(J, d, out=J_h)
+        np.sqrt(diag_h, out=diagonal)
         U, s, Vt = np.linalg.svd(J_augmented, full_matrices=False)
         V = Vt.T
         uf = U.T.dot(f_augmented)
@@ -340,11 +343,11 @@ def trf(evaluate: Callable, x0, lb, ub, *, ftol: float, xtol: float,
             nfev += 1
 
             step_h_norm = _norm(step_h)
-            if not np.all(np.isfinite(f_new)):
+            if not np.isfinite(f_new).all():
                 delta = 0.25 * step_h_norm
                 continue
 
-            cost_new = 0.5 * np.dot(f_new, f_new)
+            cost_new = 0.5 * f_new.dot(f_new)
             actual_reduction = cost - cost_new
             delta_new, ratio = _update_radius(
                 delta, actual_reduction, predicted_reduction, step_h_norm,

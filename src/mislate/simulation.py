@@ -78,20 +78,22 @@ def _check_stream_key(name: str, value: int):
         raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
 
 
-def _rng(seed: int, rep: int = 0) -> np.random.Generator:
-    seed, rep = int(seed), int(rep)
-    _check_stream_key("seed", seed)
-    _check_stream_key("rep", rep)
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + rep))
-
-
 def generate(design: DesignSpec, n: int, seed: int, rep=0):
     """Draw one sample; returns (Dataset, LatentRecord). A sequence of reps
     draws one sample per rep, each from its own stream, and stacks them:
     every array then has shape (reps, n)."""
     zu, normal, uv, ut = (np.empty(np.shape(rep) + (m * n,)) for m in (1, 2, 1, 1))
+    seed = int(seed)
+    _check_stream_key("seed", seed)
+    # one bit generator, re-keyed for each sample: a fresh state keyed (r, seed)
+    # is the stream of Philox(key=(seed << 64) + r), with no entropy drawn
+    bits = np.random.Philox(0)
+    rng, fresh = np.random.Generator(bits), bits.state
     for i, r in enumerate(np.ravel(rep).tolist()):  # each sample's draws,
-        rng = _rng(seed, r)                          # in stream order
+        r = int(r)                                   # in stream order
+        _check_stream_key("rep", r)
+        bits.state = {**fresh, "state": {**fresh["state"],
+                                         "key": np.array([r, seed], np.uint64)}}
         for draws in (zu, normal, uv, ut):
             rng.random(out=draws.reshape(-1, draws.shape[-1])[i])
     z = (zu < 0.5).astype(np.int8)

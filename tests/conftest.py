@@ -123,8 +123,8 @@ def moment_matrix(ds: Dataset, theta: ParamVector) -> np.ndarray:
     by row, in the order r, p by (z, v), tau by (z, v), first stage, LATE.
     The oracle for the closed forms in mislate.moments."""
     k = ds.k
-    s, q = _check_domain(theta.r, theta.delta_p_star, theta.m0, theta.m1,
-                         theta.p_star)
+    s, q, _ = _check_domain(theta.r, theta.delta_p_star, theta.m0, theta.m1,
+                            theta.p_star)
 
     y, t, z, v = ds.y, ds.t.astype(float), ds.z.astype(float), ds.v
     n = ds.n

@@ -78,6 +78,30 @@ class TestForwardMaps:
         )
         assert implied_tau(0.2, 0.3, 0.4, 0.0) == 0.0
 
+    @pytest.mark.parametrize("m0,m1,message", [
+        (np.nan, 0.1, "m0=nan is not a probability"),
+        (-0.2, 0.1, "m0=-0.2 is not a probability"),
+        (0.1, np.array([0.2, np.nan]), "m1=nan is not a probability"),
+        (np.array([0.1, -1e-9]), 0.1, "m0=-1e-09 is not a probability"),
+    ], ids=["m0-nan", "m0-negative", "m1-nan", "m0-negative-entry"])
+    def test_forward_maps_refuse_a_rate_that_is_nan_or_negative(self, m0, m1, message):
+        for forward in (implied_p, m_factor):
+            with pytest.raises(InvalidProbability, match=f"^{re.escape(message)}$"):
+                forward(m0, m1, 0.5)
+
+    @pytest.mark.parametrize("m0,message", [
+        ((np.nan, 0.1), "m0=nan is not a probability"),
+        ((-0.2, 0.1), "m0=-0.2 is not a probability"),
+    ], ids=["nan", "negative"])
+    def test_forward_cell_stats_refuses_a_rate_that_is_nan_or_negative(self, m0, message):
+        # CASE_I takes z-specific rates; the table would hold NaN cell
+        # probabilities and a negative count, or a negative rate's cells
+        theta = dataclasses.replace(random_theta(np.random.default_rng(4), Mode.CASE_I, 3),
+                                    m0=np.array(m0))
+        with pytest.raises(InvalidProbability, match=f"^{re.escape(message)}$"):
+            forward_cell_stats(theta)
+        assert forward_cell_stats(dataclasses.replace(theta, m0=np.zeros(2))).n == 1
+
 
 class TestWTriple:
     def test_identical_cells_vanish(self):

@@ -61,9 +61,28 @@ def _two_step_start():
     return table, first.theta_flat, gmm._w_half(np.linalg.pinv(omega))
 
 
+def _pool_start(design, seed, rep):
+    # an mc_study fit (n = 1000) as gmm._fit starts it: from the closed form,
+    # or from the fallback where identification fails
+    def start():
+        ds, _ = generate(DesignSpec(design), 1000, seed=seed, rep=rep)
+        table = cell_stats(ds)
+        try:
+            return table, identify(table, table.mode).theta.pack(), None
+        except MislateError:
+            return table, gmm._fallback_start(table).pack(), None
+    return start
+
+
 CASES = {"closed-form": _closed_form_start, "fallback": _fallback_start,
          "hinge-active": _hinge_active_start, "case-i": _case_i_start,
-         "two-step": _two_step_start}
+         "two-step": _two_step_start,
+         # fits of the mc_study pool, each pinning a long solver path: nfev,
+         # njev and status are 93, 74, 1; 94, 72, 1; 19, 18, 1 (a flat valley
+         # that a profiled fit leaves elsewhere); and 32, 30, 2 (stopped by
+         # ftol). A step whose arithmetic is reordered moves such a path.
+         **{f"pool-d{d}-s{s}-r{r}": _pool_start(d, s, r)
+            for d, s, r in ((1, 1, 8), (3, 1, 8), (3, 1, 4), (4, 1, 4))}}
 
 
 @pytest.mark.parametrize("case", CASES)

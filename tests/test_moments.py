@@ -314,11 +314,13 @@ class TestDomainGuards:
 
     @pytest.mark.parametrize("over,prefix", [
         (dict(r=1.0), "r-moment"),
+        (dict(r=np.nan), "r-moment"),
         (dict(m0=np.array([0.6, 0.6]), m1=np.array([0.5, 0.5])), "p-moment"),
         (dict(delta_p_star=0.0), "beta-moment"),
         (dict(m0=np.zeros(2), p_star=np.array([[0.0, 0.35], [0.5, 0.75]])),
          "tau-moment"),
-    ], ids=["r-1", "s-negative", "dp-0", "q-0"])
+        (dict(p_star=np.array([[0.1, np.nan], [0.5, 0.75]])), "tau-moment"),
+    ], ids=["r-1", "r-nan", "s-negative", "dp-0", "q-0", "p-star-nan"])
     def test_closed_forms_raise_the_row_messages(self, over, prefix):
         ds = _exact_count_dataset(_oracle_theta(), per_cell=40)
         theta = self._theta(**over)
@@ -329,6 +331,13 @@ class TestDomainGuards:
             with pytest.raises(DomainError) as err:
                 closed_form(cell_stats(ds), theta.pack())
             assert str(err.value) == str(rows.value)
+        # in a stack the first vector is valid: the second raises, and the
+        # message is its own (r-moment's names its r)
+        table = cell_stats(ds)
+        with pytest.raises(DomainError) as err:
+            gbar_jacobian_omega(stack_tables([table, table]),
+                                np.stack([_oracle_theta().pack(), theta.pack()]))
+        assert str(err.value) == str(rows.value)
 
 
 class TestJacobian:

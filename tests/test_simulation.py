@@ -86,6 +86,20 @@ class TestGenerate:
         top = 2 ** 64 - 1
         assert generate(DesignSpec(1), 10, seed=top, rep=top)[0].n == 10
 
+    @pytest.mark.parametrize("seed,rep", [(0, 0), (1, 7), (2 ** 64 - 1, 2 ** 64 - 1)])
+    def test_each_sample_draws_the_stream_of_its_own_philox(self, seed, rep):
+        # one bit generator is re-keyed for each sample; the second sample's
+        # draws are those of a new Philox keyed by (seed, rep)
+        n = 40
+        ds, latent = generate(DesignSpec(1), n, seed=seed, rep=[rep ^ 1, rep])
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + rep))
+        zu, normal, uv, ut = (rng.random(m * n) for m in (1, 2, 1, 1))
+        assert np.array_equal(ds.z[1], zu < 0.5)
+        assert latent.u1[1].tobytes() == mislate.simulation.ndtri(normal[:n]).tobytes()
+        assert np.array_equal(ds.v[1], uv < 0.5)
+        t_star = latent.t_star[1]
+        assert np.array_equal(ds.t[1], np.where(ut < 0.25, 1 - t_star, t_star))
+
     def test_shapes_and_mode(self):
         ds, latent = generate(DesignSpec(4), 300, seed=0)
         assert ds.n == 300 and ds.k == 2 and ds.mode is Mode.CASE_II
