@@ -4,18 +4,19 @@ The objective Q(theta) = gbar(theta)' W gbar(theta) is minimised as a box
 constrained nonlinear least-squares problem in the residuals W^{1/2} gbar,
 warm-started from the closed-form identification solution, by the
 package's trust-region reflective loop (lsq.trf). The constraint
-m0 + m1 <= 1 - eps is enforced by projection plus a hinge penalty residual;
-it is inactive at every interior solution. The fit reads the data only
-through the caller's per-cell CellStats table, reduced once per fit to the
-MomentSums that every evaluation reads. One evaluation gives the residuals
-and their Jacobian together, from gbar's closed-form terms and the
-closed-form moment Jacobian; under identity weighting and while the hinge
-is inactive it multiplies by neither W^{1/2} nor the projection's
-Jacobian. A just-identified closed form inside the box zeroes every moment,
-so it is the estimate with no solver call. _fit is the one fit path: it
-identifies a stack of tables once, solves the other tables one at a time,
-and evaluates every estimate with one call of each step. estimate is the
-one-table edge: it fits its validated table as a stack of one.
+m0 + m1 <= 1 - eps is kept by trf's own rule: past it an evaluation gives
+non-finite residuals and computes no moment, and trf refuses such a step
+and cuts its radius to a quarter of the step, so every accepted iterate is
+feasible. The start is scaled strictly inside the constraint. The fit reads
+the data only through the caller's per-cell CellStats table, reduced once
+per fit to the MomentSums that every evaluation reads. One evaluation gives
+the residuals and their Jacobian together, from gbar's closed-form terms and
+the closed-form moment Jacobian; under identity weighting it multiplies by
+no W^{1/2}. A just-identified closed form inside the box zeroes every
+moment, so it is the estimate with no solver call. _fit is the one fit
+path: it identifies a stack of tables once, solves the other tables one at
+a time, and evaluates every estimate with one call of each step. estimate
+is the one-table edge: it fits its validated table as a stack of one.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .moments import (MomentSums, _n_overid, gbar_and_jacobian,
                       gbar_jacobian_omega)
 
 EPS_CONSTRAINT = 1e-4
-PENALTY = 10.0
 MAX_ITER = 200
 TOL_GRAD = 1e-10
 TOL_STEP = 1e-12
@@ -89,49 +89,33 @@ def _bounds(k: int, mode: Mode, dp_positive: bool) -> tuple:
 
 @lru_cache(maxsize=None)
 def _m_indices(k: int, mode: Mode) -> tuple:
-    """(m0, m1) coordinate index pairs, one per z-specific constraint."""
+    """The m0 and the m1 coordinate indices, two lists with one entry per
+    z-specific constraint."""
     at = ParamVector.unpack(np.arange(n_params(k, mode)), k, mode)
-    return tuple(dict.fromkeys((int(at.m0[z]), int(at.m1[z])) for z in (0, 1)))
+    pairs = dict.fromkeys((int(at.m0[z]), int(at.m1[z])) for z in (0, 1))
+    return tuple(list(side) for side in zip(*pairs))
 
 
-@lru_cache(maxsize=None)
-def _no_penalty(k: int, mode: Mode) -> np.ndarray:
-    """The penalty rows' Jacobian while no constraint is violated: read-only zeros."""
-    return np.broadcast_to(0.0, (len(_m_indices(k, mode)), n_params(k, mode)))
-
-
-def _project(x: np.ndarray, k: int, mode: Mode) -> tuple:
-    """Scale (m0, m1) onto m0+m1 <= 1-eps where violated. Returns the
-    projected vector, the per-constraint violations, and the derivatives of
-    both with respect to x, (d_xp, d_viols), or None while no constraint is
-    violated (then d_xp is the identity and d_viols zero)."""
-    pairs = _m_indices(k, mode)
-    viols = np.zeros(len(pairs))
-    xp, jac = x, None
-    for row, (i0, i1) in enumerate(pairs):
-        tot = x[i0] + x[i1]
-        v = tot - (1.0 - EPS_CONSTRAINT)
-        if v > 0.0:
-            if jac is None:
-                xp = x.copy()
-                jac = np.eye(x.size), np.zeros((len(pairs), x.size))
-            idx = [i0, i1]
-            scale = (1.0 - EPS_CONSTRAINT) / tot
-            viols[row] = v
-            xp[i0] *= scale
-            xp[i1] *= scale
-            jac[0][np.ix_(idx, idx)] = scale * (np.eye(2) - x[idx, None] / tot)
-            jac[1][row, idx] = 1.0
-    return xp, viols, jac
+def _past_face(x: np.ndarray, k: int, mode: Mode) -> np.ndarray:
+    """Per z-specific constraint, whether x has m0 + m1 > 1 - eps."""
+    m0, m1 = _m_indices(k, mode)
+    return x[m0] + x[m1] > 1.0 - EPS_CONSTRAINT
 
 
 def _clip_start(x: np.ndarray, k: int, mode: Mode) -> tuple:
     """(x inside the box lo..hi and on m0 + m1 <= 1 - eps, lo, hi); the box
-    takes the sign of x's delta_p_star."""
+    takes the sign of x's delta_p_star. A pair (m0, m1) past the face is
+    scaled toward the box's corner (eps, eps) to m0 + m1 = 1 - 2 eps: it
+    stays in the box, and neither rounding nor trf's move of a start off a
+    bound (1e-10) takes it back past the face."""
     dp = ParamVector.unpacked_fields(x, k, mode)[1]
     lo, hi = _bounds(k, mode, bool(dp >= 0))
     x = np.clip(x, lo + 1e-12, hi - 1e-12)
-    return _project(x, k, mode)[0], lo, hi
+    past = _past_face(x, k, mode)
+    if past.any():
+        eps, m = EPS_CONSTRAINT, np.array(_m_indices(k, mode))[:, past]
+        x[m] = eps + (x[m] - eps) * ((1.0 - 4 * eps) / (x[m].sum(axis=0) - 2 * eps))
+    return x, lo, hi
 
 
 def _fallback_start(table: CellStats) -> ParamVector:
@@ -172,30 +156,25 @@ def _weights(omega: np.ndarray, weighting: str) -> tuple:
 
 
 def _evaluate(x: np.ndarray, sums: MomentSums, w_half: Optional[np.ndarray]) -> tuple:
-    """The residuals W^{1/2} gbar(P(x)) and PENALTY * violations, and their
-    Jacobian W^{1/2} G(P(x)) DP(x) over PENALTY dviol/dx, from one
-    projection and one set of moment terms; w_half None stands for the
-    identity."""
-    xp, viols, jac = _project(x, sums.k, sums.mode)
-    g, G = gbar_and_jacobian(sums, xp)
+    """The residuals W^{1/2} gbar(x) and their Jacobian W^{1/2} G(x), from
+    one set of moment terms; w_half None stands for the identity. Past the
+    face m0 + m1 = 1 - eps both are NaN and no moment is computed: lsq.trf
+    refuses such a step."""
+    if _past_face(x, sums.k, sums.mode).any():
+        m = 4 * sums.k + 3
+        return np.full(m, np.nan), np.full((m, x.size), np.nan)
+    g, G = gbar_and_jacobian(sums, x)
     if w_half is not None:
         g, G = w_half @ g, w_half @ G
-    if jac is None:  # the penalty rows are zeros
-        return (np.concatenate([g, viols]),
-                np.concatenate([G, _no_penalty(sums.k, sums.mode)]))
-    d_xp, d_viols = jac
-    return (np.concatenate([g, PENALTY * viols]),
-            np.concatenate([G @ d_xp, PENALTY * d_viols]))
+    return g, G
 
 
 def _minimize(sums: MomentSums, x0, w_half):
-    k, mode = sums.k, sums.mode
-    x0, lo, hi = _clip_start(x0, k, mode)
-
+    x0, lo, hi = _clip_start(x0, sums.k, sums.mode)
     res = trf(lambda x: _evaluate(x, sums, w_half), x0, lo, hi,
               ftol=TOL_STEP, xtol=TOL_STEP, gtol=TOL_GRAD,
               max_nfev=MAX_ITER * (x0.size + 1))
-    return _project(res.x, k, mode)[0], res.status > 0
+    return res.x, res.status > 0
 
 
 def sandwich_cov(G: np.ndarray, W: np.ndarray, Omega: np.ndarray, n: int,

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from conftest import (central_differences, count_calls, random_theta,
@@ -18,6 +19,7 @@ from mislate.gmm import (
     sandwich_cov,
 )
 from mislate.identification import identify
+from mislate.lsq import _strictly_feasible
 from mislate.moments import MomentSums, gbar_jacobian_omega
 from mislate.simulation import DesignSpec, generate
 
@@ -191,42 +193,101 @@ class TestEstimate:
 
 
 class TestResidualJacobian:
-    @pytest.mark.parametrize("active", [False, True], ids=["inside", "projected"])
+    @pytest.mark.parametrize("near_face", [False, True],
+                             ids=["inside", "near-face"])
     @pytest.mark.parametrize("mode,k", [(Mode.CASE_II, 2), (Mode.CASE_II, 3),
                                         (Mode.CASE_I, 3)])
-    def test_matches_central_differences(self, rng, monkeypatch, mode, k,
-                                         active):
-        # a projected point has s = EPS_CONSTRAINT; at 1e-4 the rounding of
-        # s swamps a difference quotient, so test the same map at 0.05
-        monkeypatch.setattr(gmm, "EPS_CONSTRAINT", 0.05)
+    def test_matches_central_differences(self, rng, mode, k, near_face):
         theta = random_theta(rng, mode, k)
         sums = MomentSums.of(cell_stats(replace(
             simulate_from_theta(theta, 2000, rng), mode=mode)))
         x = theta.pack()
-        if active:
-            for i0, i1 in gmm._m_indices(k, mode):
-                x[[i0, i1]] *= 0.97 / (x[i0] + x[i1])
+        if near_face:  # s = 1 - m0 - m1 = 0.03, where G is steepest
+            m0, m1 = gmm._m_indices(k, mode)
+            x[m0 + m1] *= np.tile(0.97 / (x[m0] + x[m1]), 2)
         a = rng.normal(size=(4 * k + 3, 4 * k + 3))
         w_half = gmm._w_half(a @ a.T)
-        assert np.all(gmm._project(x, k, mode)[1] > 0) == active
         expected = central_differences(
             lambda x_: gmm._evaluate(x_, sums, w_half)[0], x)
         np.testing.assert_allclose(gmm._evaluate(x, sums, w_half)[1],
                                    expected, rtol=1e-7, atol=1e-7)
 
-    @pytest.mark.parametrize("active", [False, True], ids=["inside", "projected"])
-    def test_identity_weighting_needs_no_matrix(self, rng, active):
+    @pytest.mark.parametrize("past", [False, True], ids=["inside", "past-face"])
+    def test_identity_weighting_needs_no_matrix(self, rng, past):
         # w_half None skips the products with W^{1/2} = I, which are exact
         theta = random_theta(rng, Mode.CASE_II, 3)
         sums = MomentSums.of(cell_stats(simulate_from_theta(theta, 2000, rng)))
         x = theta.pack()
-        if active:
-            for i0, i1 in gmm._m_indices(3, Mode.CASE_II):
-                x[[i0, i1]] *= 1.2 / (x[i0] + x[i1])
+        if past:
+            m0, m1 = gmm._m_indices(3, Mode.CASE_II)
+            x[m0 + m1] *= np.tile(1.2 / (x[m0] + x[m1]), 2)
         f, J = gmm._evaluate(x, sums, None)
         f_eye, J_eye = gmm._evaluate(x, sums, np.eye(15))
-        assert np.array_equal(f, f_eye) and np.array_equal(J, J_eye)
-        assert (f[-1] > 0) == active
+        assert (np.array_equal(f, f_eye, equal_nan=True)
+                and np.array_equal(J, J_eye, equal_nan=True))
+        assert f.shape == (15,) and J.shape == (15, x.size)
+        assert np.isfinite(f).all() != past
+
+    @pytest.mark.parametrize("mode,k", [(Mode.CASE_II, 2), (Mode.CASE_I, 3)])
+    def test_a_point_past_the_face_has_no_finite_residual(
+            self, rng, monkeypatch, mode, k):
+        # one z arm's m1 at the first float that puts m0 + m1 past 1 - eps:
+        # every residual is NaN and no moment is computed, so lsq.trf refuses
+        # the step; one float lower, the evaluation is finite
+        theta = random_theta(rng, mode, k)
+        sums = MomentSums.of(cell_stats(replace(
+            simulate_from_theta(theta, 2000, rng), mode=mode)))
+        x = theta.pack()
+        m0, m1 = gmm._m_indices(k, mode)
+        x[m1[-1]] = 1.0 - gmm.EPS_CONSTRAINT - x[m0[-1]] - 1e-12
+        while not gmm._past_face(x, k, mode).any():
+            inside = x.copy()
+            x[m1[-1]] = np.nextafter(x[m1[-1]], 2.0)
+        moments = count_calls(monkeypatch, gmm.gbar_and_jacobian)
+        f, J = gmm._evaluate(x, sums, None)
+        assert not moments and np.isnan(f).all() and np.isnan(J).all()
+        f, J = gmm._evaluate(inside, sums, None)
+        assert len(moments) == 1 and np.isfinite(f).all() and np.isfinite(J).all()
+
+
+_BOX = st.floats(gmm.EPS_CONSTRAINT, 1.0 - gmm.EPS_CONSTRAINT)
+
+
+class TestStart:
+    @settings(max_examples=200, deadline=None)
+    @given(mode=st.sampled_from([Mode.CASE_I, Mode.CASE_II]),
+           m0=st.tuples(_BOX, _BOX), m1=st.tuples(_BOX, _BOX))
+    def test_any_start_in_the_box_is_scaled_strictly_inside_the_face(
+            self, mode, m0, m1):
+        # the start stays in the box and passes _evaluate's test, also after
+        # trf moves a coordinate within 1e-10 of a bound off it
+        if mode is Mode.CASE_II:
+            m0, m1 = m0[:1] * 2, m1[:1] * 2
+        theta = random_theta(np.random.default_rng(0), mode, 3)
+        x = replace(theta, m0=np.array(m0), m1=np.array(m1)).pack()
+        start, lo, hi = gmm._clip_start(x, 3, mode)
+        assert np.all((lo <= start) & (start <= hi))
+        assert not gmm._past_face(start, 3, mode).any()
+        moved = _strictly_feasible(start, lo, hi, 1e-10)
+        assert not gmm._past_face(moved, 3, mode).any()
+        # a start that the clip leaves inside the face is not scaled
+        clipped = np.clip(x, lo + 1e-12, hi - 1e-12)
+        assert (np.array_equal(start, clipped)
+                != gmm._past_face(clipped, 3, mode).any())
+
+    def test_a_plain_scaling_onto_the_face_can_end_past_it(self):
+        # (1 - eps) / (m0 + m1) times each of 0.6 and 0.7 rounds to a sum one
+        # ulp past 1 - eps, which _evaluate refuses; so the start is scaled
+        # to a point strictly inside
+        x = random_theta(np.random.default_rng(0), Mode.CASE_II, 2).pack()
+        m0, m1 = gmm._m_indices(2, Mode.CASE_II)
+        x[m0], x[m1] = 0.6, 0.7
+        scaled = x.copy()
+        scaled[m0 + m1] *= (1.0 - gmm.EPS_CONSTRAINT) / (0.6 + 0.7)
+        assert gmm._past_face(scaled, 2, Mode.CASE_II).all()
+        start = gmm._clip_start(x, 2, Mode.CASE_II)[0]
+        assert not gmm._past_face(start, 2, Mode.CASE_II).any()
+        assert start[m0] + start[m1] == pytest.approx(1.0 - 2 * gmm.EPS_CONSTRAINT)
 
 
 class TestReproducibility:

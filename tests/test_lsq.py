@@ -8,7 +8,7 @@ import pytest
 from conftest import (count_calls, least_squares_oracle, random_theta,
                       simulate_from_theta)
 from mislate import gmm
-from mislate.data import Mode, ParamVector, cell_stats
+from mislate.data import Mode, cell_stats
 from mislate.exceptions import MislateError
 from mislate.identification import forward_cell_stats, identify
 from mislate.lsq import trf
@@ -31,15 +31,6 @@ def _fallback_start():
     with pytest.raises(MislateError):
         identify(table, table.mode)
     return table, gmm._fallback_start(table).pack(), None
-
-
-def _hinge_active_start():
-    # m0 + m1 = 1.2 inside the box, so every evaluation near the start
-    # projects and the penalty residual is not zero
-    table, x0, _ = _closed_form_start()
-    theta = ParamVector.unpack(x0, table.k, table.mode)
-    x0 = replace(theta, m0=np.full(2, 0.6), m1=np.full(2, 0.6)).pack()
-    return table, x0, None
 
 
 def _case_i_start():
@@ -75,14 +66,18 @@ def _pool_start(design, seed, rep):
 
 
 CASES = {"closed-form": _closed_form_start, "fallback": _fallback_start,
-         "hinge-active": _hinge_active_start, "case-i": _case_i_start,
-         "two-step": _two_step_start,
+         "case-i": _case_i_start, "two-step": _two_step_start,
          # fits of the mc_study pool, each pinning a long solver path: nfev,
          # njev and status are 93, 74, 1; 94, 72, 1; 19, 18, 1 (a flat valley
-         # that a profiled fit leaves elsewhere); and 32, 30, 2 (stopped by
-         # ftol). A step whose arithmetic is reordered moves such a path.
+         # that a profiled fit leaves elsewhere); 32, 30, 2 (stopped by ftol);
+         # and 59, 48, 1, a path on which trf refuses a step past the face
+         # m0 + m1 = 1 - eps. A step whose arithmetic is reordered moves such
+         # a path.
          **{f"pool-d{d}-s{s}-r{r}": _pool_start(d, s, r)
-            for d, s, r in ((1, 1, 8), (3, 1, 8), (3, 1, 4), (4, 1, 4))}}
+            for d, s, r in ((1, 1, 8), (3, 1, 8), (3, 1, 4), (4, 1, 4),
+                            (1, 0, 10))}}
+# cases on which trf meets a point past the face and refuses the step
+REFUSING = {"pool-d1-s0-r10"}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -91,16 +86,20 @@ def test_matches_least_squares(case):
     sums = MomentSums.of(table)
     k, mode = table.k, table.mode
     lo, hi = gmm._bounds(k, mode, bool(x0[1] >= 0))
-    if case != "hinge-active":
-        x0 = gmm._clip_start(x0, k, mode)[0]
-    assert (gmm._project(x0, k, mode)[2] is not None) == (case == "hinge-active")
+    x0 = gmm._clip_start(x0, k, mode)[0]
+    finite = []
 
     def evaluate(x):
-        return gmm._evaluate(x, sums, w_half)
+        f, J = gmm._evaluate(x, sums, w_half)
+        finite.append(np.isfinite(f).all())
+        return f, J
 
     tols = dict(ftol=gmm.TOL_STEP, xtol=gmm.TOL_STEP, gtol=gmm.TOL_GRAD,
                 max_nfev=gmm.MAX_ITER * (x0.size + 1))
     ours = trf(evaluate, x0, lo, hi, **tols)
+    if case in REFUSING:
+        assert not all(finite)
+    assert not gmm._past_face(ours.x, k, mode).any()
     ref = least_squares_oracle(evaluate, x0, lo, hi, **tols)
     assert (ours.nfev, ours.njev, ours.status) == (ref.nfev, ref.njev, ref.status)
     np.testing.assert_allclose(ours.x, ref.x, rtol=1e-12, atol=0.0)
