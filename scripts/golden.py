@@ -10,26 +10,31 @@ tree's `src` on the path, and the two sets of outputs are compared:
 
 - `study`: `run_study` over designs 1-6 x seeds 0-1 (n = 1000, 200 reps, one
   worker): each summary row, `n_failed` and `failures`; and each
-  replication's identity-weighted fit (its packed estimate, `converged` and
-  error class), from one `gmm._fit` of the study's stacked tables.
+  replication's identity-weighted fit (its packed estimate, vcov,
+  `converged` and error class), from one `gmm._fit` of the study's stacked
+  tables.
 - `overid`: `estimate` on the K = 3 tables of CASE_I and CASE_II, rng seeds
   1-20, n = 20 000 (`random_theta` and `simulate_from_theta` of
   `tests/conftest.py`), identity and optimal weighting: theta, vcov, J,
   the objective, `converged` or the error class, and the solver's calls,
   `nfev`, `njev` and `status`.
+- `identify`: `identify` on the forward tables of `random_theta` draws (rng
+  seeds 1-10) and on samples of them (n = 5000), CASE_I and CASE_II with
+  K = 2, 3 and 4, each alone and the 20 of a mode and K as one stack: every
+  field of the result or the error class and message; and `mislate
+  identify --json` on the CSVs below, plain and with `--support-points 1,0`.
 - `cli`: `mislate estimate --json` on generated CSVs (designs 1-6 and a
   three-label V, each weighting), apart from the report's `software`, with
   the exit code and the number of solver calls.
 
-The overidentified tables and the CSVs are built once, in this tree, and
-both trees read the same ones. An output is bit-identical when every field
-has the same bits, NaN included, and every flag (`converged`, an error
-class, an exit code) is equal. For the others the report gives the worst
-relative drift of a numeric field, the drift of theta in units of the
-revision's standard errors, and the ratio of the objectives; a flag that
-differs is listed, never dropped. Exit code 0 when every output is
-bit-identical, 1 when one is not, 2 when the revision cannot be extracted
-or a battery fails to run.
+The tables and the CSVs are built once, in this tree, and both trees read
+the same ones. An output is bit-identical when every field has the same
+bits, NaN included, and every flag (`converged`, an error class, an exit
+code) is equal. For the others the report gives the worst relative drift of
+a numeric field, the drift of theta in units of the revision's standard
+errors, and the ratio of the objectives; a flag that differs is listed,
+never dropped. Exit code 0 when every output is bit-identical, 1 when one
+is not, 2 when the revision cannot be extracted or a battery fails to run.
 """
 import argparse
 import contextlib
@@ -49,6 +54,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 DESIGNS, SEEDS, STUDY_N, STUDY_REPS = range(1, 7), (0, 1), 1000, 200
 OVERID_SEEDS, OVERID_N, OVERID_K = range(1, 21), 20_000, 3
+IDENTIFY_SEEDS, IDENTIFY_N, IDENTIFY_KS = range(1, 11), 5000, (2, 3, 4)
 WEIGHTINGS = ("identity", "optimal")
 
 
@@ -60,20 +66,33 @@ def build_inputs(workdir: Path) -> Path:
     sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
     from dataclasses import replace
 
-    from conftest import random_theta, simulate_from_theta
+    from conftest import random_theta, simulate_from_theta, stack_tables
     from mislate.data import Mode, cell_stats
+    from mislate.identification import forward_cell_stats
     from mislate.simulation import DesignSpec, generate
 
-    tables = {}
+    def sums(t):
+        return dict(n_zvt=t.n_zvt, sum_y=t.sum_y, ss_y=t.ss_y,
+                    mode=t.mode.value, v_support=t.v_support)
+
+    tables, identified = {}, {}
     for mode in (Mode.CASE_I, Mode.CASE_II):
         for seed in OVERID_SEEDS:
             rng = np.random.default_rng(seed)
             theta = random_theta(rng, mode, OVERID_K)
             ds = replace(simulate_from_theta(theta, OVERID_N, rng), mode=mode)
-            t = cell_stats(ds)
-            tables[f"{mode.value} seed {seed}"] = dict(
-                n_zvt=t.n_zvt, sum_y=t.sum_y, ss_y=t.ss_y, mode=mode.value,
-                v_support=t.v_support)
+            tables[f"{mode.value} seed {seed}"] = sums(cell_stats(ds))
+        for k in IDENTIFY_KS:
+            group = {}
+            for seed in IDENTIFY_SEEDS:
+                rng = np.random.default_rng(seed)
+                theta = random_theta(rng, mode, k)
+                ds = replace(simulate_from_theta(theta, IDENTIFY_N, rng), mode=mode)
+                group[f"forward seed {seed}"] = forward_cell_stats(theta)
+                group[f"sampled seed {seed}"] = cell_stats(ds)
+            group["stack"] = stack_tables(list(group.values()))
+            identified |= {f"{mode.value} K = {k} {name}": sums(t)
+                           for name, t in group.items()}
 
     csvs = {}
     for design in DESIGNS:
@@ -85,7 +104,8 @@ def build_inputs(workdir: Path) -> Path:
         workdir / "d3_k3.csv", ds.v + (ds.v == 1) * (np.arange(ds.n) % 2), ds)
 
     path = workdir / "inputs.pkl"
-    path.write_bytes(pickle.dumps({"tables": tables, "csvs": csvs}))
+    path.write_bytes(pickle.dumps({"tables": tables, "identify": identified,
+                                   "csvs": csvs}))
     return path
 
 
@@ -106,9 +126,43 @@ def run_battery(inputs: Path, out: Path):
     from mislate.data import CellStats, Mode, cell_stats
     from mislate.exceptions import MislateError
     from mislate.gmm import GmmConfig, estimate
+    from mislate.identification import identify
     from mislate.simulation import DesignSpec, generate, run_study
 
     data = pickle.loads(inputs.read_bytes())
+
+    def table(sums):
+        return CellStats(sums["n_zvt"], sums["sum_y"], sums["ss_y"],
+                         Mode(sums["mode"]), sums["v_support"])
+
+    def cli_record(argv):
+        del solves[:]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        report = json.loads(buf.getvalue())
+        report.pop("software", None)
+        record = {"exit": code, "solver_calls": len(solves)}
+        params = report.get("estimate", {}).get("params", [])
+        if params:
+            record["theta"] = np.array([p["estimate"] for p in params])
+            record["se"] = np.array([p["se"] for p in params])
+        for key, value in _leaves(report):
+            # a bool is not a number
+            record[key] = np.float64(value) if type(value) in (int, float) else value
+        return record
+
+    def identified(stats):
+        """identify's every field on a table or a stack, or its error."""
+        try:
+            r = identify(stats, stats.mode)
+        except MislateError as exc:
+            return {"error": type(exc).__name__, "message": str(exc)}
+        return {"error": None, "x": r.theta.pack(), "s": np.float64(r.s),
+                "discriminants": np.float64(r.discriminants),
+                "support_points": str(r.support_points), "failed": np.asarray(r.failed),
+                **{f"det {key}": np.float64(d) for key, d in r.determinants.items()}}
+
     solves = []
     trf = gmm.trf
     gmm.trf = lambda *a, **kw: solves.append(trf(*a, **kw)) or solves[-1]
@@ -131,17 +185,16 @@ def run_battery(inputs: Path, out: Path):
             for rep in range(STUDY_REPS):
                 error = fit.errors[rep]
                 outputs[f"{tag} rep {rep}"] = {
-                    "x": fit.x[rep], "converged": bool(fit.converged[rep]),
+                    "x": fit.x[rep], "vcov": fit.vcov[rep],
+                    "converged": bool(fit.converged[rep]),
                     "error": None if error is None else type(error).__name__}
 
     for name, sums in data["tables"].items():
-        table = CellStats(sums["n_zvt"], sums["sum_y"], sums["ss_y"],
-                          Mode(sums["mode"]), sums["v_support"])
         for weighting in WEIGHTINGS:
             del solves[:]
             record = {}
             try:
-                est = estimate(table, GmmConfig(weighting=weighting))
+                est = estimate(table(sums), GmmConfig(weighting=weighting))
                 record.update(theta=est.theta_flat, se=est.se, vcov=est.vcov,
                               j_stat=np.float64(est.j_stat),
                               objective=np.float64(est.objective),
@@ -155,27 +208,18 @@ def run_battery(inputs: Path, out: Path):
                 status=np.array([s.status for s in solves], dtype=float))
             outputs[f"overid {name} {weighting}"] = record
 
+    for name, sums in data["identify"].items():
+        outputs[f"identify {name}"] = identified(table(sums))
+
     for name, path in data["csvs"].items():
+        columns = ["--data", path, "--outcome", "y", "--treatment", "t",
+                   "--instrument", "z", "--exogenous", "v", "--json"]
         for weighting in WEIGHTINGS:
-            del solves[:]
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(["estimate", "--data", path, "--outcome", "y",
-                                 "--treatment", "t", "--instrument", "z",
-                                 "--exogenous", "v", "--weight", weighting,
-                                 "--json"])
-            report = json.loads(buf.getvalue())
-            report.pop("software", None)
-            record = {"exit": code, "solver_calls": len(solves)}
-            params = report.get("estimate", {}).get("params", [])
-            if params:
-                record["theta"] = np.array([p["estimate"] for p in params])
-                record["se"] = np.array([p["se"] for p in params])
-            for key, value in _leaves(report):
-                numeric = (isinstance(value, (int, float))
-                           and not isinstance(value, bool))
-                record[key] = np.float64(value) if numeric else value
-            outputs[f"cli {name} {weighting}"] = record
+            outputs[f"cli {name} {weighting}"] = cli_record(
+                ["estimate", *columns, "--weight", weighting])
+        for pin, flags in (("plain", []), ("pinned", ["--support-points", "1,0"])):
+            outputs[f"identify cli {name} {pin}"] = cli_record(
+                ["identify", *columns, *flags])
 
     out.write_bytes(pickle.dumps(outputs))
 
@@ -218,7 +262,7 @@ def _drift(new, old) -> float:
 def compare(new: dict, old: dict) -> tuple:
     """(report lines, every output bit-identical)."""
     lines, all_same = [], True
-    for battery in ("study", "overid", "cli"):
+    for battery in ("study", "overid", "identify", "cli"):
         names = sorted(n for n in set(new) | set(old) if n.startswith(battery + " "))
         same, flags, worst = 0, [], {}
         worst_se, ratios = (0.0, ""), []

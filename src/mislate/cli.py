@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import asdict
 
 from . import io as mio
-from .baselines import naive_bias_diag, relevance_test, wald_iv
+from .baselines import naive_bias_diag, ols, relevance_test, wald_iv
 from .data import Mode, cell_stats, param_names, validate
 from .exceptions import (
     MislateError,
@@ -104,38 +105,33 @@ def _support_points(text, mode: Mode, k: int):
 
 
 def _dataset_summary(stats) -> dict:
-    cells = []
-    for z in (0, 1):
-        for k in range(stats.k):
-            cells.append({
-                "z": z, "v": str(stats.v_support[k]),
-                "count": int(stats.n_zv[z, k]),
-                "p": float(stats.p_zv[z, k]),
-                "tau": float(stats.tau_zv[z, k]),
-            })
+    cells = [{"z": z, "v": str(stats.v_support[k]), "count": int(stats.n_zv[z, k]),
+              "p": float(stats.p_zv[z, k]), "tau": float(stats.tau_zv[z, k])}
+             for z in (0, 1) for k in range(stats.k)]
     return {"n": stats.n, "k": stats.k,
             "v_support": [str(v) for v in stats.v_support],
             "r_hat": stats.r_hat,
             "p_z": stats.p_z, "mu_z": stats.mu_z, "cells": cells}
 
 
-def _diagnostics(stats) -> dict:
-    """Determinants and relevance regressions of a validated table."""
+def _slope(fit) -> dict:
+    """The slope and its robust SE of a baseline regression."""
+    return {"coef": float(fit.coef[1]), "robust_se": float(fit.robust_se[1])}
+
+
+def _diagnostics(stats, hc1: bool) -> dict:
+    """Determinants and relevance regressions (HC1 with hc1) of a valid table."""
     dets = nonsingularity_diag(stats, stats.mode)
-    rel = relevance_test(stats)
+    rel = relevance_test(stats, hc1=hc1)
     return {
         "validation": [],
         "determinants": [{"candidate": str(k), "det": float(v)}
                          for k, v in dets.items()],
-        "relevance": {
-            str(z): {"coef": float(r.coef[1]), "robust_se": float(r.robust_se[1]),
-                     "n": r.n}
-            for z, r in rel.items()
-        },
+        "relevance": {str(z): {**_slope(r), "n": r.n} for z, r in rel.items()},
     }
 
 
-def _tabulate(ds, report: dict):
+def _tabulate(ds, report: dict, hc1: bool):
     """Cell table of a validated sample, with its dataset summary and
     diagnostics added to the report; raises ValidationError listing every
     problem validate finds."""
@@ -144,7 +140,7 @@ def _tabulate(ds, report: dict):
     if problems:
         raise ValidationError("; ".join(problems))
     report["dataset"] = _dataset_summary(stats)
-    report["diagnostics"] = _diagnostics(stats)
+    report["diagnostics"] = _diagnostics(stats, hc1)
     return stats
 
 
@@ -166,44 +162,32 @@ def cmd_estimate(args) -> int:
         return EXIT_IO
     report = _meta(args)
     try:
-        stats = _tabulate(ds, report)
+        stats = _tabulate(ds, report, hc1=args.hc1)
         est = gmm_estimate(stats, cfg)
     except MislateError as exc:
         report["error"] = str(exc)
         _emit(report, args.as_json)
         return EXIT_DIAG
 
-    names = est.param_names
     report["estimate"] = {
         "weighting": est.weighting,
         "converged": est.converged,
         "objective": est.objective,
-        "params": [
-            {"name": names[i], "estimate": float(est.theta_flat[i]),
-             "se": float(est.se[i]),
-             "ci": [float(est.ci[i, 0]), float(est.ci[i, 1])]}
-            for i in range(est.theta_flat.size)
-        ],
+        "params": [{"name": name, "estimate": x, "se": se, "ci": ci}
+                   for name, x, se, ci in zip(est.param_names, est.theta_flat,
+                                              est.se, est.ci)],
         "vcov": est.vcov,
     }
     report["j_test"] = {"stat": est.j_stat, "dof": est.j_dof,
                         "pvalue": est.j_pvalue}
     try:
-        iv = wald_iv(stats)
-        report["baselines"] = {
-            "wald_iv": {"coef": float(iv.coef[1]),
-                        "robust_se": float(iv.robust_se[1])},
-        }
+        iv = wald_iv(stats, hc1=args.hc1)
+        report["baselines"] = {"wald_iv": _slope(iv),
+                               "ols": _slope(ols(stats, hc1=args.hc1))}
         if mode is Mode.CASE_II:
-            bias = naive_bias_diag(
-                float(est.theta_hat.beta_star),
-                float(est.theta_hat.m0[0]), float(est.theta_hat.m1[0]), iv,
-            )
-            report["baselines"]["naive_bias"] = {
-                "beta_naive": bias.beta_naive, "s_hat": bias.s_hat,
-                "beta_naive_times_s": bias.beta_naive_times_s,
-                "beta_star_hat": bias.beta_star_hat, "gap": bias.gap,
-            }
+            theta = est.theta_hat
+            report["baselines"]["naive_bias"] = asdict(naive_bias_diag(
+                float(theta.beta_star), float(theta.m0[0]), float(theta.m1[0]), iv))
     except MislateError as exc:
         report["baselines"] = {"error": str(exc)}
     _emit(report, args.as_json)
@@ -219,7 +203,7 @@ def cmd_identify(args) -> int:
         return EXIT_IO
     report = _meta(args)
     try:
-        stats = _tabulate(ds, report)
+        stats = _tabulate(ds, report, hc1=False)
         result = identify(stats, mode, support_points=support_points)
     except MislateError as exc:
         report["error"] = str(exc)
@@ -265,12 +249,7 @@ def cmd_simulate(args) -> int:
         "true": {"beta_star": truth.beta_star,
                  "delta_p_star": truth.delta_p_star,
                  "m0": float(truth.m0[0]), "m1": float(truth.m1[0])},
-        "rows": [
-            {"parameter": r.parameter, "estimator": r.estimator,
-             "true": r.true, "bias": r.bias, "sd": r.sd,
-             "rmse": r.rmse, "cp": r.cp}
-            for r in summary.rows
-        ],
+        "rows": [asdict(r) for r in summary.rows],
     }
     _emit(report, args.as_json)
     return EXIT_OK
@@ -288,6 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--weight", choices=["identity", "optimal"],
                        default="identity")
     p_est.add_argument("--level", type=float, default=0.95)
+    p_est.add_argument("--hc1", action="store_true",
+                       help="small-sample HC1 correction for the SEs of the "
+                            "naive IV, OLS and relevance regressions")
     _add_output_flags(p_est)
     p_est.set_defaults(func=cmd_estimate)
 

@@ -147,12 +147,11 @@ def _w_half(w: np.ndarray) -> np.ndarray:
     return vecs @ root @ np.swapaxes(vecs, -1, -2)
 
 
-def _weights(omega: np.ndarray, weighting: str) -> tuple:
-    """(W, W^{1/2}): I, or pinv(Omega) and its root, stacked as Omega."""
+def _weights(omega: np.ndarray, weighting: str) -> np.ndarray:
+    """W^{1/2}: I, or the root of pinv(Omega), stacked as Omega."""
     if weighting == "identity":
-        return (np.eye(omega.shape[-1]),) * 2
-    weight = np.linalg.pinv(omega)
-    return weight, _w_half(weight)
+        return np.eye(omega.shape[-1])
+    return _w_half(np.linalg.pinv(omega))
 
 
 def _evaluate(x: np.ndarray, sums: MomentSums, w_half: Optional[np.ndarray]) -> tuple:
@@ -177,14 +176,12 @@ def _minimize(sums: MomentSums, x0, w_half):
     return res.x, res.status > 0
 
 
-def sandwich_cov(G: np.ndarray, W: np.ndarray, Omega: np.ndarray, n: int,
-                 w_half: Optional[np.ndarray] = None) -> np.ndarray:
-    """(G'WG)^-1 G'W Omega W G (G'WG)^-1 / n, computed as X Omega X' / n
-    with X = V diag(1/s) U' W^{1/2} from the SVD W^{1/2} G = U diag(s) V',
-    so cond(G) is not squared (X = G^-1 when G is square). w_half is
-    W^{1/2} when the caller holds it. Stacked arguments give a stack."""
-    if w_half is None:
-        w_half = _w_half(W)
+def sandwich_cov(G: np.ndarray, w_half: np.ndarray, Omega: np.ndarray,
+                 n: int) -> np.ndarray:
+    """(G'WG)^-1 G'W Omega W G (G'WG)^-1 / n for the weight W = w_half @
+    w_half, computed as X Omega X' / n with X = V diag(1/s) U' W^{1/2} from
+    the SVD W^{1/2} G = U diag(s) V', so cond(G) is not squared (X = G^-1
+    when G is square). Stacked arguments give a stack."""
     u, s, vt = np.linalg.svd(w_half @ G, full_matrices=False)
     # matrix_rank's tolerance
     if s.shape[-1] < G.shape[-1] or np.any(
@@ -206,10 +203,10 @@ def _is_closed(x: np.ndarray, k: int, mode: Mode) -> bool:
 
 
 def _solve(table: CellStats, x0: Optional[np.ndarray], weighting: str):
-    """(x, converged, weights) of a table: validate it, minimise from x0
+    """(x, converged, w_half) of a table: validate it, minimise from x0
     (_fallback_start's where x0 is None) and, two-step, again with the
-    weights (W, W^{1/2}) taken at the first estimate, which weights holds
-    (else None)."""
+    weight W^{1/2} taken at the first estimate, which w_half holds (else
+    None)."""
     problems = validate(table)
     if problems:
         raise ValidationError("; ".join(problems))
@@ -219,8 +216,8 @@ def _solve(table: CellStats, x0: Optional[np.ndarray], weighting: str):
     x, converged = _minimize(sums, x0, None)
     if weighting == "identity":
         return x, converged, None
-    weights = _weights(gbar_jacobian_omega(table, x)[2], weighting)
-    return (*_minimize(sums, x, weights[1]), weights)
+    w_half = _weights(gbar_jacobian_omega(table, x)[2], weighting)
+    return (*_minimize(sums, x, w_half), w_half)
 
 
 class _Fit(NamedTuple):
@@ -260,11 +257,11 @@ def _fit(stats: CellStats, weighting: str) -> _Fit:
     if ok.any():
         done = stats[ok]
         g[ok], G, omega[ok] = gbar_jacobian_omega(done, x[ok])
-        weight, w_half = _weights(omega[ok], weighting)
+        w_half = _weights(omega[ok], weighting)
         for j, i in enumerate(np.flatnonzero(ok)):
             if first.get(i) is not None:
-                weight[j], w_half[j] = first[i]
-        vcov[ok] = sandwich_cov(G, weight, omega[ok], done.n, w_half)
+                w_half[j] = first[i]
+        vcov[ok] = sandwich_cov(G, w_half, omega[ok], done.n)
         core = w_half @ g[ok][..., None]
         objective[ok] = (np.swapaxes(core, -1, -2) @ core)[..., 0, 0]
     return _Fit(x, g, omega, vcov, objective, converged, errors)

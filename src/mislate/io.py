@@ -256,19 +256,15 @@ def load_csv(path, schema: CsvSchema, mode: Mode, v_support=None) -> Dataset:
 
 
 def _to_jsonable(obj):
+    """obj as JSON data: Python scalars and lists, None for a non-finite float."""
     if isinstance(obj, dict):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if np.isfinite(f) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
     return obj
 
 
@@ -278,9 +274,11 @@ def report_json(report: dict) -> str:
 
 
 def format_number(x) -> str:
+    """A report value as text: a float to 3 decimals, "." for a missing
+    number (None or a float that is not finite), str of any other value."""
     if x is None or (isinstance(x, float) and not np.isfinite(x)):
         return "."
-    return f"{x:.3f}"
+    return f"{x:.3f}" if isinstance(x, float) else str(x)
 
 
 def report_text(report: dict) -> str:
@@ -291,22 +289,15 @@ def report_text(report: dict) -> str:
     def emit(prefix, obj):
         if isinstance(obj, dict):
             for k, v in obj.items():
-                emit(f"{prefix}{k}." if prefix else f"{k}.", v)
-        elif isinstance(obj, (list, tuple, np.ndarray)):
-            vals = _to_jsonable(list(obj))
-            if all(isinstance(v, (int, float, type(None))) for v in vals):
-                lines.append(
-                    f"{prefix[:-1]}: "
-                    + " ".join(format_number(v) if isinstance(v, float) else str(v)
-                               for v in vals)
-                )
+                emit(f"{prefix}{k}.", v)
+        elif isinstance(obj, list):
+            if all(isinstance(v, (int, float, type(None))) for v in obj):
+                lines.append(f"{prefix[:-1]}: " + " ".join(map(format_number, obj)))
             else:
-                for i, v in enumerate(vals):
+                for i, v in enumerate(obj):
                     emit(f"{prefix}{i}.", v)
-        elif isinstance(obj, float):
-            lines.append(f"{prefix[:-1]}: {format_number(obj)}")
         else:
-            lines.append(f"{prefix[:-1]}: {obj}")
+            lines.append(f"{prefix[:-1]}: {format_number(obj)}")
 
     emit("", _to_jsonable(report))
     return "\n".join(lines) + "\n"

@@ -53,7 +53,7 @@ class TestSandwich:
         omega = A @ A.T + np.eye(q)
         w = np.linalg.inv(omega)
         n = 500
-        v = sandwich_cov(G, w, omega, n)
+        v = sandwich_cov(G, gmm._w_half(w), omega, n)
         np.testing.assert_allclose(v, np.linalg.inv(G.T @ w @ G) / n,
                                    atol=1e-12)
 
@@ -92,7 +92,7 @@ class TestSandwich:
         W = np.eye(q) if weighting == "identity" else np.diag(
             rng.uniform(0.5, 2.0, size=q))
         exact = (v ** 2) @ (w / s ** 2) / n
-        got = np.diag(sandwich_cov(G, W, omega, n))
+        got = np.diag(sandwich_cov(G, gmm._w_half(W), omega, n))
         np.testing.assert_allclose(got, exact, rtol=1e-8, atol=0.0)
 
 

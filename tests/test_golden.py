@@ -45,3 +45,11 @@ def test_an_error_class_or_a_missing_output_is_listed():
     assert not same
     assert "  differs: study a: error None -> 'NoConvergence'" in lines
     assert "  differs: study b: only in this tree" in lines
+
+
+def test_identify_outputs_are_a_battery_of_their_own():
+    fields = {"error": "InvalidProbability", "message": "p* outside [0, 1]"}
+    lines, same = golden.compare({"identify a": fields, "identify b": {"x": np.ones(2)}},
+                                 {"identify a": fields, "identify b": {"x": np.zeros(2)}})
+    assert not same
+    assert "identify: 1 of 2 outputs bit-identical" in lines

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import count_calls, random_theta, simulate_from_theta
+from conftest import count_calls, random_theta, row_iv_fit, simulate_from_theta
 import mislate
 from mislate import io as mio
+from mislate.baselines import ols, relevance_test, wald_iv
 from mislate.cli import EXIT_DIAG, EXIT_IO, EXIT_OK, main
 from mislate.data import Mode, cell_stats
 from mislate.exceptions import (NoConvergence, ParseError, SchemaError,
@@ -575,6 +576,8 @@ def _cli_argv(draw):
         if draw(st.booleans()):
             value = draw(st.sampled_from(values))
             argv += [flag] if value is None else [flag, value]
+    if command == "estimate" and draw(st.booleans()):
+        argv.append("--hc1")
     if draw(st.booleans()):
         argv.append("--text")
     return argv
@@ -624,6 +627,12 @@ class TestReportFormats:
         assert "x.y: 0.500" in text
         assert "z: 1.000 2.000" in text
 
+    def test_text_prints_a_missing_number_as_a_dot(self):
+        # a NaN SE or a p-value the weighting does not give is a JSON null,
+        # printed as a dot alone or in a list
+        assert report_text({"p": None, "v": [1.0, None]}) == "p: .\nv: 1.000 .\n"
+        assert report_text({"se": [float("nan")]}) == "se: .\n"
+
 
 def _run(capsys, argv):
     code = main(argv)
@@ -664,13 +673,91 @@ class TestCli:
         _, out2 = _run(capsys, ["estimate"] + _data_args(path))
         assert out1 == out2
 
-    def test_estimate_text_matches_json_numbers(self, sample_csv, capsys):
-        path, _ = sample_csv
-        _, jout = _run(capsys, ["estimate"] + _data_args(path))
-        code, tout = _run(capsys, ["estimate", "--text"] + _data_args(path))
+    def test_estimate_reports_the_naive_ols(self, sample_csv, capsys):
+        path, ds = sample_csv
+        code, out = _run(capsys, ["estimate"] + _data_args(path))
         assert code == EXIT_OK
-        beta = json.loads(jout)["estimate"]["params"][0]["estimate"]
-        assert f"estimate.params.0.estimate: {beta:.3f}" in tout
+        got = json.loads(out)["baselines"]["ols"]
+        want = ols(cell_stats(load_csv(path, STD_SCHEMA, Mode.CASE_II)), "y", ("t",))
+        assert (got["coef"], got["robust_se"]) == (want.coef[1], want.robust_se[1])
+        X = np.column_stack([np.ones(ds.n), ds.t])
+        coef, se, _ = row_iv_fit(ds.y, X, X)
+        np.testing.assert_allclose([got["coef"], got["robust_se"]],
+                                   [coef[1], se[1]], rtol=1e-10)
+
+    def test_hc1_scales_the_baseline_ses_alone(self, sample_csv, capsys):
+        path, _ = sample_csv
+        _, out = _run(capsys, ["estimate"] + _data_args(path))
+        code, out1 = _run(capsys, ["estimate", "--hc1"] + _data_args(path))
+        assert code == EXIT_OK
+        hc0, hc1 = json.loads(out), json.loads(out1)
+        jsonschema.validate(hc1, SCHEMA)
+        assert hc1["args"]["hc1"] is True and hc0["args"]["hc1"] is False
+        stats = cell_stats(load_csv(path, STD_SCHEMA, Mode.CASE_II))
+        rel = relevance_test(stats, hc1=True)
+        fits = {"wald_iv": wald_iv(stats, hc1=True),
+                "ols": ols(stats, "y", ("t",), hc1=True)}
+        for name, fit in fits.items():
+            got = hc1["baselines"][name]
+            assert got["robust_se"] == fit.robust_se[1]
+            assert got["robust_se"] > hc0["baselines"][name]["robust_se"]
+            assert got["coef"] == hc0["baselines"][name]["coef"] == fit.coef[1]
+        for z, fit in rel.items():
+            got = hc1["diagnostics"]["relevance"][str(z)]
+            assert got["robust_se"] == fit.robust_se[1]
+            assert got["coef"] == hc0["diagnostics"]["relevance"][str(z)]["coef"]
+        # the corrected estimate and everything else do not move
+        for report in (hc0, hc1):
+            del report["args"]["hc1"]
+            for key in ("wald_iv", "ols"):
+                del report["baselines"][key]["robust_se"]
+            for arm in report["diagnostics"]["relevance"].values():
+                del arm["robust_se"]
+        assert hc1 == hc0
+
+    def test_estimate_text_matches_json_numbers(self, sample_csv, capsys):
+        # the data summary, the naive OLS and IV, the relevance regressions,
+        # the fit, every parameter with its SE and interval, and the J test
+        path, _ = sample_csv
+        _, jout = _run(capsys, ["estimate", "--hc1"] + _data_args(path))
+        code, text = _run(capsys, ["estimate", "--hc1", "--text"] + _data_args(path))
+        assert code == EXIT_OK
+        report = json.loads(jout)
+        lines = set(text.splitlines())
+        want = [f"dataset.n: {report['dataset']['n']}",
+                f"dataset.r_hat: {report['dataset']['r_hat']:.3f}",
+                "estimate.converged: True",
+                f"estimate.objective: {report['estimate']['objective']:.3f}",
+                f"j_test.stat: {report['j_test']['stat']:.3f}",
+                "j_test.dof: 0", "j_test.pvalue: ."]
+        for name in ("ols", "wald_iv"):
+            fit = report["baselines"][name]
+            want += [f"baselines.{name}.coef: {fit['coef']:.3f}",
+                     f"baselines.{name}.robust_se: {fit['robust_se']:.3f}"]
+        for z, fit in report["diagnostics"]["relevance"].items():
+            want += [f"diagnostics.relevance.{z}.coef: {fit['coef']:.3f}",
+                     f"diagnostics.relevance.{z}.robust_se: {fit['robust_se']:.3f}",
+                     f"diagnostics.relevance.{z}.n: {fit['n']}"]
+        for i, p in enumerate(report["estimate"]["params"]):
+            want += [f"estimate.params.{i}.name: {p['name']}",
+                     f"estimate.params.{i}.estimate: {p['estimate']:.3f}",
+                     f"estimate.params.{i}.se: {p['se']:.3f}",
+                     f"estimate.params.{i}.ci: {p['ci'][0]:.3f} {p['ci'][1]:.3f}"]
+        assert [line for line in want if line not in lines] == []
+
+    def test_estimation_failure_is_diagnostic_failure(self, sample_csv,
+                                                      monkeypatch, capsys):
+        def fail(stats, cfg):
+            raise NoConvergence("optimizer stopped")
+
+        monkeypatch.setattr(mislate.cli, "gmm_estimate", fail)
+        path, _ = sample_csv
+        code, out = _run(capsys, ["estimate"] + _data_args(path))
+        assert code == EXIT_DIAG
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["error"] == "optimizer stopped"
+        assert "estimate" not in report and "baselines" not in report
 
     def test_identify_json_validates(self, sample_csv, capsys):
         path, _ = sample_csv
@@ -723,15 +810,21 @@ class TestCli:
         assert "--support-points" in captured.err
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
-        code, _ = _run(capsys, ["estimate"]
-                       + _data_args(tmp_path / "nope.csv"))
+        code = main(["estimate"] + _data_args(tmp_path / "nope.csv"))
+        captured = capsys.readouterr()
         assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file")
 
     def test_parse_error_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("y,t,z,v\n1.0,9,0,0\n")
-        code, _ = _run(capsys, ["estimate"] + _data_args(path))
+        path.write_text("y,t,z,v\n1.0,0,0,0\n1.0,9,0,0\n")
+        code = main(["estimate"] + _data_args(path))
+        captured = capsys.readouterr()
         assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == ("error: column 't' must be 0 or 1, "
+                                "got '9' at line 3\n")
 
     @pytest.mark.parametrize("delimiter", ["", ";;", "ab"],
                              ids=["empty", "two", "ab"])
@@ -926,76 +1019,6 @@ def test_import_loads_no_scipy_module():
                          capture_output=True, text=True,
                          env=os.environ | {"PYTHONPATH": path}).stdout
     assert out == "[]\n"
-
-
-def _run_empirical():
-    spec = importlib.util.spec_from_file_location(
-        "run_empirical", ROOT / "scripts" / "run_empirical.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
-class TestRunEmpirical:
-    def test_summary(self, sample_csv, capsys):
-        path, _ = sample_csv
-        assert _run_empirical().main(_data_args(path)) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "naive IV" in out and "beta_star" in out
-
-    def test_malformed_csv_is_io_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("y,t,z,v\n1.0,0,0,0\n2.0,2,1,1\n")
-        assert _run_empirical().main(_data_args(path)) == EXIT_IO
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: column 't' must be 0 or 1, "
-                                "got '2' at line 3\n")
-
-    def test_oversized_field_is_io_error(self, tmp_path, capsys):
-        path = _oversized_csv(tmp_path / "big.csv")
-        assert _run_empirical().main(_data_args(path)) == EXIT_IO
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: field larger than field limit "
-                                "(131072) at line 2\n")
-
-    def test_non_utf8_csv_is_io_error(self, tmp_path, capsys):
-        path = tmp_path / "latin.csv"
-        path.write_bytes(b"y,t,z,v\n1.0,1,0,caf\xe9\n")
-        assert _run_empirical().main(_data_args(path)) == EXIT_IO
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: invalid UTF-8 at line 2\n"
-
-    def test_missing_file_is_io_error(self, tmp_path, capsys):
-        code = _run_empirical().main(_data_args(tmp_path / "nope.csv"))
-        assert code == EXIT_IO
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: [Errno 2] No such file")
-
-    @pytest.mark.parametrize("level", ["1.5", "0", "1"])
-    def test_level_outside_unit_interval_is_io_error(self, sample_csv, capsys,
-                                                     level):
-        path, _ = sample_csv
-        code = _run_empirical().main(["--level", level] + _data_args(path))
-        captured = capsys.readouterr()
-        assert code == EXIT_IO
-        assert captured.out == ""
-        assert captured.err == "error: ci_level must be in (0,1)\n"
-
-    def test_estimation_failure_is_diagnostic_failure(self, sample_csv,
-                                                      monkeypatch, capsys):
-        script = _run_empirical()
-
-        def fail(ds, cfg):
-            raise NoConvergence("optimizer stopped")
-
-        monkeypatch.setattr(script, "estimate", fail)
-        path, _ = sample_csv
-        assert script.main(_data_args(path)) == EXIT_DIAG
-        assert capsys.readouterr().err == "error: optimizer stopped\n"
 
 
 def _run_montecarlo():
