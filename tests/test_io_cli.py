@@ -1021,6 +1021,63 @@ def test_import_loads_no_scipy_module():
     assert out == "[]\n"
 
 
+def _run_empirical(argv):
+    # the empirical illustration's run: `mislate estimate --text` on a CSV
+    return main(["estimate", "--text"] + argv)
+
+
+class TestRunEmpirical:
+    def test_summary(self, sample_csv, capsys):
+        path, _ = sample_csv
+        assert _run_empirical(["--hc1"] + _data_args(path)) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "baselines.ols.coef: " in out
+        assert "baselines.wald_iv.coef: " in out
+        assert "estimate.params.0.name: beta_star" in out
+
+    def test_malformed_csv_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("y,t,z,v\n1.0,0,0,0\n2.0,2,1,1\n")
+        assert _run_empirical(_data_args(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: column 't' must be 0 or 1, "
+                                "got '2' at line 3\n")
+
+    def test_oversized_field_is_io_error(self, tmp_path, capsys):
+        path = _oversized_csv(tmp_path / "big.csv")
+        assert _run_empirical(_data_args(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: field larger than field limit "
+                                "(131072) at line 2\n")
+
+    def test_non_utf8_csv_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"y,t,z,v\n1.0,1,0,caf\xe9\n")
+        assert _run_empirical(_data_args(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid UTF-8 at line 2\n"
+
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        code = _run_empirical(_data_args(tmp_path / "nope.csv"))
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file")
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "1"])
+    def test_level_outside_unit_interval_is_io_error(self, sample_csv, capsys,
+                                                     level):
+        path, _ = sample_csv
+        code = _run_empirical(["--level", level] + _data_args(path))
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err == "error: ci_level must be in (0,1)\n"
+
+
 def _run_montecarlo():
     spec = importlib.util.spec_from_file_location(
         "run_montecarlo", ROOT / "scripts" / "run_montecarlo.py")
