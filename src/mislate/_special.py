@@ -7,9 +7,10 @@
   relative; evaluated in double precision it is within a few ulp of the
   exact quantile.
 - ``ndtr``: the standard normal CDF, 0.5 erfc(-x / sqrt 2).
-- ``chdtrc``: the chi-square survival function at an integer number of
-  degrees of freedom, from the finite series of the upper incomplete gamma
-  function at integer and half-integer shape.
+- ``chdtrc``: the chi-square survival function at an even number of
+  degrees of freedom, the only kind a J test has (2K - 4 in case ii, 2K - 6
+  in case i), from the finite series of the upper incomplete gamma
+  function at integer shape.
 """
 from __future__ import annotations
 
@@ -123,13 +124,14 @@ def ndtr(x: float) -> float:
 
 
 def chdtrc(dof: int, j: float) -> float:
-    """P(X > j) for X chi-square with a positive integer dof.
+    """P(X > j) for X chi-square with a positive even dof.
 
-    With x = j / 2 and m = dof // 2 it is e^-x (1 + x + ... + x^(m-1)/(m-1)!)
-    for even dof, and erfc(sqrt x) + e^-x sqrt(x) (1/G(3/2) + x/G(5/2) + ...
-    + x^(m-1)/G(m+1/2)) for odd dof, G the gamma function. j <= 0 gives 1,
-    a NaN j gives NaN, and a j so large that e^-x underflows gives 0.
+    With x = j / 2 it is e^-x (1 + x + ... + x^(m-1)/(m-1)!), m = dof / 2.
+    j <= 0 gives 1, a NaN j gives NaN, and a j so large that e^-x
+    underflows gives 0. An odd dof raises ValueError.
     """
+    if dof % 2:
+        raise ValueError(f"dof must be even, got {dof}")
     if math.isnan(j):
         return math.nan
     if j <= 0.0:
@@ -137,14 +139,8 @@ def chdtrc(dof: int, j: float) -> float:
     if j == math.inf:
         return 0.0
     x = j / 2.0
-    m = dof // 2
-    if dof % 2 == 0:
-        term, start, total = math.exp(-x), 1.0, 0.0
-    else:
-        # e^-x sqrt(x) / G(3/2), G(3/2) = sqrt(pi) / 2
-        term, start = math.exp(-x) * math.sqrt(x) * (2.0 / math.sqrt(math.pi)), 1.5
-        total = math.erfc(math.sqrt(x))
-    for i in range(m):
+    term, total = math.exp(-x), 0.0
+    for i in range(1, dof // 2 + 1):
         total += term
-        term *= x / (start + i)
+        term *= x / i
     return total

@@ -252,12 +252,16 @@ class CellStats:
             object.__setattr__(self, name, value)
 
     def __getitem__(self, index) -> "CellStats":
-        # each summary is elementwise in the tables, so it indexes as they do
+        # every field but K, mode and v_support, which the tables share, has
+        # one entry per table; each summary is elementwise in the tables, so
+        # it indexes as they do
         out = object.__new__(CellStats)
-        vars(out).update(vars(self), n=np.asarray(self.n)[index].tolist(),
-                         **{name: getattr(self, name)[index] for name in (
-                             "n_zvt", "sum_y", "ss_y", "n_zv", "p_zv", "tau_zv",
-                             "p_z", "mu_z", "r_hat")})
+        for name, value in vars(self).items():
+            if name == "n":
+                value = np.asarray(value)[index].tolist()
+            elif name not in ("k", "mode", "v_support"):
+                value = value[index]
+            vars(out)[name] = value
         return out
 
     @property

@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from mislate.data import CellStats, Dataset, Mode, ParamVector
 from mislate.moments import _check_domain
@@ -80,6 +79,15 @@ def simulate_from_theta(theta: ParamVector, n: int, rng: np.random.Generator,
                    mode=Mode.CASE_II)
 
 
+def no_first_stage() -> Dataset:
+    """40 rows of K = 2, ten in each (z, v) cell, half of them treated: the
+    observed first stage is exactly zero."""
+    cell, i = np.divmod(np.arange(40), 10)
+    z, v = np.divmod(cell, 2)
+    return Dataset(y=0.1 * i + z + v, t=i % 2, z=z, v=v, v_support=(0, 1),
+                   mode=Mode.CASE_II)
+
+
 def central_differences(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of f at x; column j uses
     h_j = step * max(1, |x_j|). The oracle for closed-form derivatives."""
@@ -111,7 +119,9 @@ def row_iv_fit(y, X, Z, hc1=False):
 def least_squares_oracle(evaluate, x0, lb, ub, *, ftol, xtol, gtol, max_nfev):
     """scipy's least_squares with method="trf" on the residuals and
     Jacobian of evaluate(x) -> (f, J), with the arguments the GMM fit gives
-    mislate.lsq.trf. The oracle for that port."""
+    mislate.lsq.trf. The oracle for that port; without scipy the calling
+    test skips."""
+    optimize = pytest.importorskip("scipy.optimize")
     return optimize.least_squares(
         lambda x: evaluate(x)[0], x0, jac=lambda x: evaluate(x)[1],
         bounds=(lb, ub), method="trf", ftol=ftol, xtol=xtol, gtol=gtol,

@@ -6,10 +6,10 @@ The Monte Carlo criteria share one 500-replication run per design at n=1000.
 import os
 from dataclasses import replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from conftest import random_theta
 from mislate.baselines import wald_iv
@@ -74,7 +74,7 @@ def test_criterion_2_population_moments_vanish(capsys):
     # Bonferroni bound c = 4.44 fails a correct program with probability at
     # most CRIT2_FWER = 1e-4, whatever the seeds.
     truth = true_params(DesignSpec(1))
-    c = float(norm.isf(CRIT2_FWER / (2 * (4 * truth.k + 3))))
+    c = -NormalDist().inv_cdf(CRIT2_FWER / (2 * (4 * truth.k + 3)))
     # each shift moves some component's mean by at least 8.9 standard errors
     # (beta_star 9.1, m0 8.9, delta_p_star 10.7; mean over draws 1-60), so
     # the statistic also exceeds c with probability above 1 - 1e-4

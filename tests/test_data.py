@@ -4,7 +4,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import random_theta, row_validate
+from conftest import (random_theta, row_validate, simulate_from_theta,
+                      stack_tables)
 from mislate.data import (CellStats, Dataset, Mode, ParamVector, cell_stats,
                           param_names, validate)
 from mislate.exceptions import EmptyCell, ValidationError
@@ -115,6 +116,13 @@ def test_dataset_refuses_codes_as_given(column, value):
                else "t or z contains values outside {0,1}")
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         Dataset(**cols, v_support=ds.v_support, mode=ds.mode)
+
+
+def test_dataset_refuses_columns_of_different_lengths():
+    ds = _full_dataset()
+    with pytest.raises(ValidationError, match="^column lengths differ$"):
+        Dataset(y=ds.y[:-1], t=ds.t, z=ds.z, v=ds.v, v_support=ds.v_support,
+                mode=ds.mode)
 
 
 def test_dataset_keeps_whole_number_codes_of_any_type():
@@ -286,6 +294,26 @@ def test_case_ii_refuses_z_varying_or_nan_misclassification(m0, m1):
                        "tau_star": np.ones((2, 2))})
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("m0", [0.1, 0.1, 0.1], "m0 must have shape (2,), got (3,)"),
+    ("tau_star", 1.0, "tau_star must have shape (2,), got ()"),
+    ("p_star", np.full(2, 0.5), "p_star must have shape (2, K), got (2,)"),
+    ("p_star", np.full((3, 2), 0.5), "p_star must have shape (2, K), got (3, 2)"),
+], ids=["m0", "tau_star", "p_star-1d", "p_star-3-rows"])
+def test_param_vector_refuses_a_field_of_the_wrong_shape(name, value, message):
+    given = dict(beta_star=1.0, delta_p_star=0.3, r=0.5, m0=[0.1, 0.1],
+                 m1=[0.2, 0.2], p_star=np.full((2, 2), 0.5),
+                 tau_star=[1.0, 1.0], mode=Mode.CASE_II)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ParamVector(**{**given, name: value})
+
+
+def test_unpacked_fields_refuses_a_wrong_coordinate_count():
+    with pytest.raises(ValidationError,
+                       match=r"^expected 11 coordinates, got \(10,\)$"):
+        ParamVector.unpacked_fields(np.zeros(10), 2, Mode.CASE_II)
+
+
 def test_param_names_pin_the_packed_order():
     assert param_names(2, Mode.CASE_II) == CASE_II_K2_NAMES
     assert param_names(3, Mode.CASE_I) == CASE_I_K3_NAMES
@@ -325,3 +353,24 @@ def test_cell_stats_n_is_an_exact_count(rng):
     assert type(table.n) is int and table.n == 8
     population = forward_cell_stats(random_theta(rng, Mode.CASE_I, 3))
     assert type(population.n) is int and population.n == 1
+
+
+def test_indexing_a_stack_gives_each_table_bit_for_bit(rng):
+    # every field, each summary included, as the table built alone has it
+    def same(got, want):
+        assert vars(got).keys() == vars(want).keys()
+        for name, value in vars(want).items():
+            assert type(getattr(got, name)) is type(value), name
+            if isinstance(value, (np.ndarray, np.generic)):
+                assert getattr(got, name).shape == value.shape, name
+                assert getattr(got, name).tobytes() == value.tobytes(), name
+            else:
+                assert getattr(got, name) == value, name
+
+    tables = [cell_stats(simulate_from_theta(random_theta(rng, Mode.CASE_II, 3),
+                                             500, rng)) for _ in range(3)]
+    stack = stack_tables(tables)
+    for i, table in enumerate(tables):
+        same(stack[i], table)
+    same(stack[np.array([True, False, True])], stack_tables(tables[::2]))
+    same(tables[0][None], stack_tables(tables[:1]))

@@ -366,27 +366,34 @@ def _default_pick(dets: dict, mode: Mode):
                                     (Mode.CASE_I, 3), (Mode.CASE_I, 4)])
 def test_pinning_the_default_pick_changes_nothing(mode, k):
     # the pinned and the default path share one loop; pinning the candidate
-    # the default picks must give the same bits, or the same failure
+    # the default picks must give the same bits, or the same failure. In
+    # case ii swapping v and v' negates each equation's coefficients
+    # exactly, so the swapped pair must too
     rng = np.random.default_rng(100 + k)
     for _ in range(6):
         theta = random_theta(rng, mode, k)
         sample = simulate_from_theta(theta, 20_000, rng)
         for stats in (forward_cell_stats(theta),
                       cell_stats(dataclasses.replace(sample, mode=mode))):
-            pin = _default_pick(nonsingularity_diag(stats, mode), mode)
+            pick = _default_pick(nonsingularity_diag(stats, mode), mode)
+            pins = [pick, pick[::-1]] if mode is Mode.CASE_II else [pick]
             try:
                 default = identify(stats, mode)
             except MislateError as exc:
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    identify(stats, mode, support_points=pin)
+                for pin in pins:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        identify(stats, mode, support_points=pin)
                 continue
-            pinned = identify(stats, mode, support_points=pin)
-            assert default.support_points == pinned.support_points == pin
-            assert pinned.theta.pack().tobytes() == default.theta.pack().tobytes()
-            assert pinned.s.tobytes() == default.s.tobytes()
-            assert list(pinned.determinants.items()) == list(
-                default.determinants.items())
-            assert pinned.discriminants == default.discriminants
+            assert default.support_points == pick
+            for pin in pins:
+                pinned = identify(stats, mode, support_points=pin)
+                assert pinned.support_points == pin
+                assert (pinned.theta.pack().tobytes()
+                        == default.theta.pack().tobytes())
+                assert pinned.s.tobytes() == default.s.tobytes()
+                assert list(pinned.determinants.items()) == list(
+                    default.determinants.items())
+                assert pinned.discriminants == default.discriminants
 
 
 @pytest.mark.parametrize("mode,pin", [
@@ -510,8 +517,12 @@ def _identify(table):
     (lambda: forward_cell_stats(_boundary_latent()), DegenerateCell,
      "observed treatment probability on the boundary"),
     (_identify(_empty_cell), EmptyCell, "no observations with z=1, v='a', t=1"),
+    # case i has no system of two support points
+    (lambda: identify(_observed_table([[0.25, 0.5], [0.5, 0.75]], np.ones((2, 2))),
+                      Mode.CASE_I),
+     ValidationError, "case-i needs more than K=2 support points"),
 ], ids=["determinant", "attenuation", "monotone", "first-stage", "cell-p",
-        "equation-p", "observed-p", "empty"])
+        "equation-p", "observed-p", "empty", "case-i-k2"])
 def test_every_identification_message_is_reached(call, error, message):
     # each message that reaches a report's error field, through the public
     # call that raises it

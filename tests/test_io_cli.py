@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -16,15 +17,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import count_calls, random_theta, row_iv_fit, simulate_from_theta
+from conftest import (count_calls, no_first_stage, random_theta, row_iv_fit,
+                      simulate_from_theta)
 import mislate
-from mislate import io as mio
+from mislate import gmm, io as mio
 from mislate.baselines import ols, relevance_test, wald_iv
 from mislate.cli import EXIT_DIAG, EXIT_IO, EXIT_OK, main
 from mislate.data import Mode, cell_stats
 from mislate.exceptions import (NoConvergence, ParseError, SchemaError,
                                 ValidationError)
 from mislate.io import CsvSchema, format_number, load_csv, report_json, report_text
+from mislate.simulation import DesignSpec, generate
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schema" / "report.schema.json")
@@ -745,6 +748,31 @@ class TestCli:
                      f"estimate.params.{i}.ci: {p['ci'][0]:.3f} {p['ci'][1]:.3f}"]
         assert [line for line in want if line not in lines] == []
 
+    def test_overidentified_optimal_fit_solves_twice(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a V split into three labels makes case ii overidentified, so each
+        # step of the two-step fit is a solve of mislate.lsq
+        ds, _ = generate(DesignSpec(3), 4000, seed=0)
+        path = tmp_path / "k3.csv"
+        _write_csv(path, dataclasses.replace(
+            ds, v=ds.v + (ds.v == 1) * (np.arange(ds.n) % 2), v_support=(0, 1, 2)))
+        solves, trf = [], gmm.trf
+
+        def recorded(*args, **kwargs):
+            solves.append(trf(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(gmm, "trf", recorded)
+        code, out = _run(capsys, ["estimate", "--weight", "optimal"]
+                         + _data_args(path))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["estimate"]["converged"]
+        assert report["j_test"]["dof"] == 2
+        assert 0.0 < report["j_test"]["pvalue"] < 1.0
+        assert len(solves) == 2 and all(s.status > 0 for s in solves)
+
     def test_estimation_failure_is_diagnostic_failure(self, sample_csv,
                                                       monkeypatch, capsys):
         def fail(stats, cfg):
@@ -766,6 +794,28 @@ class TestCli:
         report = json.loads(out)
         jsonschema.validate(report, SCHEMA)
         assert report["identify"]["params"][0]["name"] == "beta_star"
+        # the text report carries the same solution
+        code, text = _run(capsys, ["identify", "--text"] + _data_args(path))
+        assert code == EXIT_OK
+        lines = set(text.splitlines())
+        result = report["identify"]
+        want = [f"identify.support_points: {result['support_points']}",
+                f"identify.s: {' '.join(f'{s:.3f}' for s in result['s'])}"]
+        for i, p in enumerate(result["params"]):
+            want += [f"identify.params.{i}.name: {p['name']}",
+                     f"identify.params.{i}.estimate: {p['estimate']:.3f}"]
+        assert [line for line in want if line not in lines] == []
+
+    def test_identify_without_a_first_stage_is_diagnostic_failure(
+            self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        _write_csv(path, no_first_stage())
+        code, out = _run(capsys, ["identify"] + _data_args(path))
+        assert code == EXIT_DIAG
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["error"] == "determinant 0.0 below tolerance"
+        assert "identify" not in report
 
     def test_identify_support_points_flag(self, sample_csv, capsys):
         path, _ = sample_csv
@@ -1008,17 +1058,38 @@ class TestCli:
         assert [e.value for e in installed] == [_declared_scripts()["mislate"]]
 
 
-def test_import_loads_no_scipy_module():
-    # a fresh interpreter: this one has loaded scipy for the tests' oracles
+def _fresh_python(*args):
+    """The stdout of a fresh interpreter run with args, with this mislate
+    on its path; a non-zero exit fails the test."""
     src = str(Path(mislate.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], check=True, timeout=120,
+                          capture_output=True, text=True,
+                          env=os.environ | {"PYTHONPATH": path}).stdout
+
+
+def test_import_loads_no_scipy_module():
+    # a fresh interpreter: this one may have loaded scipy for the oracles
     code = ("import sys, mislate, mislate.cli; "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
-                         capture_output=True, text=True,
-                         env=os.environ | {"PYTHONPATH": path}).stdout
-    assert out == "[]\n"
+    assert _fresh_python("-c", code) == "[]\n"
+
+
+def test_a_worker_pool_gives_the_serial_study():
+    # `python -m mislate.cli` as a user runs it, so that --threads 2 starts
+    # a real pool of two processes (where the host has two CPUs) outside
+    # pytest's warning filters; design 2, seed 0: reps 3, 7, 9 and 10 of
+    # the 12 take the solver, the rest are fitted as one stack
+    def simulate(threads):
+        out = _fresh_python("-m", "mislate.cli", "simulate", "--design", "2",
+                            "--n", "1000", "--reps", "12", "--threads",
+                            str(threads), "--json")
+        return json.loads(out)["simulate"]
+
+    serial = simulate(1)
+    assert serial["n_failed"] == 0
+    assert simulate(2) == serial
 
 
 def _run_empirical(argv):

@@ -153,6 +153,16 @@ def test_refuses_a_start_outside_the_box():
             ftol=1e-12, xtol=1e-12, gtol=1e-10, max_nfev=10)
 
 
+@pytest.mark.parametrize("ub,f,message", [
+    ([1.0, 0.0], [0.0, 0.0], "each lower bound must be below its upper bound"),
+    ([1.0, 1.0], [np.nan, 0.0], "residuals are not finite at the initial point"),
+], ids=["bounds", "residuals"])
+def test_refuses_a_problem_it_cannot_start(ub, f, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        trf(lambda x: (np.array(f), np.eye(2)), np.zeros(2), np.zeros(2),
+            np.array(ub), ftol=1e-12, xtol=1e-12, gtol=1e-10, max_nfev=10)
+
+
 def test_stops_at_max_nfev_with_status_0():
     # the Rosenbrock residuals with x[1] unbounded: three evaluations stop
     # short, a thousand reach the minimum at (1, 1) as scipy's loop does

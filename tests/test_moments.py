@@ -9,7 +9,7 @@ from conftest import (cell_grid, central_differences, moment_matrix,
                       random_theta, simulate_from_theta, stack_tables)
 from mislate import data
 from mislate.data import Dataset, Mode, ParamVector, cell_stats
-from mislate.exceptions import DomainError
+from mislate.exceptions import DomainError, ValidationError
 from mislate.identification import (forward_cell_stats, identify, implied_p,
                                     implied_tau)
 from mislate import moments
@@ -311,6 +311,11 @@ class TestDomainGuards:
         with pytest.raises(DomainError):
             moment_matrix(ds, self._theta(delta_p_star=0.0))
 
+    def test_a_wrong_coordinate_count(self):
+        table = cell_stats(_exact_count_dataset(_oracle_theta(), per_cell=40))
+        with pytest.raises(ValidationError,
+                           match=r"^expected 11 coordinates, got \(12,\)$"):
+            gbar_jacobian_omega(table, np.zeros(12))
 
     @pytest.mark.parametrize("over,prefix", [
         (dict(r=1.0), "r-moment"),

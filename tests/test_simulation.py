@@ -3,7 +3,6 @@ import concurrent.futures
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from conftest import count_calls
 import mislate.simulation
@@ -22,7 +21,14 @@ from mislate.simulation import (
 )
 
 
-def _norm_trunc_moments(c):
+@pytest.fixture
+def norm():
+    """scipy's standard normal, the oracle of the normal draws and of
+    true_params; a test that takes it skips without scipy."""
+    return pytest.importorskip("scipy.stats").norm
+
+
+def _norm_trunc_moments(norm, c):
     lo, phi = norm.cdf(c), norm.pdf(c)
     return -phi / lo, phi / (1.0 - lo), 1.0 - c * phi / lo
 
@@ -47,7 +53,8 @@ class TestGenerate:
         np.testing.assert_array_equal(a.t, b.t)
 
     @pytest.mark.parametrize("design", [2, 5])
-    def test_normal_draws_match_the_norm_ppf_oracle(self, monkeypatch, design):
+    def test_normal_draws_match_the_norm_ppf_oracle(self, monkeypatch, norm,
+                                                   design):
         fast = generate(DesignSpec(design), 5000, seed=11, rep=2)
         monkeypatch.setattr(mislate.simulation, "ndtri", norm.ppf)
         oracle = generate(DesignSpec(design), 5000, seed=11, rep=2)
@@ -132,7 +139,7 @@ class TestGenerate:
                 t1 = (-1.0 + 1 + v - la.u1 > 0)
             assert not np.any(t0 & ~t1)
 
-    def test_latent_propensity_matches_probit(self):
+    def test_latent_propensity_matches_probit(self, norm):
         _, latent = generate(DesignSpec(3), 1_000_000, seed=2)
         ds, _ = generate(DesignSpec(3), 1_000_000, seed=2)
         for z in (0, 1):
@@ -156,7 +163,7 @@ class TestGenerate:
 
 
 class TestTrueParams:
-    def test_first_stage_contrasts(self):
+    def test_first_stage_contrasts(self, norm):
         # binary-covariate designs: average Phi contrast across v
         t1 = true_params(DesignSpec(1))
         expect = 0.5 * (norm.cdf(0.0) + norm.cdf(1.0)) \
@@ -169,22 +176,23 @@ class TestTrueParams:
         assert t5.delta_p_star == pytest.approx(0.3829, abs=5e-5)
 
     @pytest.mark.parametrize("c", [-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.7])
-    def test_trunc_moments_match_the_norm_oracle(self, c):
+    def test_trunc_moments_match_the_norm_oracle(self, norm, c):
         # math.erfc and scipy's Cephes erfc differ in the last bit, and at
         # c = -2.5 erfc's slope turns the rounding of -c / sqrt 2 into 7 ulp
         # of Phi(c); taking c * sqrt(1/2) as scipy does gives 1 ulp there but
         # moves Phi(+-1) off norm.cdf, which true_params matches bit for bit,
         # and 1 - Phi(1) by 5 ulp
         np.testing.assert_array_max_ulp(
-            np.array(_trunc_moments(c)), np.array(_norm_trunc_moments(c)),
+            np.array(_trunc_moments(c)), np.array(_norm_trunc_moments(norm, c)),
             maxulp=8)
 
     @pytest.mark.parametrize("design", range(1, 7))
-    def test_match_the_norm_cdf_and_pdf_oracle(self, monkeypatch, design):
+    def test_match_the_norm_cdf_and_pdf_oracle(self, monkeypatch, norm,
+                                              design):
         fast = true_params(DesignSpec(design)).pack()
         monkeypatch.setattr(mislate.simulation, "ndtr", norm.cdf)
         monkeypatch.setattr(mislate.simulation, "_trunc_moments",
-                            _norm_trunc_moments)
+                            lambda c: _norm_trunc_moments(norm, c))
         oracle = true_params(DesignSpec(design)).pack()
         assert fast.tobytes() == oracle.tobytes()
 
@@ -195,7 +203,7 @@ class TestTrueParams:
             assert t.r == 0.5 and t.mode is Mode.CASE_II
             assert t.beta_star == 1.0
 
-    def test_repeated_measure_bayes_cells(self):
+    def test_repeated_measure_bayes_cells(self, norm):
         t = true_params(DesignSpec(5))
         pz = norm.cdf(-0.5)
         expect = 0.7 * pz / (0.7 * pz + 0.3 * (1 - pz))
